@@ -9,7 +9,6 @@
 #include "bench/bench_common.h"
 #include "data/beijing.h"
 #include "data/workload.h"
-#include "index/kdtree.h"
 #include "index/pruning.h"
 #include "privacy/planar_laplace.h"
 #include "reachability/analytical_model.h"
@@ -159,26 +158,6 @@ void BM_UpdateWorkerLocation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_UpdateWorkerLocation)->Arg(100000)->Arg(1000000);
-
-void BM_KdTreeNearest(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  stats::Rng rng(7);
-  const geo::BoundingBox region = data::BeijingRegion();
-  std::vector<index::KdTree::Entry> entries;
-  entries.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    entries.push_back({{rng.UniformDouble(region.min_x, region.max_x),
-                        rng.UniformDouble(region.min_y, region.max_y)},
-                       i});
-  }
-  const index::KdTree tree(std::move(entries));
-  for (auto _ : state) {
-    const geo::Point q{rng.UniformDouble(region.min_x, region.max_x),
-                       rng.UniformDouble(region.min_y, region.max_y)};
-    benchmark::DoNotOptimize(tree.Nearest(q));
-  }
-}
-BENCHMARK(BM_KdTreeNearest)->Arg(500)->Arg(5000)->Arg(50000);
 
 void BM_EndToEndAssignment(benchmark::State& state) {
   data::WorkloadConfig config;

@@ -42,7 +42,7 @@ struct AlgorithmParams {
       reachability::AnalyticalMode::kPaperNormalApprox;
   /// Evaluation-kernel knobs, forwarded to EnginePolicy::kernel.
   reachability::KernelOptions kernel;
-  /// Parallel-scan / active-set knobs, forwarded to EnginePolicy::runtime.
+  /// Parallel-scan knobs, forwarded to EnginePolicy::runtime.
   EngineRuntime runtime;
 };
 

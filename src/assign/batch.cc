@@ -88,16 +88,8 @@ MatchResult BatchMatcher::Run(const Workload& workload, stats::Rng& /*rng*/) {
         truly_reachable += reachable ? 1 : 0;
         if (cost[bt][wi] < kInfeasible && reachable) ++candidates_reachable;
       }
-      if (candidates > 0) {
-        m.precision_sum += static_cast<double>(candidates_reachable) /
-                           static_cast<double>(candidates);
-        m.precision_count += 1;
-      }
-      if (truly_reachable > 0) {
-        m.recall_sum += static_cast<double>(candidates_reachable) /
-                        static_cast<double>(truly_reachable);
-        m.recall_count += 1;
-      }
+      m.AddCandidateAccuracy(candidates_reachable, candidates,
+                             truly_reachable);
     }
 
     const std::vector<int> batch_match = MinCostMaxMatching(cost);

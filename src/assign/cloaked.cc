@@ -60,16 +60,9 @@ MatchResult CloakedMatcher::Run(const Workload& workload, stats::Rng& rng) {
     }
     m.candidates_sum += static_cast<int64_t>(ranked.size());
     m.server_to_requester_msgs += 1;
-    if (!ranked.empty()) {
-      m.precision_sum += static_cast<double>(candidates_reachable) /
-                         static_cast<double>(ranked.size());
-      m.precision_count += 1;
-    }
-    if (truly_reachable > 0) {
-      m.recall_sum += static_cast<double>(candidates_reachable) /
-                      static_cast<double>(truly_reachable);
-      m.recall_count += 1;
-    }
+    m.AddCandidateAccuracy(candidates_reachable,
+                           static_cast<int64_t>(ranked.size()),
+                           truly_reachable);
     if (ranked.empty()) continue;
 
     SortRankedCandidates(ranked);

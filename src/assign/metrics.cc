@@ -2,6 +2,21 @@
 
 namespace scguard::assign {
 
+void RunMetrics::AddCandidateAccuracy(int64_t candidates_reachable,
+                                      int64_t candidates,
+                                      int64_t truly_reachable) {
+  if (candidates > 0) {
+    precision_sum += static_cast<double>(candidates_reachable) /
+                     static_cast<double>(candidates);
+    precision_count += 1;
+  }
+  if (truly_reachable > 0) {
+    recall_sum += static_cast<double>(candidates_reachable) /
+                  static_cast<double>(truly_reachable);
+    recall_count += 1;
+  }
+}
+
 void RunMetrics::Accumulate(const RunMetrics& other) {
   num_tasks += other.num_tasks;
   num_workers += other.num_workers;

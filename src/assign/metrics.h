@@ -106,6 +106,13 @@ struct RunMetrics {
                               : 0.0;
   }
 
+  /// Folds one task's U2U accuracy into the precision/recall sums:
+  /// `candidates_reachable` of the `candidates` forwarded were truly
+  /// reachable, out of `truly_reachable` reachable available workers. A
+  /// zero denominator skips its term.
+  void AddCandidateAccuracy(int64_t candidates_reachable, int64_t candidates,
+                            int64_t truly_reachable);
+
   /// Element-wise accumulation (used by the multi-seed aggregator).
   void Accumulate(const RunMetrics& other);
 };

@@ -2,122 +2,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
-#include <utility>
-#include <vector>
 
-#include "assign/stages/contact_stage.h"
-#include "common/check.h"
 #include "common/str_format.h"
-#include "geo/point.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/trace.h"
 
 namespace scguard::assign {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double Elapsed(Clock::time_point since) {
-  return std::chrono::duration<double>(Clock::now() - since).count();
-}
-
-/// The engine's metric set (DESIGN.md §7), resolved once per process.
-/// Counts are accumulated in plain locals during a run and flushed with
-/// one Increment each at the end, so the per-worker hot loop never
-/// touches an atomic; stage histograms additionally cost two clock reads
-/// per task per stage, gated on obs::Enabled().
-struct EngineObs {
-  obs::Counter* tasks;
-  obs::Counter* assigned_tasks;
-  obs::Counter* assignments;
-  obs::Counter* candidates;
-  obs::Counter* workers_evaluated;
-  obs::Counter* workers_pruned;
-  obs::Counter* alpha_rejections;
-  obs::Counter* beta_cancels;
-  obs::Counter* disclosures;
-  obs::Counter* false_hits;
-  obs::Counter* false_dismissals;
-  obs::Counter* band_evals;
-  obs::Counter* active_compactions;
-  obs::Counter* cells_bulk_accepted;
-  obs::Counter* cells_skipped;
-  obs::Counter* boundary_workers;
-  obs::Counter* u2u_gather_bytes;
-  obs::Counter* cells_emitted_direct;
-  obs::Histogram* u2u_seconds;
-  obs::Histogram* u2e_seconds;
-  obs::Histogram* e2e_seconds;
-  obs::Histogram* u2u_scan_workers;
-
-  static const EngineObs& Get() {
-    auto& registry = obs::MetricsRegistry::Global();
-    static const EngineObs o = {
-        registry.GetCounter("scguard.engine.tasks"),
-        registry.GetCounter("scguard.engine.assigned_tasks"),
-        registry.GetCounter("scguard.engine.assignments"),
-        registry.GetCounter("scguard.engine.candidates"),
-        registry.GetCounter("scguard.engine.workers_evaluated"),
-        registry.GetCounter("scguard.engine.workers_pruned"),
-        registry.GetCounter("scguard.engine.alpha_rejections"),
-        registry.GetCounter("scguard.engine.beta_cancels"),
-        registry.GetCounter("scguard.engine.disclosures"),
-        registry.GetCounter("scguard.engine.false_hits"),
-        registry.GetCounter("scguard.engine.false_dismissals"),
-        registry.GetCounter("scguard.engine.u2u_band_evals"),
-        registry.GetCounter("scguard.engine.active_compactions"),
-        registry.GetCounter("scguard.engine.cells_bulk_accepted"),
-        registry.GetCounter("scguard.engine.cells_skipped"),
-        registry.GetCounter("scguard.engine.boundary_workers"),
-        registry.GetCounter("scguard.engine.u2u_gather_bytes"),
-        registry.GetCounter("scguard.engine.cells_emitted_direct"),
-        registry.GetHistogram("scguard.engine.u2u_seconds"),
-        registry.GetHistogram("scguard.engine.u2e_seconds"),
-        registry.GetHistogram("scguard.engine.e2e_seconds"),
-        registry.GetHistogram("scguard.engine.u2u_scan_workers")};
-    return o;
-  }
-};
-
-/// Pre-interned flight-recorder ids for the engine's per-task stage spans
-/// (recorder.h: interning is a mutex, so it happens once per process, not
-/// per task).
-struct EngineTraceIds {
-  uint16_t u2u;
-  uint16_t u2e;
-  uint16_t e2e;
-
-  static const EngineTraceIds& Get() {
-    auto& recorder = obs::FlightRecorder::Global();
-    static const EngineTraceIds ids = {
-        recorder.InternName("engine.u2u"),
-        recorder.InternName("engine.u2e"),
-        recorder.InternName("engine.e2e")};
-    return ids;
-  }
-};
-
-uint64_t ToNs(Clock::time_point t) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          t.time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-ScGuardEngine::ScGuardEngine(EnginePolicy policy) : policy_(std::move(policy)) {
-  SCGUARD_CHECK(policy_.u2u_model != nullptr);
-  if (policy_.rank == RankStrategy::kProbability) {
-    SCGUARD_CHECK(policy_.u2e_model != nullptr);
-  }
-  SCGUARD_CHECK(policy_.alpha > 0.0 && policy_.alpha <= 1.0);
-  SCGUARD_CHECK(policy_.beta >= 0.0 && policy_.beta <= 1.0);
-  SCGUARD_CHECK(policy_.redundancy_k >= 1);
-  SCGUARD_CHECK(policy_.runtime.shard_size >= 1);
-}
 
 std::string ScGuardEngine::name() const {
   if (!policy_.name.empty()) return policy_.name;
@@ -126,217 +15,46 @@ std::string ScGuardEngine::name() const {
 }
 
 MatchResult ScGuardEngine::Run(const Workload& workload, stats::Rng& rng) {
-  // Observation never perturbs the protocol: no RNG draws, no reordering
-  // — the bit-identity test in tests/obs_test.cc holds the engine to it.
-  const bool obs_on = obs::Enabled();
-  const bool rec_on = obs::RecorderEnabled();
   const obs::Span run_span("engine.run");
-  const EngineObs& eo = EngineObs::Get();
-  const EngineTraceIds& eti = EngineTraceIds::Get();
-  int64_t obs_evaluated = 0;       // Workers the U2U filter actually scored.
-  int64_t obs_alpha_rejections = 0;  // Scored but below alpha.
-  int64_t obs_beta_cancels = 0;
-  int64_t obs_pruned = 0;  // Skipped entirely by the pruning index.
-
-  const auto run_start = Clock::now();
+  const auto run_start = std::chrono::steady_clock::now();
   MatchResult result;
   RunMetrics& m = result.metrics;
-  m.num_tasks = static_cast<int64_t>(workload.tasks.size());
-  m.num_workers = static_cast<int64_t>(workload.workers.size());
 
-  const size_t n = workload.workers.size();
-  SCGUARD_CHECK(n <= std::numeric_limits<uint32_t>::max());
+  TaskPipeline pipeline(policy_, workload.region, workload.workers);
+  pipeline.ReserveWorkers(workload.workers.size());
+  for (const Worker& w : workload.workers) pipeline.AddWorker(w, rng);
+  pipeline.Prepare();
+  const U2uCandidateStage& u2u = pipeline.u2u();
 
-  // Ranking's random priorities, fixed once per run (Alg. 1 Line 12).
-  std::vector<double> random_rank(n);
-  for (auto& r : random_rank) r = rng.UniformDouble();
-
-  // The three protocol stages (DESIGN.md section 10). Stage state is
-  // per-Run: ExperimentRunner shares one matcher across concurrently
-  // running seeds, so nothing may live in the engine between runs.
-  U2uCandidateStage::Config u2u_config;
-  u2u_config.model = policy_.u2u_model;
-  u2u_config.alpha = policy_.alpha;
-  u2u_config.kernel = policy_.kernel;
-  u2u_config.runtime = policy_.runtime;
-  if (policy_.pruning_gamma.has_value()) {
-    u2u_config.pruning = U2uCandidateStage::Pruning{
-        *policy_.pruning_gamma, policy_.pruning_backend, policy_.worker_params,
-        policy_.task_params, workload.region};
-  }
-  U2uCandidateStage u2u(std::move(u2u_config));
-  u2u.ReserveWorkers(n);
-  for (const Worker& w : workload.workers) {
-    u2u.AddWorker(w.noisy_location, w.reach_radius_m);
-  }
-  // Threshold prewarm, pruning-index build, and shard setup happen here so
-  // the first task's U2U timing measures only the scan.
-  u2u.Prepare();
-  const reachability::WorkerFilterSoA& soa = u2u.soa();
-
-  U2eRankStage u2e(
-      {.model = policy_.u2e_model, .rank = policy_.rank,
-       .kernel = policy_.kernel,
-       .audit_epsilon = policy_.worker_params.epsilon});
-  const E2eContactStage e2e({.rank = policy_.rank, .beta = policy_.beta,
-                             .beta_mode = policy_.beta_mode,
-                             .redundancy_k = policy_.redundancy_k});
-
-  // Reused scratch between tasks (allocating this per task shows up on
-  // pruned runs, where the real work per task is small).
-  std::vector<std::pair<double, size_t>> ranked;
-  ranked.reserve(n);
-
-  size_t task_index = 0;
   for (const Task& task : workload.tasks) {
-    // ---- Stage 1: U2U (server) -------------------------------------
-    // Server sees only noisy locations and the workers' reach radii.
-    const auto u2u_start = Clock::now();
-    const std::vector<uint32_t>& candidates = u2u.Collect(task.noisy_location);
-    const U2uCandidateStage::Stats& scan = u2u.stats();
-    obs_evaluated += scan.scanned_last;
-    obs_pruned += scan.pruned_last;
-    obs_alpha_rejections +=
-        scan.scanned_last - static_cast<int64_t>(candidates.size());
-    m.u2u_scanned += scan.scanned_last;
-    if (task_index == 0) m.u2u_scanned_first_task = scan.scanned_last;
-    m.u2u_scanned_last_task = scan.scanned_last;
-    ++task_index;
-    {
-      // One end-of-stage clock read serves RunMetrics, the histogram, and
-      // the flight-recorder span — recording adds no extra clock cost.
-      const auto u2u_end = Clock::now();
-      const double u2u_elapsed =
-          std::chrono::duration<double>(u2u_end - u2u_start).count();
-      m.u2u_seconds += u2u_elapsed;
-      if (obs_on) {
-        eo.u2u_seconds->Observe(u2u_elapsed);
-        eo.u2u_scan_workers->Observe(static_cast<double>(scan.scanned_last));
-      }
-      if (rec_on) obs::EmitSpanAt(eti.u2u, ToNs(u2u_start), ToNs(u2u_end));
+    if (!policy_.compute_accuracy_metrics) {
+      pipeline.Execute(task, result);
+      continue;
     }
-    m.candidates_sum += static_cast<int64_t>(candidates.size());
-    m.server_to_requester_msgs += 1;
-
-    // U2U accuracy metrics, scored against ground truth (observer-only:
-    // no protocol party computes this). The availability scan is
-    // O(workers) per task, so it is gated for throughput runs.
-    if (policy_.compute_accuracy_metrics) {
-      int64_t truly_reachable_available = 0;
-      int64_t candidates_reachable = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!soa.matched[i] && workload.workers[i].CanReach(task.location)) {
-          ++truly_reachable_available;
-        }
-      }
-      for (const uint32_t i : candidates) {
-        if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
-      }
-      if (!candidates.empty()) {
-        m.precision_sum += static_cast<double>(candidates_reachable) /
-                           static_cast<double>(candidates.size());
-        m.precision_count += 1;
-      }
-      if (truly_reachable_available > 0) {
-        m.recall_sum += static_cast<double>(candidates_reachable) /
-                        static_cast<double>(truly_reachable_available);
-        m.recall_count += 1;
+    // U2U accuracy, scored against ground truth (observer-only: no
+    // protocol party computes this). Availability is counted before the
+    // task can match anyone; the candidate list stays valid after Execute.
+    int64_t truly_reachable_available = 0;
+    for (size_t i = 0; i < workload.workers.size(); ++i) {
+      if (!u2u.is_matched(static_cast<uint32_t>(i)) &&
+          workload.workers[i].CanReach(task.location)) {
+        ++truly_reachable_available;
       }
     }
-
-    if (candidates.empty()) continue;  // Task remains unassigned.
-
-    // ---- Stage 2: U2E (requester) ----------------------------------
-    // Requester knows the exact task location and the candidates' noisy
-    // locations; ranks them best-first.
-    const auto u2e_start = Clock::now();
-    u2e.Rank(soa, candidates, task.location, random_rank.data(), ranked,
-             task.id);
-    {
-      const auto u2e_end = Clock::now();
-      const double u2e_elapsed =
-          std::chrono::duration<double>(u2e_end - u2e_start).count();
-      m.u2e_seconds += u2e_elapsed;
-      if (obs_on) eo.u2e_seconds->Observe(u2e_elapsed);
-      if (rec_on) obs::EmitSpanAt(eti.u2e, ToNs(u2e_start), ToNs(u2e_end));
+    const TaskOutcome outcome = pipeline.Execute(task, result);
+    int64_t candidates_reachable = 0;
+    for (const uint32_t i : outcome.candidates) {
+      if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
     }
-
-    // ---- Stage 3: E2E (workers), interleaved with U2E re-ranking ----
-    Clock::time_point stage_start;
-    if (obs_on || rec_on) stage_start = Clock::now();
-    // Audit attribution of each disclosure's admitting U2U filter: with
-    // the alpha-threshold kernel on, a candidate inside the certain-accept
-    // band was admitted without a model evaluation; everything else (the
-    // uncertain band, or the kernel-off scan) was a direct eval. The SoA
-    // bands are only filled when the kernel is on.
-    const bool has_bands = soa.accept_below_sq.size() == n;
-    const E2eContactStage::Outcome outcome = e2e.Run(
-        ranked,
-        [&](size_t i) {
-          const Worker& w = workload.workers[i];
-          if (!w.CanReach(task.location)) return false;
-          u2u.MarkMatched(static_cast<uint32_t>(i));
-          const double travel = geo::Distance(w.location, task.location);
-          result.assignments.push_back({task.id, w.id, travel});
-          m.accepted_assignments += 1;
-          m.travel_sum_m += travel;
-          return true;
-        },
-        [&](size_t i) { return workload.workers[i].CanReach(task.location); },
-        m, task.id,
-        [&](size_t i) {
-          if (!has_bands) return obs::AuditFilter::kDirectEval;
-          const double dx = soa.x[i] - task.noisy_location.x;
-          const double dy = soa.y[i] - task.noisy_location.y;
-          return dx * dx + dy * dy <= soa.accept_below_sq[i]
-                     ? obs::AuditFilter::kAlphaBandAccept
-                     : obs::AuditFilter::kDirectEval;
-        });
-    if (outcome.cancelled) ++obs_beta_cancels;
-    if (obs_on || rec_on) {
-      const auto e2e_end = Clock::now();
-      if (obs_on) {
-        eo.e2e_seconds->Observe(
-            std::chrono::duration<double>(e2e_end - stage_start).count());
-      }
-      if (rec_on) obs::EmitSpanAt(eti.e2e, ToNs(stage_start), ToNs(e2e_end));
-    }
+    m.AddCandidateAccuracy(candidates_reachable,
+                           static_cast<int64_t>(outcome.candidates.size()),
+                           truly_reachable_available);
   }
 
-  m.total_seconds = Elapsed(run_start);
-
-  // Cell-certification accounting of a grid-backed pruner, cumulative over
-  // the run's queries (the pruner lives for the whole run, so the final
-  // snapshot is the run total).
-  if (const index::GridIndex::QueryStats* gs = u2u.grid_query_stats()) {
-    m.cells_bulk_accepted = gs->cells_bulk_accepted;
-    m.cells_skipped = gs->cells_skipped;
-    m.boundary_workers = gs->boundary_workers;
-  }
-  // Scoring-side traffic accounting, cumulative over the stage's life like
-  // the certification counters above.
-  m.u2u_gather_bytes = u2u.stats().gather_bytes;
-  m.cells_emitted_direct = u2u.stats().cells_emitted_direct;
-
-  // One atomic flush per counter per run; no-ops while disabled.
-  eo.tasks->Increment(m.num_tasks);
-  eo.assigned_tasks->Increment(m.assigned_tasks);
-  eo.assignments->Increment(m.accepted_assignments);
-  eo.candidates->Increment(m.candidates_sum);
-  eo.workers_evaluated->Increment(obs_evaluated);
-  eo.workers_pruned->Increment(obs_pruned);
-  eo.alpha_rejections->Increment(obs_alpha_rejections);
-  eo.beta_cancels->Increment(obs_beta_cancels);
-  eo.disclosures->Increment(m.requester_to_worker_msgs);
-  eo.false_hits->Increment(m.false_hits);
-  eo.false_dismissals->Increment(m.false_dismissals);
-  eo.band_evals->Increment(u2u.band_evals());
-  eo.active_compactions->Increment(u2u.compactions());
-  eo.cells_bulk_accepted->Increment(m.cells_bulk_accepted);
-  eo.cells_skipped->Increment(m.cells_skipped);
-  eo.boundary_workers->Increment(m.boundary_workers);
-  eo.u2u_gather_bytes->Increment(m.u2u_gather_bytes);
-  eo.cells_emitted_direct->Increment(m.cells_emitted_direct);
+  m.total_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - run_start)
+                        .count();
+  pipeline.Finish(m);
   return result;
 }
 

@@ -1,54 +1,17 @@
 #ifndef SCGUARD_ASSIGN_SCGUARD_ENGINE_H_
 #define SCGUARD_ASSIGN_SCGUARD_ENGINE_H_
 
-#include <optional>
 #include <string>
+#include <utility>
 
 #include "assign/matcher.h"
-#include "assign/stages/candidate_stage.h"
-#include "assign/stages/rank_stage.h"
-#include "index/pruning.h"
-#include "privacy/privacy_params.h"
-#include "reachability/kernel.h"
-#include "reachability/model.h"
+#include "assign/task_pipeline.h"
 
 namespace scguard::assign {
 
-/// Configuration of the privacy-aware three-stage protocol simulation.
-///
-/// Algorithm 1 (oblivious baseline) and Algorithm 2 (probability-based) are
-/// the same protocol with different reachability models and thresholds:
-///  * Oblivious-RR / Oblivious-RN: BinaryModel, rank random / nearest,
-///    no beta threshold.
-///  * Probabilistic-Model / Probabilistic-Data: AnalyticalModel /
-///    EmpiricalModel, probability ranking, alpha & beta thresholds.
-struct EnginePolicy {
-  /// Model the server uses in U2U to build the candidate set. Not owned;
-  /// must outlive the engine.
-  const reachability::ReachabilityModel* u2u_model = nullptr;
-  /// Model the requester uses in U2E to rank candidates (only consulted
-  /// when rank == kProbability). Not owned.
-  const reachability::ReachabilityModel* u2e_model = nullptr;
-
-  /// U2U threshold alpha: a worker is a candidate iff
-  /// Pr(reachable | d(w', t')) >= alpha. With BinaryModel any alpha in
-  /// (0, 1] reproduces the oblivious d' <= R_w test.
-  double alpha = 0.1;
-
-  /// U2E threshold beta: the requester cancels the task when the best
-  /// remaining candidate's reachability probability is < beta. 0 disables
-  /// cancellation (exhaustive best-effort, Alg. 1 behaviour). Only applies
-  /// to probability ranking.
-  double beta = 0.0;
-  BetaMode beta_mode = BetaMode::kEveryContact;
-
-  RankStrategy rank = RankStrategy::kProbability;
-
-  /// Redundant assignment (paper Sec. VII): the task needs K accepting
-  /// workers; the requester keeps contacting candidates until K accept or
-  /// the candidate set is exhausted.
-  int redundancy_k = 1;
-
+/// Configuration of the privacy-aware three-stage protocol simulation: the
+/// shared protocol fields plus the engine's observer-only knobs.
+struct EnginePolicy : ProtocolPolicy {
   /// Score the candidate sets against ground truth (U2U precision/recall
   /// and false-dismissal attribution). Observer-only bookkeeping — no
   /// protocol party could compute it — and the per-task O(workers) scan
@@ -56,45 +19,20 @@ struct EnginePolicy {
   /// it off. Default on: tests and the figure benches report it.
   bool compute_accuracy_metrics = true;
 
-  /// When set, the server prunes U2U with uncertainty-rectangle indexing
-  /// (paper Sec. IV-C1) at this confidence gamma before evaluating
-  /// probabilities.
-  std::optional<double> pruning_gamma;
-  index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
-
-  /// Privacy levels, needed to size the pruning rectangles. Must match the
-  /// levels used to perturb the workload.
-  privacy::PrivacyParams worker_params;
-  privacy::PrivacyParams task_params;
-
-  /// Evaluation-kernel knobs (DESIGN.md section 8). Defaults keep the
-  /// exact threshold-inversion U2U filter on (bit-identical assignments,
-  /// verified by tests/kernel_test.cc) and the bounded-error U2E LUT off.
-  reachability::KernelOptions kernel;
-
-  /// Parallel-scan and active-set knobs (DESIGN.md section 9). Defaults
-  /// keep compaction on and the scan serial; thread-count invariance is
-  /// held by tests/engine_parallel_test.cc.
-  EngineRuntime runtime;
-
   /// Display name override; empty derives one from model + strategy.
   std::string name;
 };
 
-/// The SCGuard three-stage protocol (paper Fig. 2 / Table I), simulated
-/// with exact bookkeeping of which party sees what:
-///   U2U  server:    noisy worker + noisy task locations -> candidate set
-///   U2E  requester: exact task + noisy worker locations -> ranked contacts
-///   E2E  worker:    exact task location -> accept iff d(w, t) <= R_w
-/// The engine implements Algorithms 1 and 2 of the paper depending on the
-/// policy (see EnginePolicy). Since the stage-library refactor (DESIGN.md
-/// section 10) it is a thin orchestrator: the three protocol stages live in
-/// assign/stages/ (U2uCandidateStage, U2eRankStage, E2eContactStage) and the
-/// engine contributes run setup, timing, and metric/obs accounting.
+/// The SCGuard three-stage protocol (paper Fig. 2 / Table I) over a whole
+/// workload: registers the workers with a TaskPipeline and runs every task
+/// through it in arrival order (DESIGN.md section 10). The engine adds only
+/// the observer-only accuracy scan. Stage state is per-Run:
+/// ExperimentRunner shares one matcher across concurrently running seeds,
+/// so nothing may live in the engine between runs.
 class ScGuardEngine final : public OnlineMatcher {
  public:
-  /// Requires a U2U model; a U2E model is required for probability ranking.
-  explicit ScGuardEngine(EnginePolicy policy);
+  /// The policy is validated when a run builds its pipeline.
+  explicit ScGuardEngine(EnginePolicy policy) : policy_(std::move(policy)) {}
 
   MatchResult Run(const Workload& workload, stats::Rng& rng) override;
 

@@ -67,7 +67,6 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
 void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   if (!soa_.matched[worker]) return;
   soa_.matched[worker] = 0;
-  if (!config_.runtime.active_set) return;
   // Undo MarkMatched's active-set maintenance: re-insert into the pruning
   // index, or splice the id back into its shard's ascending active list.
   if (pruner_ != nullptr) {
@@ -151,11 +150,9 @@ void U2uCandidateStage::Prepare() {
       pruner_ = std::make_unique<index::UncertainRegionPruner>(
           std::move(regions), p.worker_params, p.task_params, p.gamma,
           p.backend, p.region);
-      if (config_.runtime.active_set) {
-        // Re-apply removals for workers matched before the (re)build.
-        for (size_t i = 0; i < n; ++i) {
-          if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
-        }
+      // Re-apply removals for workers matched before the (re)build.
+      for (size_t i = 0; i < n; ++i) {
+        if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
       }
     }
     // Pruned runs partition the index's candidate list across the same
@@ -191,6 +188,31 @@ void U2uCandidateStage::Prepare() {
   prepared_ = true;
 }
 
+void U2uCandidateStage::ResolveBand(geo::Point task_noisy,
+                                    ShardScratch& sc) const {
+  size_t kept = 0;
+  for (const uint32_t i : sc.band) {
+    const reachability::AlphaThreshold* t =
+        thresholds_->Lookup(soa_.reach_radius_m[i]);
+    SCGUARD_CHECK(t != nullptr);
+    const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
+    bool is_candidate;
+    if (d <= t->accept_below_m) {
+      is_candidate = true;
+    } else if (d >= t->reject_above_m) {
+      is_candidate = false;
+    } else {
+      ++sc.band_evals;
+      is_candidate = config_.model->ProbReachable(
+                         reachability::Stage::kU2U, d,
+                         soa_.reach_radius_m[i]) >= config_.alpha;
+    }
+    sc.band[kept] = i;
+    kept += is_candidate ? 1 : 0;
+  }
+  sc.band.resize(kept);
+}
+
 void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
                                     size_t count, ShardScratch& sc) const {
   sc.out.clear();
@@ -202,27 +224,7 @@ void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
     // never mutated from a pool worker.
     reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
                                       task_noisy.y, sc.accept, sc.band);
-    size_t kept = 0;
-    for (const uint32_t i : sc.band) {
-      const reachability::AlphaThreshold* t =
-          thresholds_->Lookup(soa_.reach_radius_m[i]);
-      SCGUARD_CHECK(t != nullptr);
-      const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-      bool is_candidate;
-      if (d <= t->accept_below_m) {
-        is_candidate = true;
-      } else if (d >= t->reject_above_m) {
-        is_candidate = false;
-      } else {
-        ++sc.band_evals;
-        is_candidate = config_.model->ProbReachable(
-                           reachability::Stage::kU2U, d,
-                           soa_.reach_radius_m[i]) >= config_.alpha;
-      }
-      sc.band[kept] = i;
-      kept += is_candidate ? 1 : 0;
-    }
-    sc.band.resize(kept);
+    ResolveBand(task_noisy, sc);
     // Both lists are ascending subsets of the input, so one merge restores
     // the serial scan's candidate order.
     sc.out.resize(sc.accept.size() + sc.band.size());
@@ -240,8 +242,7 @@ void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
 }
 
 bool U2uCandidateStage::UseMirror() const {
-  return config_.runtime.cell_mirror && config_.runtime.active_set &&
-         config_.kernel.alpha_thresholds && config_.pruning.has_value() &&
+  return config_.kernel.alpha_thresholds && config_.pruning.has_value() &&
          config_.pruning->backend == index::PrunerBackend::kGrid;
 }
 
@@ -294,31 +295,9 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
-  // Band resolution — the same per-worker decision as ScanIndices, so the
-  // mirror and gather paths agree bit for bit (and count the same
-  // band_evals).
-  size_t kept = 0;
-  for (const uint32_t i : sc.band) {
-    const reachability::AlphaThreshold* t =
-        thresholds_->Lookup(soa_.reach_radius_m[i]);
-    SCGUARD_CHECK(t != nullptr);
-    const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-    bool is_candidate;
-    if (d <= t->accept_below_m) {
-      is_candidate = true;
-    } else if (d >= t->reject_above_m) {
-      is_candidate = false;
-    } else {
-      ++sc.band_evals;
-      is_candidate =
-          config_.model->ProbReachable(reachability::Stage::kU2U, d,
-                                       soa_.reach_radius_m[i]) >=
-          config_.alpha;
-    }
-    sc.band[kept] = i;
-    kept += is_candidate ? 1 : 0;
-  }
-  sc.band.resize(kept);
+  // The same band resolution as ScanIndices, so the mirror and gather
+  // paths agree bit for bit (and count the same band_evals).
+  ResolveBand(task_noisy, sc);
   // Chunk output order is irrelevant (the bitmap union restores ascending
   // order), so survivors just append.
   sc.accept.insert(sc.accept.end(), sc.band.begin(), sc.band.end());
@@ -438,20 +417,11 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
           for (int64_t j = lo; j < hi; ++j) {
             const Segment& seg = segments_[static_cast<size_t>(j)];
             ShardScratch& sc = shards_[seg.shard];
+            // MarkMatched removed matched workers from the index, so the
+            // query result is already the live set.
             sc.live.clear();
-            if (rt.active_set) {
-              // MarkMatched removed matched workers from the index, so the
-              // query result is already the live set.
-              for (size_t k = seg.begin; k < seg.end; ++k) {
-                sc.live.push_back(static_cast<uint32_t>(pruner_ids_[k]));
-              }
-            } else {
-              for (size_t k = seg.begin; k < seg.end; ++k) {
-                const auto i = static_cast<size_t>(pruner_ids_[k]);
-                if (!soa_.matched[i]) {
-                  sc.live.push_back(static_cast<uint32_t>(i));
-                }
-              }
+            for (size_t k = seg.begin; k < seg.end; ++k) {
+              sc.live.push_back(static_cast<uint32_t>(pruner_ids_[k]));
             }
             ScanIndices(task_noisy_location, sc.live.data(), sc.live.size(),
                         sc);
@@ -479,29 +449,19 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
         for (int64_t s = lo; s < hi; ++s) {
           std::vector<uint32_t>& active = shard_active_[static_cast<size_t>(s)];
           ShardScratch& sc = shards_[static_cast<size_t>(s)];
-          if (rt.active_set) {
-            if (shard_dirty_[static_cast<size_t>(s)]) {
-              // Stage-boundary rebuild from matched[]: a stable filter, so
-              // the shard stays ascending and the next scan touches only
-              // available workers.
-              active.erase(
-                  std::remove_if(
-                      active.begin(), active.end(),
-                      [&](uint32_t i) { return soa_.matched[i] != 0; }),
-                  active.end());
-              shard_dirty_[static_cast<size_t>(s)] = 0;
-              ++sc.compactions;
-            }
-            ScanIndices(task_noisy_location, active.data(), active.size(), sc);
-          } else {
-            // Legacy full scan: the matched filter runs per task.
-            sc.live.clear();
-            for (const uint32_t i : active) {
-              if (!soa_.matched[i]) sc.live.push_back(i);
-            }
-            ScanIndices(task_noisy_location, sc.live.data(), sc.live.size(),
-                        sc);
+          if (shard_dirty_[static_cast<size_t>(s)]) {
+            // Stage-boundary rebuild from matched[]: a stable filter, so
+            // the shard stays ascending and the next scan touches only
+            // available workers.
+            active.erase(
+                std::remove_if(
+                    active.begin(), active.end(),
+                    [&](uint32_t i) { return soa_.matched[i] != 0; }),
+                active.end());
+            shard_dirty_[static_cast<size_t>(s)] = 0;
+            ++sc.compactions;
           }
+          ScanIndices(task_noisy_location, active.data(), active.size(), sc);
         }
         return Status::OK();
       });
@@ -536,7 +496,6 @@ bool U2uCandidateStage::Decide(uint32_t worker,
 
 void U2uCandidateStage::MarkMatched(uint32_t worker) {
   soa_.matched[worker] = 1;
-  if (!config_.runtime.active_set) return;
   // Active-set maintenance: full scans compact the shard at its next scan;
   // pruned runs drop the worker from the index so queries stop returning
   // it.

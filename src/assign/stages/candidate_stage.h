@@ -24,8 +24,8 @@ namespace scguard::assign {
 /// of ExperimentConfig::runtime. The determinism contract matches the
 /// runtime layer's: for a fixed configuration and workload, the candidate
 /// stream (and hence MatchResult and the caller RNG stream) is bit-identical
-/// for every (pool, shard_size, active_set) combination — parallelism and
-/// compaction only change wall-clock.
+/// for every (pool, shard_size) combination — parallelism only changes
+/// wall-clock.
 struct EngineRuntime {
   /// Pool the U2U scan fans its shards across. Not owned; must outlive the
   /// stage. nullptr (the default) keeps the scan serial, and
@@ -40,24 +40,6 @@ struct EngineRuntime {
   /// the active set drains unevenly; 4096 keeps per-shard overhead
   /// negligible up to millions of workers.
   int shard_size = 4096;
-
-  /// Maintain per-shard active-index arrays so the scan cost tracks
-  /// *available* workers: matched workers are compacted out of their shard
-  /// at the next task's scan (and removed from the pruning index when one
-  /// is active). Off = rescan all n workers per task with a matched[]
-  /// check, the legacy full-scan path; kept as a toggle for the
-  /// equivalence test and the scale bench.
-  bool active_set = true;
-
-  /// Score pruned scans through the cell-major mirror (DESIGN.md §13):
-  /// candidates come from contiguous mirror slices (range kernels +
-  /// whole-cell alpha certificates) instead of scattered SoA gathers over
-  /// the index's id list. Engages only for the grid pruning backend with
-  /// alpha thresholds and active_set on; every other configuration keeps
-  /// the gather path. Decisions, metrics, and candidate order are
-  /// bit-identical either way; the toggle exists for the equivalence test
-  /// and A/B benching.
-  bool cell_mirror = true;
 };
 
 /// The server-side U2U candidate stage (paper Alg. 1/2 Lines 1-8, DESIGN.md
@@ -96,7 +78,7 @@ class U2uCandidateStage {
     /// Kernel knobs; alpha_thresholds selects the inverted certain-band
     /// filter (exact decisions; DESIGN.md section 8).
     reachability::KernelOptions kernel;
-    /// Sharded-scan and active-set knobs (DESIGN.md section 9).
+    /// Sharded-scan knobs (DESIGN.md section 9).
     EngineRuntime runtime;
     /// Optional pruning index over the workers' uncertainty rectangles.
     std::optional<Pruning> pruning;
@@ -148,7 +130,7 @@ class U2uCandidateStage {
   /// The U2U stage for one task: ascending indices of available workers
   /// with Pr(reachable | d(w', t')) >= alpha. The returned reference stays
   /// valid until the next Collect. Decisions are bit-identical for every
-  /// (pool, shard_size, active_set, pruning) combination.
+  /// (pool, shard_size, pruning) combination.
   const std::vector<uint32_t>& Collect(geo::Point task_noisy_location);
 
   /// Scalar membership test against one task location, ignoring
@@ -158,15 +140,15 @@ class U2uCandidateStage {
   bool Decide(uint32_t worker, geo::Point task_noisy_location);
 
   /// Marks a worker assigned: it disappears from future Collect results.
-  /// With active_set, also compacts it out of its shard at the next scan
+  /// Active-set maintenance compacts it out of its shard at the next scan
   /// (or removes it from the pruning index).
   void MarkMatched(uint32_t worker);
 
   /// Clears one worker's matched mark so it reappears in future Collect
   /// results (service-side reactivation when a matched worker re-reports;
-  /// the whole-run analog is ResetAvailability). With active_set, restores
-  /// the worker in the pruning index / its shard's active list. No-op for
-  /// workers that are not matched.
+  /// the whole-run analog is ResetAvailability). Restores the worker in the
+  /// pruning index / its shard's active list. No-op for workers that are
+  /// not matched.
   void MarkAvailable(uint32_t worker);
 
   bool is_matched(uint32_t worker) const {
@@ -197,7 +179,7 @@ class U2uCandidateStage {
   /// the whole run, so concurrent shard scans never share mutable state and
   /// the vectors' capacities amortize across tasks.
   struct ShardScratch {
-    std::vector<uint32_t> live;    ///< Matched-filtered indices (full scan).
+    std::vector<uint32_t> live;    ///< This shard's pruner ids (gather).
     std::vector<uint32_t> accept;  ///< Certain accepts, ascending.
     std::vector<uint32_t> band;    ///< In-band indices, then survivors.
     std::vector<uint32_t> out;     ///< This shard's candidates, ascending.
@@ -216,11 +198,14 @@ class U2uCandidateStage {
   void ScanIndices(geo::Point task_noisy, const uint32_t* idx, size_t count,
                    ShardScratch& sc) const;
 
+  /// Narrows `sc.band` to its in-band workers that pass a direct
+  /// evaluation (read-only on the prewarmed threshold cache).
+  void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
+
   /// True when Collect routes through the cell-major mirror: grid pruning
-  /// backend + alpha thresholds + active_set + the cell_mirror knob. The
-  /// gather path handles everything else (non-grid pruners never yield cell
-  /// slices; without active_set the mirror would rescan matched workers;
-  /// without thresholds there are no certain bands to mirror).
+  /// backend + alpha thresholds. The gather path handles everything else
+  /// (non-grid pruners never yield cell slices; without thresholds there
+  /// are no certain bands to mirror).
   bool UseMirror() const;
 
   /// The mirror Collect: certified cell walk, chunked range classification

@@ -1,0 +1,271 @@
+#include "assign/task_pipeline.h"
+
+#include <chrono>
+#include <string>
+#include <utility>
+
+#include "common/check.h"
+#include "geo/point.h"
+#include "obs/metrics.h"
+#include "obs/recorder.h"
+
+namespace scguard::assign {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The pipeline's per-task histograms (DESIGN.md §7), resolved once per
+/// process and observed only while obs::Enabled(). Its counters are
+/// accumulated in plain members and locals and flushed by Finish, once per
+/// run, so the per-worker hot loop never touches an atomic.
+struct EngineObs {
+  obs::Histogram* u2u_seconds;
+  obs::Histogram* u2e_seconds;
+  obs::Histogram* e2e_seconds;
+  obs::Histogram* u2u_scan_workers;
+
+  static const EngineObs& Get() {
+    auto& registry = obs::MetricsRegistry::Global();
+    static const EngineObs o = {
+        registry.GetHistogram("scguard.engine.u2u_seconds"),
+        registry.GetHistogram("scguard.engine.u2e_seconds"),
+        registry.GetHistogram("scguard.engine.e2e_seconds"),
+        registry.GetHistogram("scguard.engine.u2u_scan_workers")};
+    return o;
+  }
+};
+
+/// Pre-interned flight-recorder ids for the per-task stage spans
+/// (recorder.h: interning is a mutex, so it happens once per process, not
+/// per task).
+struct EngineTraceIds {
+  uint16_t u2u;
+  uint16_t u2e;
+  uint16_t e2e;
+
+  static const EngineTraceIds& Get() {
+    auto& recorder = obs::FlightRecorder::Global();
+    static const EngineTraceIds ids = {
+        recorder.InternName("engine.u2u"),
+        recorder.InternName("engine.u2e"),
+        recorder.InternName("engine.e2e")};
+    return ids;
+  }
+};
+
+uint64_t ToNs(Clock::time_point t) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+}
+
+double Seconds(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
+U2uCandidateStage::Config U2uConfig(const ProtocolPolicy& policy,
+                                    const geo::BoundingBox& region) {
+  SCGUARD_CHECK(policy.u2u_model != nullptr);
+  if (policy.rank == RankStrategy::kProbability) {
+    SCGUARD_CHECK(policy.u2e_model != nullptr);
+  }
+  SCGUARD_CHECK(policy.alpha > 0.0 && policy.alpha <= 1.0);
+  SCGUARD_CHECK(policy.beta >= 0.0 && policy.beta <= 1.0);
+  SCGUARD_CHECK(policy.redundancy_k >= 1);
+  SCGUARD_CHECK(policy.runtime.shard_size >= 1);
+  U2uCandidateStage::Config config;
+  config.model = policy.u2u_model;
+  config.alpha = policy.alpha;
+  config.kernel = policy.kernel;
+  config.runtime = policy.runtime;
+  if (policy.pruning_gamma.has_value()) {
+    config.pruning = U2uCandidateStage::Pruning{
+        *policy.pruning_gamma, policy.pruning_backend, policy.worker_params,
+        policy.task_params, region};
+  }
+  return config;
+}
+
+}  // namespace
+
+TaskPipeline::TaskPipeline(const ProtocolPolicy& policy,
+                           const geo::BoundingBox& region,
+                           const std::vector<Worker>& workers)
+    : workers_(workers),
+      u2u_(U2uConfig(policy, region)),
+      u2e_({.model = policy.u2e_model, .rank = policy.rank,
+            .kernel = policy.kernel,
+            .audit_epsilon = policy.worker_params.epsilon}),
+      e2e_({.rank = policy.rank, .beta = policy.beta,
+            .beta_mode = policy.beta_mode,
+            .redundancy_k = policy.redundancy_k}) {}
+
+void TaskPipeline::ReserveWorkers(size_t n) {
+  u2u_.ReserveWorkers(n);
+  random_rank_.reserve(n);
+}
+
+uint32_t TaskPipeline::AddWorker(const Worker& w, stats::Rng& rank_rng) {
+  random_rank_.push_back(rank_rng.UniformDouble());
+  return u2u_.AddWorker(w.noisy_location, w.reach_radius_m);
+}
+
+void TaskPipeline::Prepare() {
+  u2u_.Prepare();
+  ranked_.reserve(u2u_.size());
+}
+
+TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
+  const bool obs_on = obs::Enabled();
+  const bool rec_on = obs::RecorderEnabled();
+  RunMetrics& m = result.metrics;
+  m.num_tasks += 1;
+  TaskOutcome outcome;
+
+  // ---- Stage 1: U2U (server) ---------------------------------------
+  // Server sees only noisy locations and the workers' reach radii.
+  const auto u2u_start = Clock::now();
+  const std::vector<uint32_t>& candidates = u2u_.Collect(task.noisy_location);
+  const U2uCandidateStage::Stats& scan = u2u_.stats();
+  evaluated_ += scan.scanned_last;
+  pruned_ += scan.pruned_last;
+  alpha_rejections_ +=
+      scan.scanned_last - static_cast<int64_t>(candidates.size());
+  m.u2u_scanned += scan.scanned_last;
+  if (m.num_tasks == 1) m.u2u_scanned_first_task = scan.scanned_last;
+  m.u2u_scanned_last_task = scan.scanned_last;
+  {
+    // One end-of-stage clock read serves RunMetrics, the histogram, and
+    // the flight-recorder span — recording adds no extra clock cost.
+    const auto u2u_end = Clock::now();
+    const double u2u_elapsed = Seconds(u2u_start, u2u_end);
+    m.u2u_seconds += u2u_elapsed;
+    if (obs_on) {
+      const EngineObs& eo = EngineObs::Get();
+      eo.u2u_seconds->Observe(u2u_elapsed);
+      eo.u2u_scan_workers->Observe(static_cast<double>(scan.scanned_last));
+    }
+    if (rec_on) {
+      obs::EmitSpanAt(EngineTraceIds::Get().u2u, ToNs(u2u_start),
+                      ToNs(u2u_end));
+    }
+  }
+  m.candidates_sum += static_cast<int64_t>(candidates.size());
+  m.server_to_requester_msgs += 1;
+  outcome.candidates = candidates;
+  if (candidates.empty()) return outcome;  // Task remains unassigned.
+
+  // ---- Stage 2: U2E (requester) ------------------------------------
+  // Requester knows the exact task location and the candidates' noisy
+  // locations; ranks them best-first.
+  const reachability::WorkerFilterSoA& soa = u2u_.soa();
+  const auto u2e_start = Clock::now();
+  u2e_.Rank(soa, candidates, task.location, random_rank_.data(), ranked_,
+            task.id);
+  {
+    const auto u2e_end = Clock::now();
+    const double u2e_elapsed = Seconds(u2e_start, u2e_end);
+    m.u2e_seconds += u2e_elapsed;
+    if (obs_on) EngineObs::Get().u2e_seconds->Observe(u2e_elapsed);
+    if (rec_on) {
+      obs::EmitSpanAt(EngineTraceIds::Get().u2e, ToNs(u2e_start),
+                      ToNs(u2e_end));
+    }
+  }
+
+  // ---- Stage 3: E2E (workers), interleaved with U2E re-ranking ------
+  Clock::time_point e2e_start;
+  if (obs_on || rec_on) e2e_start = Clock::now();
+  // Audit attribution of each disclosure's admitting U2U filter: with the
+  // alpha-threshold kernel on, a candidate inside the certain-accept band
+  // was admitted without a model evaluation; everything else (the
+  // uncertain band, or the kernel-off scan) was a direct eval. The SoA
+  // bands are only filled when the kernel is on.
+  const bool has_bands = soa.accept_below_sq.size() == u2u_.size();
+  const E2eContactStage::Outcome contact = e2e_.Run(
+      ranked_,
+      [&](size_t i) {
+        const Worker& w = workers_[i];
+        if (!w.CanReach(task.location)) return false;
+        u2u_.MarkMatched(static_cast<uint32_t>(i));
+        const double travel = geo::Distance(w.location, task.location);
+        result.assignments.push_back({task.id, w.id, travel});
+        m.accepted_assignments += 1;
+        m.travel_sum_m += travel;
+        if (outcome.worker_id < 0) {
+          outcome.worker_id = w.id;
+          outcome.travel_m = travel;
+        }
+        return true;
+      },
+      [&](size_t i) { return workers_[i].CanReach(task.location); }, m,
+      task.id,
+      [&](size_t i) {
+        if (!has_bands) return obs::AuditFilter::kDirectEval;
+        const double dx = soa.x[i] - task.noisy_location.x;
+        const double dy = soa.y[i] - task.noisy_location.y;
+        return dx * dx + dy * dy <= soa.accept_below_sq[i]
+                   ? obs::AuditFilter::kAlphaBandAccept
+                   : obs::AuditFilter::kDirectEval;
+      });
+  outcome.cancelled = contact.cancelled;
+  if (contact.cancelled) ++beta_cancels_;
+  if (obs_on || rec_on) {
+    const auto e2e_end = Clock::now();
+    if (obs_on) {
+      EngineObs::Get().e2e_seconds->Observe(Seconds(e2e_start, e2e_end));
+    }
+    if (rec_on) {
+      obs::EmitSpanAt(EngineTraceIds::Get().e2e, ToNs(e2e_start),
+                      ToNs(e2e_end));
+    }
+  }
+  return outcome;
+}
+
+void TaskPipeline::Finish(RunMetrics& m) const {
+  m.num_workers = static_cast<int64_t>(u2u_.size());
+  // Cell-certification accounting of a grid-backed pruner, cumulative over
+  // the run's queries (the pruner lives as long as the pipeline, so the
+  // final snapshot is the run total).
+  if (const index::GridIndex::QueryStats* gs = u2u_.grid_query_stats()) {
+    m.cells_bulk_accepted = gs->cells_bulk_accepted;
+    m.cells_skipped = gs->cells_skipped;
+    m.boundary_workers = gs->boundary_workers;
+  }
+  // Scoring-side traffic accounting, cumulative over the stage's life like
+  // the certification counters above.
+  m.u2u_gather_bytes = u2u_.stats().gather_bytes;
+  m.cells_emitted_direct = u2u_.stats().cells_emitted_direct;
+
+  // One atomic flush per counter per run (resolved per run, not per
+  // update); no-ops while disabled.
+  const std::pair<const char*, int64_t> counts[] = {
+      {"tasks", m.num_tasks},
+      {"assigned_tasks", m.assigned_tasks},
+      {"assignments", m.accepted_assignments},
+      {"candidates", m.candidates_sum},
+      {"workers_evaluated", evaluated_},
+      {"workers_pruned", pruned_},
+      {"alpha_rejections", alpha_rejections_},
+      {"beta_cancels", beta_cancels_},
+      {"disclosures", m.requester_to_worker_msgs},
+      {"false_hits", m.false_hits},
+      {"false_dismissals", m.false_dismissals},
+      {"u2u_band_evals", u2u_.band_evals()},
+      {"active_compactions", u2u_.compactions()},
+      {"cells_bulk_accepted", m.cells_bulk_accepted},
+      {"cells_skipped", m.cells_skipped},
+      {"boundary_workers", m.boundary_workers},
+      {"u2u_gather_bytes", m.u2u_gather_bytes},
+      {"cells_emitted_direct", m.cells_emitted_direct},
+  };
+  auto& registry = obs::MetricsRegistry::Global();
+  for (const auto& [name, count] : counts) {
+    registry.GetCounter(std::string("scguard.engine.") + name)
+        ->Increment(count);
+  }
+}
+
+}  // namespace scguard::assign

@@ -66,22 +66,25 @@ GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis)
   SCGUARD_CHECK(cell_w_ > 0.0 && cell_h_ > 0.0);
 }
 
+int GridIndex::ClampCell(double v) const {
+  // Clamp in double before the cast: converting a NaN, an infinity, or a
+  // value beyond int's range is undefined. In-range values truncate
+  // exactly as a plain cast would, so their cells are unchanged.
+  if (!(v > 0.0)) return 0;
+  const auto last = static_cast<double>(cells_ - 1);
+  return v >= last ? cells_ - 1 : static_cast<int>(v);
+}
+
 GridIndex::CellRange GridIndex::CellsFor(const geo::BoundingBox& box) const {
-  auto clamp = [this](double v) {
-    return std::clamp(static_cast<int>(v), 0, cells_ - 1);
-  };
-  return {clamp((box.min_x - region_.min_x) / cell_w_),
-          clamp((box.max_x - region_.min_x) / cell_w_),
-          clamp((box.min_y - region_.min_y) / cell_h_),
-          clamp((box.max_y - region_.min_y) / cell_h_)};
+  return {ClampCell((box.min_x - region_.min_x) / cell_w_),
+          ClampCell((box.max_x - region_.min_x) / cell_w_),
+          ClampCell((box.min_y - region_.min_y) / cell_h_),
+          ClampCell((box.max_y - region_.min_y) / cell_h_)};
 }
 
 size_t GridIndex::CellSlotFor(geo::Point p) const {
-  const int cx = std::clamp(
-      static_cast<int>((p.x - region_.min_x) / cell_w_), 0, cells_ - 1);
-  const int cy = std::clamp(
-      static_cast<int>((p.y - region_.min_y) / cell_h_), 0, cells_ - 1);
-  return CellSlot(cx, cy);
+  return CellSlot(ClampCell((p.x - region_.min_x) / cell_w_),
+                  ClampCell((p.y - region_.min_y) / cell_h_));
 }
 
 void GridIndex::Rebuild() {

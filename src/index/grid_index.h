@@ -214,6 +214,8 @@ class GridIndex {
   struct CellRange {
     int x0, x1, y0, y1;  // Inclusive cell coordinates.
   };
+  /// Cell coordinate of an offset measured in cells, clamped to the grid.
+  int ClampCell(double v) const;
   CellRange CellsFor(const geo::BoundingBox& box) const;
   /// The widened, clamped cell range Query visits for `query` (the
   /// max_radius_ reach expansion plus the +-1 ulp guard band).

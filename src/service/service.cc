@@ -1,7 +1,7 @@
 #include "service/service.h"
 
 #include <chrono>
-#include <limits>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -68,19 +68,7 @@ struct ServiceTraceIds {
   }
 };
 
-assign::U2uCandidateStage::Config MakeU2uConfig(const ServiceConfig& c) {
-  assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = c.u2u_model;
-  u2u_config.alpha = c.alpha;
-  u2u_config.kernel = c.kernel;
-  u2u_config.runtime = c.runtime;
-  if (c.pruning_gamma.has_value()) {
-    u2u_config.pruning = assign::U2uCandidateStage::Pruning{
-        *c.pruning_gamma, c.pruning_backend, c.worker_params, c.task_params,
-        c.region};
-  }
-  return u2u_config;
-}
+bool Finite(geo::Point p) { return std::isfinite(p.x) && std::isfinite(p.y); }
 
 }  // namespace
 
@@ -88,17 +76,7 @@ AssignmentService::AssignmentService(ServiceConfig config)
     : config_(std::move(config)),
       queue_(config_.queue_capacity),
       rank_rng_(config_.rank_seed),
-      u2u_(MakeU2uConfig(config_)),
-      u2e_({.model = config_.u2e_model, .rank = config_.rank,
-            .kernel = config_.kernel,
-            .audit_epsilon = config_.worker_params.epsilon}),
-      e2e_({.rank = config_.rank, .beta = config_.beta,
-            .beta_mode = config_.beta_mode,
-            .redundancy_k = config_.redundancy_k}) {
-  SCGUARD_CHECK(config_.u2u_model != nullptr);
-  if (config_.rank == assign::RankStrategy::kProbability) {
-    SCGUARD_CHECK(config_.u2e_model != nullptr);
-  }
+      pipeline_(config_, config_.region, workers_) {
   SCGUARD_CHECK(config_.max_batch >= 1);
 }
 
@@ -108,26 +86,22 @@ AssignmentService::~AssignmentService() {
 
 uint32_t AssignmentService::RegisterWorker(const assign::Worker& w) {
   SCGUARD_CHECK(!started_);
-  const size_t i = workers_.size();
-  SCGUARD_CHECK(i < std::numeric_limits<uint32_t>::max());
   workers_.push_back(w);
-  random_rank_.push_back(rank_rng_.UniformDouble());
-  u2u_.AddWorker(w.noisy_location, w.reach_radius_m);
-  return static_cast<uint32_t>(i);
+  return pipeline_.AddWorker(w, rank_rng_);
 }
 
 void AssignmentService::Start() {
   SCGUARD_CHECK(!started_ && !stopped_);
   started_ = true;
-  metrics_.num_workers = static_cast<int64_t>(workers_.size());
-  // Threshold prewarm, pruning-index build, mirror attach: done here so
-  // the consumer's first scan measures only the scan.
-  u2u_.Prepare();
-  ranked_.reserve(workers_.size());
+  pipeline_.Prepare();
   consumer_ = std::thread([this] { ConsumerLoop(); });
 }
 
 bool AssignmentService::SubmitTask(const assign::Task& t) {
+  if (!Finite(t.location) || !Finite(t.noisy_location)) {
+    tasks_invalid_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   ServiceEvent ev;
   ev.kind = ServiceEvent::Kind::kTask;
   ev.task_id = t.id;
@@ -145,7 +119,12 @@ bool AssignmentService::SubmitTask(const assign::Task& t) {
 bool AssignmentService::ReportLocation(uint32_t worker,
                                        geo::Point exact_location,
                                        geo::Point noisy_location) {
-  SCGUARD_CHECK(worker < workers_.size());
+  // Registration precedes Start, so the worker count is fixed here.
+  if (worker >= workers_.size() || !Finite(exact_location) ||
+      !Finite(noisy_location)) {
+    reports_invalid_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   ServiceEvent ev;
   ev.kind = ServiceEvent::Kind::kReport;
   ev.worker = worker;
@@ -183,9 +162,7 @@ void AssignmentService::Stop(StopMode mode) {
 void AssignmentService::Replay(const std::vector<ServiceEvent>& log) {
   SCGUARD_CHECK(!started_ && !stopped_);
   stopped_ = true;  // Results become readable; Start is now invalid.
-  metrics_.num_workers = static_cast<int64_t>(workers_.size());
-  u2u_.Prepare();
-  ranked_.reserve(workers_.size());
+  pipeline_.Prepare();
   const auto start = Clock::now();
   for (const ServiceEvent& ev : log) {
     log_.push_back(ev);
@@ -195,7 +172,7 @@ void AssignmentService::Replay(const std::vector<ServiceEvent>& log) {
       ScanTask(ev);
     }
   }
-  metrics_.total_seconds =
+  result_.metrics.total_seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   FinalizeMetrics();
 }
@@ -206,6 +183,8 @@ IngestStats AssignmentService::ingest_stats() const {
   s.reports_submitted = reports_pushed_.load(std::memory_order_relaxed);
   s.tasks_rejected = tasks_rejected_.load(std::memory_order_relaxed);
   s.reports_rejected = reports_rejected_.load(std::memory_order_relaxed);
+  s.tasks_invalid = tasks_invalid_.load(std::memory_order_relaxed);
+  s.reports_invalid = reports_invalid_.load(std::memory_order_relaxed);
   s.epochs = static_cast<int64_t>(epoch_.load(std::memory_order_acquire));
   return s;
 }
@@ -280,7 +259,7 @@ void AssignmentService::ConsumerLoop() {
     if (abandon_.load(std::memory_order_acquire)) break;
   }
 
-  metrics_.total_seconds =
+  result_.metrics.total_seconds =
       std::chrono::duration<double>(Clock::now() - loop_start).count();
   FinalizeMetrics();
 }
@@ -292,75 +271,22 @@ void AssignmentService::ApplyReport(const ServiceEvent& ev) {
   // Order matters: the relocate updates the pruner's stored region first,
   // so a matched worker's Restore (inside MarkAvailable) re-inserts at the
   // *new* noisy location.
-  u2u_.UpdateWorkerLocation(ev.worker, ev.noisy);
-  if (config_.reactivate_on_report) u2u_.MarkAvailable(ev.worker);
+  assign::U2uCandidateStage& u2u = pipeline_.u2u();
+  u2u.UpdateWorkerLocation(ev.worker, ev.noisy);
+  if (config_.reactivate_on_report) u2u.MarkAvailable(ev.worker);
   ++reports_applied_;
 }
 
 void AssignmentService::ScanTask(const ServiceEvent& ev) {
-  // The engine's per-task protocol body (scguard_engine.cc), minus the
-  // observer-only accuracy scan: U2U collect -> U2E rank -> E2E contact.
-  assign::RunMetrics& m = metrics_;
-  m.num_tasks += 1;
-
-  const auto u2u_start = Clock::now();
-  const std::vector<uint32_t>& candidates = u2u_.Collect(ev.noisy);
-  const assign::U2uCandidateStage::Stats& scan = u2u_.stats();
-  obs_evaluated_ += scan.scanned_last;
-  obs_pruned_ += scan.pruned_last;
-  obs_alpha_rejections_ +=
-      scan.scanned_last - static_cast<int64_t>(candidates.size());
-  m.u2u_scanned += scan.scanned_last;
-  if (m.num_tasks == 1) m.u2u_scanned_first_task = scan.scanned_last;
-  m.u2u_scanned_last_task = scan.scanned_last;
-  m.u2u_seconds +=
-      std::chrono::duration<double>(Clock::now() - u2u_start).count();
-  m.candidates_sum += static_cast<int64_t>(candidates.size());
-  m.server_to_requester_msgs += 1;
-
   CompletionRecord done;
   done.task_id = ev.task_id;
   done.submit_ns = ev.submit_ns;
   done.epoch = epoch_.load(std::memory_order_relaxed);
-
-  if (!candidates.empty()) {
-    const reachability::WorkerFilterSoA& soa = u2u_.soa();
-    const auto u2e_start = Clock::now();
-    u2e_.Rank(soa, candidates, ev.exact, random_rank_.data(), ranked_,
-              ev.task_id);
-    m.u2e_seconds +=
-        std::chrono::duration<double>(Clock::now() - u2e_start).count();
-
-    const bool has_bands = soa.accept_below_sq.size() == workers_.size();
-    const assign::E2eContactStage::Outcome outcome = e2e_.Run(
-        ranked_,
-        [&](size_t i) {
-          const assign::Worker& w = workers_[i];
-          if (!w.CanReach(ev.exact)) return false;
-          u2u_.MarkMatched(static_cast<uint32_t>(i));
-          const double travel = geo::Distance(w.location, ev.exact);
-          assignments_.push_back({ev.task_id, w.id, travel});
-          m.accepted_assignments += 1;
-          m.travel_sum_m += travel;
-          if (done.worker_id < 0) {
-            done.worker_id = w.id;
-            done.travel_m = travel;
-          }
-          return true;
-        },
-        [&](size_t i) { return workers_[i].CanReach(ev.exact); }, m,
-        ev.task_id,
-        [&](size_t i) {
-          if (!has_bands) return obs::AuditFilter::kDirectEval;
-          const double dx = soa.x[i] - ev.noisy.x;
-          const double dy = soa.y[i] - ev.noisy.y;
-          return dx * dx + dy * dy <= soa.accept_below_sq[i]
-                     ? obs::AuditFilter::kAlphaBandAccept
-                     : obs::AuditFilter::kDirectEval;
-        });
-    if (outcome.cancelled) ++obs_beta_cancels_;
-  }
-
+  const assign::TaskOutcome outcome = pipeline_.Execute(
+      {.id = ev.task_id, .location = ev.exact, .noisy_location = ev.noisy},
+      result_);
+  done.worker_id = outcome.worker_id;
+  done.travel_m = outcome.travel_m;
   done.done_ns = NowNs();
   completions_.push_back(done);
 }
@@ -368,36 +294,18 @@ void AssignmentService::ScanTask(const ServiceEvent& ev) {
 void AssignmentService::FinalizeMetrics() {
   if (finalized_) return;
   finalized_ = true;
-  assign::RunMetrics& m = metrics_;
-  if (const index::GridIndex::QueryStats* gs = u2u_.grid_query_stats()) {
-    m.cells_bulk_accepted = gs->cells_bulk_accepted;
-    m.cells_skipped = gs->cells_skipped;
-    m.boundary_workers = gs->boundary_workers;
-  }
-  m.u2u_gather_bytes = u2u_.stats().gather_bytes;
-  m.cells_emitted_direct = u2u_.stats().cells_emitted_direct;
+  pipeline_.Finish(result_.metrics);
 
-  // One flush per counter, mirroring the engine's end-of-run pattern; the
-  // shared engine counters double-count nothing because the service uses
-  // its own scguard.service.* names.
+  // One flush per ingest counter; the per-task stage counters are the
+  // pipeline's scguard.engine.* set.
   const ServiceObs& so = ServiceObs::Get();
-  so.tasks->Increment(m.num_tasks);
+  so.tasks->Increment(result_.metrics.num_tasks);
   so.reports->Increment(reports_applied_);
   so.tasks_rejected->Increment(
       tasks_rejected_.load(std::memory_order_relaxed));
   so.reports_rejected->Increment(
       reports_rejected_.load(std::memory_order_relaxed));
   so.epochs->Increment(epochs_published_);
-
-  auto& registry = obs::MetricsRegistry::Global();
-  auto* evaluated = registry.GetCounter("scguard.service.workers_evaluated");
-  auto* pruned = registry.GetCounter("scguard.service.workers_pruned");
-  auto* alpha_rej = registry.GetCounter("scguard.service.alpha_rejections");
-  auto* beta = registry.GetCounter("scguard.service.beta_cancels");
-  evaluated->Increment(obs_evaluated_);
-  pruned->Increment(obs_pruned_);
-  alpha_rej->Increment(obs_alpha_rejections_);
-  beta->Increment(obs_beta_cancels_);
 }
 
 }  // namespace scguard::service

@@ -3,21 +3,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "assign/entities.h"
 #include "assign/matcher.h"
-#include "assign/stages/candidate_stage.h"
-#include "assign/stages/contact_stage.h"
-#include "assign/stages/rank_stage.h"
+#include "assign/task_pipeline.h"
 #include "geo/bbox.h"
 #include "geo/point.h"
-#include "index/pruning.h"
-#include "privacy/privacy_params.h"
-#include "reachability/kernel.h"
-#include "reachability/model.h"
 #include "service/mpsc_queue.h"
 #include "stats/rng.h"
 
@@ -53,26 +46,16 @@ struct IngestStats {
   int64_t reports_submitted = 0;
   int64_t tasks_rejected = 0;    ///< TryPush refused: queue full.
   int64_t reports_rejected = 0;
+  int64_t tasks_invalid = 0;     ///< Refused: non-finite coordinate.
+  int64_t reports_invalid = 0;   ///< Refused: unknown worker / non-finite.
   int64_t epochs = 0;            ///< Snapshot publications so far.
 };
 
-/// Protocol + runtime knobs; mirrors assign::EnginePolicy with the
-/// service-specific ingest knobs appended, so a service configured from an
-/// EnginePolicy's fields executes the identical per-task protocol.
-struct ServiceConfig {
-  const reachability::ReachabilityModel* u2u_model = nullptr;
-  const reachability::ReachabilityModel* u2e_model = nullptr;
-  double alpha = 0.1;
-  double beta = 0.0;
-  assign::BetaMode beta_mode = assign::BetaMode::kEveryContact;
-  assign::RankStrategy rank = assign::RankStrategy::kProbability;
-  int redundancy_k = 1;
-  std::optional<double> pruning_gamma;
-  index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
-  privacy::PrivacyParams worker_params;
-  privacy::PrivacyParams task_params;
-  reachability::KernelOptions kernel;
-  assign::EngineRuntime runtime;
+/// The protocol fields (assign::ProtocolPolicy, shared with
+/// assign::EnginePolicy) plus the service's deployment and ingest knobs,
+/// so a service configured with an EnginePolicy's protocol fields runs the
+/// identical per-task pipeline.
+struct ServiceConfig : assign::ProtocolPolicy {
   /// Deployment region (sizes the pruning grid).
   geo::BoundingBox region;
 
@@ -100,8 +83,8 @@ struct ServiceConfig {
 /// an apply phase (drain up to max_batch events, mutate the U2U stage's
 /// index/mirror state through the incremental Relocate/MarkAvailable
 /// paths, publish a new epoch) with a scan phase (run each drained task
-/// through the same U2U -> U2E -> E2E body as ScGuardEngine::Run, pinned
-/// to the just-published epoch).
+/// through the assign::TaskPipeline that ScGuardEngine::Run also uses,
+/// pinned to the just-published epoch).
 ///
 /// Determinism: concurrency only decides the admission *order*; execution
 /// is serial in the consumer, and every executed event is appended to the
@@ -135,7 +118,9 @@ class AssignmentService {
   /// launches the consumer thread.
   void Start();
 
-  /// Producers. Return false when the ring is full (event not admitted).
+  /// Producers. Return false when the event is not admitted: the ring is
+  /// full, or the event is invalid (a non-finite coordinate, or a report
+  /// for an unregistered worker). Each refusal is counted in IngestStats.
   bool SubmitTask(const assign::Task& t);
   bool ReportLocation(uint32_t worker, geo::Point exact_location,
                       geo::Point noisy_location);
@@ -155,9 +140,9 @@ class AssignmentService {
   }
   const std::vector<ServiceEvent>& admission_log() const { return log_; }
   const std::vector<assign::Assignment>& assignments() const {
-    return assignments_;
+    return result_.assignments;
   }
-  const assign::RunMetrics& metrics() const { return metrics_; }
+  const assign::RunMetrics& metrics() const { return result_.metrics; }
   /// Wall-clock Stop(kDrain) spent finishing the backlog.
   double drain_seconds() const { return drain_seconds_; }
 
@@ -170,7 +155,7 @@ class AssignmentService {
   void ConsumerLoop();
   void ApplyReport(const ServiceEvent& ev);
   void ScanTask(const ServiceEvent& ev);
-  /// Grid-certification fold + one obs flush per counter; idempotent.
+  /// The pipeline's end-of-run fold + the ingest counters; idempotent.
   void FinalizeMetrics();
 
   ServiceConfig config_;
@@ -178,25 +163,14 @@ class AssignmentService {
   stats::Rng rank_rng_;
 
   // Ground truth the E2E stage consults (exact locations); consumer-owned
-  // after Start.
+  // after Start. Declared before the pipeline, which refers to it.
   std::vector<assign::Worker> workers_;
-  std::vector<double> random_rank_;
-
-  // The three protocol stages (consumer-owned after Start).
-  assign::U2uCandidateStage u2u_;
-  assign::U2eRankStage u2e_;
-  assign::E2eContactStage e2e_;
-  std::vector<std::pair<double, size_t>> ranked_;  // Reused scratch.
+  assign::TaskPipeline pipeline_;  // Consumer-owned after Start.
 
   // Consumer-owned results.
   std::vector<ServiceEvent> log_;
   std::vector<CompletionRecord> completions_;
-  std::vector<assign::Assignment> assignments_;
-  assign::RunMetrics metrics_;
-  int64_t obs_evaluated_ = 0;
-  int64_t obs_pruned_ = 0;
-  int64_t obs_alpha_rejections_ = 0;
-  int64_t obs_beta_cancels_ = 0;
+  assign::MatchResult result_;
   int64_t reports_applied_ = 0;
   int64_t epochs_published_ = 0;
   bool finalized_ = false;
@@ -207,6 +181,8 @@ class AssignmentService {
   std::atomic<int64_t> reports_pushed_{0};
   std::atomic<int64_t> tasks_rejected_{0};
   std::atomic<int64_t> reports_rejected_{0};
+  std::atomic<int64_t> tasks_invalid_{0};
+  std::atomic<int64_t> reports_invalid_{0};
   std::atomic<int64_t> events_applied_{0};
   std::atomic<bool> draining_{false};
   std::atomic<bool> abandon_{false};

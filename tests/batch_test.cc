@@ -5,6 +5,7 @@
 #include "assign/batch.h"
 #include "assign/offline.h"
 #include "data/workload.h"
+#include "engine_fixtures.h"
 #include "privacy/truncated.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
@@ -18,20 +19,10 @@ using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
-Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
+using fixtures::NoisyWorkload;
 
 TEST(BatchMatcherTest, AssignmentsAreValidAndWorkersUnique) {
-  const Workload w = NoisyWorkload(80, 1);
+  const Workload w = NoisyWorkload(80, 80, 1);
   const reachability::AnalyticalModel model(kDefault);
   BatchMatcher matcher(&model, 0.1, /*batch_size=*/10);
   stats::Rng rng(2);
@@ -76,7 +67,7 @@ TEST(BatchMatcherTest, ZeroNoiseBatchEqualsOfflinePerBatch) {
 TEST(BatchMatcherTest, LargerBatchesNeverHurtMuch) {
   // Batching trades latency for coordination; under noise the bigger
   // batch should be at least competitive on utility.
-  const Workload w = NoisyWorkload(100, 6);
+  const Workload w = NoisyWorkload(100, 100, 6);
   const reachability::AnalyticalModel model(kDefault);
   BatchMatcher small(&model, 0.1, 1);
   BatchMatcher large(&model, 0.1, 50);

@@ -1,9 +1,9 @@
 // Thread-count / shard-size invariance of the engine's sharded U2U scan
-// (DESIGN.md section 9), plus the active-set compaction equivalence and
-// the removal support it leans on in the index layer. The determinism
-// contract under test: for a fixed policy and workload, MatchResult and
-// the caller's RNG stream are bit-identical for every
-// (pool, shard_size, active_set) combination.
+// (DESIGN.md section 9), plus the active-set maintenance against brute
+// and freshly-built references and the removal support it leans on in the
+// index layer. The determinism contract under test: for a fixed policy and
+// workload, MatchResult and the caller's RNG stream are bit-identical for
+// every (pool, shard_size) combination.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_stage.h"
 #include "data/workload.h"
+#include "engine_fixtures.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
@@ -31,40 +33,9 @@ using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
-Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
-
-/// Asserts two runs produced the same protocol outcome bit for bit:
-/// assignment sequence (ids and exact travel distances) and every
-/// decision-derived metric. Timing metrics are excluded.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned, b.metrics.u2u_scanned) << label;
-}
+using fixtures::NoisyWorkload;
+using fixtures::ExpectBitIdentical;
+using fixtures::Compare;
 
 EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
   EnginePolicy policy;
@@ -78,13 +49,13 @@ EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
   return policy;
 }
 
-// The invariance matrix of ISSUE 4: pools {serial, 1, 2, 8} x shard sizes
-// {64, 1024} x pruner {off, grid, rtree} x alpha-thresholds {on, off},
-// each cell compared bit for bit (including the caller's RNG stream)
-// against the legacy configuration: no pool, no active set.
+// The invariance matrix: pools {serial, 1, 2, 8} x shard sizes {64, 1024}
+// x pruner {off, grid, rtree} x alpha-thresholds {on, off}, each cell
+// compared bit for bit (including the caller's RNG stream) against the
+// serial run at the default shard size.
 TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(300, 20260806);
+  const Workload workload = NoisyWorkload(300, 300, 20260806);
 
   // Pools are shared across cells; every Run must leave them reusable.
   std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
@@ -106,13 +77,11 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
 
   for (const bool thresholds : {true, false}) {
     for (const PrunerCase& pc : pruners) {
-      // Baseline: the legacy serial full-rescan path.
+      // Baseline: the serial scan.
       EnginePolicy base = BasePolicy(&model);
       base.kernel.alpha_thresholds = thresholds;
       base.pruning_gamma = pc.gamma;
       base.pruning_backend = pc.backend;
-      base.runtime.pool = nullptr;
-      base.runtime.active_set = false;
       ScGuardEngine baseline(base);
       stats::Rng base_rng(7);
       const MatchResult expected = baseline.Run(workload, base_rng);
@@ -129,7 +98,6 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
           policy.pruning_backend = pc.backend;
           policy.runtime.pool = pool.get();
           policy.runtime.shard_size = shard_size;
-          policy.runtime.active_set = true;
           ScGuardEngine engine(policy);
           stats::Rng rng(7);
           const MatchResult result = engine.Run(workload, rng);
@@ -152,7 +120,7 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
 // still produce the identical result.
 TEST(EngineParallelTest, NestedInsidePoolWorkerFallsBackSerially) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(150, 99);
+  const Workload workload = NoisyWorkload(150, 150, 99);
   runtime::ThreadPool pool(4);
 
   EnginePolicy policy = BasePolicy(&model);
@@ -177,69 +145,139 @@ TEST(EngineParallelTest, NestedInsidePoolWorkerFallsBackSerially) {
   ExpectBitIdentical(expected, nested, "nested-in-pool");
 }
 
-// Active-set compaction is an optimization, not a semantic change: on/off
-// must agree on every decision, and with it on the scan work per task must
+/// The brute-scan reference: every available worker the scalar filter
+/// admits, ascending.
+std::vector<uint32_t> BruteCandidates(U2uCandidateStage& stage,
+                                      geo::Point task) {
+  std::vector<uint32_t> out;
+  for (uint32_t i = 0; i < stage.size(); ++i) {
+    if (!stage.is_matched(i) && stage.Decide(i, task)) out.push_back(i);
+  }
+  return out;
+}
+
+/// Service-style availability and location churn after a Collect: match the
+/// best candidate, every few tasks reactivate a matched worker, and every
+/// few more relocate a random one. `noisy` tracks the current locations.
+void Churn(U2uCandidateStage& stage, const std::vector<uint32_t>& got,
+           size_t step, stats::Rng& rng, std::vector<geo::Point>& noisy,
+           std::vector<uint32_t>& matched) {
+  if (!got.empty()) {
+    stage.MarkMatched(got.front());
+    matched.push_back(got.front());
+  }
+  if (step % 5 == 2 && !matched.empty()) {
+    const auto k = static_cast<size_t>(rng.UniformInt(matched.size()));
+    stage.MarkAvailable(matched[k]);
+    matched.erase(matched.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+  if (step % 7 == 3) {
+    const auto mover = static_cast<uint32_t>(rng.UniformInt(noisy.size()));
+    noisy[mover] = {rng.UniformDouble(0.0, 20000.0),
+                    rng.UniformDouble(0.0, 20000.0)};
+    stage.UpdateWorkerLocation(mover, noisy[mover]);
+  }
+}
+
+// Active-set compaction is an optimization, not a semantic change: through
+// match / reactivate / relocate churn, every brute-scan Collect must equal
+// the reference {i : !is_matched(i) && Decide(i, task)} and score exactly
+// the available workers, and an engine run's per-task scan work must
 // shrink as workers get matched.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanAndShrinksWork) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(400, 11);
+  const Workload workload = NoisyWorkload(400, 400, 11);
 
-  EnginePolicy on = BasePolicy(&model);
-  on.runtime.active_set = true;
-  on.runtime.shard_size = 64;
-  EnginePolicy off = BasePolicy(&model);
-  off.runtime.active_set = false;
-  off.runtime.shard_size = 64;
+  for (const bool thresholds : {true, false}) {
+    U2uCandidateStage::Config config;
+    config.model = &model;
+    config.alpha = 0.1;
+    config.kernel.alpha_thresholds = thresholds;
+    config.runtime.shard_size = 64;
+    U2uCandidateStage stage(config);
+    std::vector<geo::Point> noisy;
+    for (const Worker& w : workload.workers) {
+      stage.AddWorker(w.noisy_location, w.reach_radius_m);
+      noisy.push_back(w.noisy_location);
+    }
+    stats::Rng rng(5);
+    std::vector<uint32_t> matched;
+    for (size_t t = 0; t < workload.tasks.size(); ++t) {
+      const geo::Point task = workload.tasks[t].noisy_location;
+      const std::vector<uint32_t> got = stage.Collect(task);
+      const std::string label = std::string("thresholds=") +
+                                (thresholds ? "on" : "off") +
+                                " task=" + std::to_string(t);
+      EXPECT_EQ(got, BruteCandidates(stage, task)) << label;
+      EXPECT_EQ(stage.stats().scanned_last,
+                static_cast<int64_t>(stage.available()))
+          << label;
+      Churn(stage, got, t, rng, noisy, matched);
+    }
+    EXPECT_GT(stage.compactions(), 0);
+  }
 
-  ScGuardEngine engine_on(on);
-  ScGuardEngine engine_off(off);
-  stats::Rng rng_on(5);
-  stats::Rng rng_off(5);
-  const MatchResult r_on = engine_on.Run(workload, rng_on);
-  const MatchResult r_off = engine_off.Run(workload, rng_off);
-  ExpectBitIdentical(r_on, r_off, "active-set on vs off");
-  EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble());
-
-  // Both modes skip matched workers, so the scanned totals agree; the
-  // decay is visible in the first/last per-task snapshots once anything
-  // was assigned.
-  EXPECT_EQ(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned);
-  ASSERT_GT(r_on.metrics.assigned_tasks, 0);
-  EXPECT_LT(r_on.metrics.u2u_scanned_last_task,
-            r_on.metrics.u2u_scanned_first_task);
-  EXPECT_EQ(r_on.metrics.u2u_scanned_first_task, 400);
+  EnginePolicy policy = BasePolicy(&model);
+  policy.runtime.shard_size = 64;
+  ScGuardEngine engine(policy);
+  stats::Rng rng(5);
+  const MatchResult run = engine.Run(workload, rng);
+  ASSERT_GT(run.metrics.assigned_tasks, 0);
+  EXPECT_EQ(run.metrics.u2u_scanned_first_task, 400);
+  EXPECT_LT(run.metrics.u2u_scanned_last_task,
+            run.metrics.u2u_scanned_first_task);
 }
 
-// Same equivalence through a pruning index: with the active set on the
-// engine removes matched workers from the index instead of filtering them
-// per query.
+// The same equivalence through every pruning index, where the active set
+// is index maintenance (Remove on match, Restore on reactivation, Relocate
+// on re-report): after the same churn, the incrementally maintained stage
+// must answer exactly like one freshly built over the same locations and
+// matched set.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanUnderPruner) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(300, 17);
+  const Workload workload = NoisyWorkload(300, 300, 17);
 
   for (const auto backend :
        {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
         index::PrunerBackend::kRTree}) {
-    EnginePolicy on = BasePolicy(&model);
-    on.pruning_gamma = 0.9;
-    on.pruning_backend = backend;
-    on.runtime.active_set = true;
-    EnginePolicy off = on;
-    off.runtime.active_set = false;
-
-    ScGuardEngine engine_on(on);
-    ScGuardEngine engine_off(off);
-    stats::Rng rng_on(5);
-    stats::Rng rng_off(5);
-    const MatchResult r_on = engine_on.Run(workload, rng_on);
-    const MatchResult r_off = engine_off.Run(workload, rng_off);
-    const std::string label =
-        std::string("pruner backend ") +
-        std::string(index::PrunerBackendName(backend));
-    ExpectBitIdentical(r_on, r_off, label);
-    ASSERT_GT(r_on.metrics.assigned_tasks, 0) << label;
-    // Removal makes the index return strictly fewer ids over the run.
-    EXPECT_LE(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned) << label;
+    U2uCandidateStage::Config config;
+    config.model = &model;
+    config.alpha = 0.1;
+    config.runtime.shard_size = 64;
+    config.pruning = U2uCandidateStage::Pruning{0.9, backend, kDefault,
+                                                kDefault, workload.region};
+    U2uCandidateStage stage(config);
+    std::vector<geo::Point> noisy;
+    for (const Worker& w : workload.workers) {
+      stage.AddWorker(w.noisy_location, w.reach_radius_m);
+      noisy.push_back(w.noisy_location);
+    }
+    stats::Rng rng(5);
+    std::vector<uint32_t> matched;
+    for (size_t t = 0; t < 120; ++t) {
+      const geo::Point task = workload.tasks[t].noisy_location;
+      const std::vector<uint32_t> got = stage.Collect(task);
+      for (const uint32_t i : got) EXPECT_FALSE(stage.is_matched(i)) << i;
+      if (t % 4 == 0) {
+        // The fresh build replays the matched set before its first
+        // Collect, so its index is built with the removals applied.
+        U2uCandidateStage fresh(config);
+        for (size_t i = 0; i < noisy.size(); ++i) {
+          fresh.AddWorker(noisy[i], workload.workers[i].reach_radius_m);
+        }
+        for (const uint32_t i : matched) fresh.MarkMatched(i);
+        const std::string label =
+            std::string(index::PrunerBackendName(backend)) +
+            " task=" + std::to_string(t);
+        EXPECT_EQ(got, fresh.Collect(task)) << label;
+        EXPECT_EQ(stage.stats().scanned_last, fresh.stats().scanned_last)
+            << label;
+        EXPECT_EQ(stage.stats().pruned_last, fresh.stats().pruned_last)
+            << label;
+      }
+      Churn(stage, got, t, rng, noisy, matched);
+    }
+    EXPECT_FALSE(matched.empty());
   }
 }
 
@@ -460,7 +498,7 @@ TEST(ClassifyKernelTest, DispatchOverrideAndReset) {
 // with the pruner both off and on (the two paths that feed the classifier).
 TEST(EngineParallelTest, SimdDispatchRunInvariance) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(250, 20260807);
+  const Workload workload = NoisyWorkload(250, 250, 20260807);
 
   for (const bool prune : {false, true}) {
     EnginePolicy policy = BasePolicy(&model);

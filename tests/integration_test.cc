@@ -10,7 +10,7 @@
 #include "assign/scguard_engine.h"
 #include "core/protocol.h"
 #include "core/scguard.h"
-#include "data/workload.h"
+#include "engine_fixtures.h"
 #include "reachability/analytical_model.h"
 #include "sim/defaults.h"
 #include "sim/experiment.h"
@@ -36,14 +36,7 @@ sim::ExperimentConfig SmallExperiment() {
 // (core::ProtocolCoordinator) implement the same algorithm; with identical
 // inputs they must produce identical assignments.
 TEST(EngineProtocolEquivalenceTest, IdenticalAssignments) {
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {20000, 20000});
-  data::WorkloadConfig wconfig;
-  wconfig.num_workers = 60;
-  wconfig.num_tasks = 60;
-  stats::Rng rng(7);
-  assign::Workload workload = data::MakeUniformWorkload(region, wconfig, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, workload);
+  const assign::Workload workload = fixtures::NoisyWorkload(60, 60, 7);
 
   const double alpha = 0.1, beta = 0.25;
   const reachability::AnalyticalModel model(kDefault);

@@ -6,6 +6,7 @@
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
 #include "data/workload.h"
+#include "engine_fixtures.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
@@ -25,39 +26,9 @@ using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
-Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
-
-/// Asserts two runs produced the same protocol outcome bit for bit:
-/// assignment sequence (ids and exact travel distances) and every
-/// decision-derived metric. Timing metrics are excluded.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
-}
+using fixtures::NoisyWorkload;
+using fixtures::ExpectBitIdentical;
+using fixtures::Compare;
 
 // ------------------------------------------- Engine bit-identity contract
 
@@ -65,7 +36,7 @@ void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
 // nothing observable — same assignments, same metrics, same RNG stream —
 // across all three reachability models.
 TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
-  const Workload w = NoisyWorkload(120, 31);
+  const Workload w = NoisyWorkload(120, 120, 31);
   stats::Rng build_rng(32);
   EmpiricalModelConfig config;
   config.region = geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
@@ -109,7 +80,7 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
 }
 
 TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
-  const Workload w = NoisyWorkload(150, 34);
+  const Workload w = NoisyWorkload(150, 150, 34);
   for (auto backend :
        {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
         index::PrunerBackend::kRTree}) {
@@ -125,7 +96,10 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
     stats::Rng rng_on(35), rng_off(35);
     const MatchResult a = on.Run(w, rng_on);
     const MatchResult b = off.Run(w, rng_off);
-    ExpectBitIdentical(a, b, std::string(index::PrunerBackendName(backend)));
+    // Thresholds off leaves the grid's mirror path for the gather path,
+    // so only the traffic model differs.
+    ExpectBitIdentical(a, b, std::string(index::PrunerBackendName(backend)),
+                       Compare::kScan);
     EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble());
   }
 }
@@ -134,7 +108,7 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
 // exactly at near-certain gamma (the engine no longer re-sorts, so this
 // doubles as the ascending-id contract check).
 TEST(KernelEngineTest, PrunedRunsStayIdenticalToUnprunedAtHighGamma) {
-  const Workload w = NoisyWorkload(100, 36);
+  const Workload w = NoisyWorkload(100, 100, 36);
   AlgorithmParams params;
   params.worker_params = kDefault;
   params.task_params = kDefault;
@@ -149,7 +123,8 @@ TEST(KernelEngineTest, PrunedRunsStayIdenticalToUnprunedAtHighGamma) {
     MatcherHandle pruned = MakeProbabilisticModel(params);
     stats::Rng rng(37);
     ExpectBitIdentical(base, pruned.Run(w, rng),
-                       std::string(index::PrunerBackendName(backend)));
+                       std::string(index::PrunerBackendName(backend)),
+                       Compare::kOutcome);
   }
 }
 
@@ -285,7 +260,7 @@ TEST(KernelLutTest, ErrorBoundHoldsAgainstDirectRice) {
 }
 
 TEST(KernelLutTest, EngineWithLutStaysCloseToExactScoring) {
-  const Workload w = NoisyWorkload(100, 40);
+  const Workload w = NoisyWorkload(100, 100, 40);
   AlgorithmParams params;
   params.worker_params = kDefault;
   params.task_params = kDefault;

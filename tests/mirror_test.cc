@@ -1,8 +1,8 @@
 // The cell-major scoring mirror (DESIGN.md section 13): bit-identity of the
-// mirror Collect path against the gather path across models, pruner
-// backends, SIMD dispatch, and thread pools; incremental slice-sync under
-// index churn; and the range classification kernels against their scalar
-// references.
+// grid backend's mirror Collect path against the same rectangles through
+// the linear backend's gather path, across models, SIMD dispatch, and
+// thread pools; incremental slice-sync under index churn; and the range
+// classification kernels against their scalar references.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "assign/stages/candidate_stage.h"
 #include "assign/stages/cell_mirror.h"
 #include "data/workload.h"
+#include "engine_fixtures.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
@@ -33,55 +34,16 @@ using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
-Workload NoisyWorkload(int n, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = n;
-  config.num_tasks = n;
-  stats::Rng rng(seed);
-  Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
+using fixtures::NoisyWorkload;
+using fixtures::ExpectBitIdentical;
+using fixtures::Compare;
 
-/// Full decision-level equality: assignment sequence, every decision-derived
-/// metric, and (unlike the parallel test) the mirror traffic counters —
-/// which must also be pool/SIMD invariant within one mirror setting.
-void ExpectBitIdentical(const MatchResult& a, const MatchResult& b,
-                        bool compare_traffic, const std::string& label) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << label;
-  for (size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].task_id, b.assignments[i].task_id) << label;
-    EXPECT_EQ(a.assignments[i].worker_id, b.assignments[i].worker_id) << label;
-    EXPECT_EQ(a.assignments[i].travel_m, b.assignments[i].travel_m) << label;
-  }
-  EXPECT_EQ(a.metrics.assigned_tasks, b.metrics.assigned_tasks) << label;
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum) << label;
-  EXPECT_EQ(a.metrics.false_hits, b.metrics.false_hits) << label;
-  EXPECT_EQ(a.metrics.false_dismissals, b.metrics.false_dismissals) << label;
-  EXPECT_EQ(a.metrics.requester_to_worker_msgs,
-            b.metrics.requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics.precision_sum, b.metrics.precision_sum) << label;
-  EXPECT_EQ(a.metrics.recall_sum, b.metrics.recall_sum) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned, b.metrics.u2u_scanned) << label;
-  EXPECT_EQ(a.metrics.u2u_scanned_first_task, b.metrics.u2u_scanned_first_task)
-      << label;
-  EXPECT_EQ(a.metrics.u2u_scanned_last_task, b.metrics.u2u_scanned_last_task)
-      << label;
-  if (compare_traffic) {
-    EXPECT_EQ(a.metrics.u2u_gather_bytes, b.metrics.u2u_gather_bytes) << label;
-    EXPECT_EQ(a.metrics.cells_emitted_direct, b.metrics.cells_emitted_direct)
-        << label;
-  }
-}
-
-// The ISSUE 8 acceptance sweep: for three models and every pruner backend,
-// the mirror path must reproduce the gather path's MatchResult and caller
-// RNG stream bit for bit under forced-scalar and auto SIMD dispatch and
-// pools {serial, 1, 8}; and within one mirror setting the traffic counters
-// themselves must be pool/SIMD invariant.
+// The acceptance sweep: for three models and every pruner backend, each
+// run must reproduce its serial forced-scalar baseline's MatchResult,
+// traffic counters and caller RNG stream bit for bit under forced-scalar
+// and auto SIMD dispatch and pools {serial, 1, 8}; and the grid backend's
+// mirror path must make the same decisions as the same rectangles through
+// the linear backend, which takes the gather path.
 TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const reachability::AnalyticalModel analytical(kDefault);
   const reachability::BinaryModel binary;
@@ -92,7 +54,7 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const auto empirical =
       reachability::EmpiricalModel::Build(econfig, kDefault, build_rng);
 
-  const Workload workload = NoisyWorkload(160, 20260808);
+  const Workload workload = NoisyWorkload(160, 160, 20260808);
 
   std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
   pools.push_back(nullptr);  // Serial.
@@ -116,11 +78,14 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   };
   const PrunerCase pruners[] = {
       {"off", std::nullopt, index::PrunerBackend::kGrid},
+      {"linear", 0.9, index::PrunerBackend::kLinearScan},
       {"grid", 0.9, index::PrunerBackend::kGrid},
       {"rtree", 0.9, index::PrunerBackend::kRTree},
   };
 
   for (const ModelCase& mc : models) {
+    MatchResult linear;  // The grid case's reference.
+    double linear_next_draw = 0.0;
     for (const PrunerCase& pc : pruners) {
       EnginePolicy base;
       base.u2u_model = mc.model;
@@ -133,53 +98,49 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       base.pruning_gamma = pc.gamma;
       base.pruning_backend = pc.backend;
 
-      // Per-mirror-setting baselines: serial, forced-scalar.
-      MatchResult expected[2];
-      double expected_next_draw[2];
-      for (const bool mirror : {false, true}) {
-        EnginePolicy policy = base;
-        policy.runtime.cell_mirror = mirror;
-        reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
-        ScGuardEngine engine(policy);
-        stats::Rng rng(7);
-        expected[mirror ? 1 : 0] = engine.Run(workload, rng);
-        expected_next_draw[mirror ? 1 : 0] = rng.UniformDouble();
-        reachability::ResetClassifySimd();
-      }
-      ASSERT_GT(expected[0].metrics.assigned_tasks, 0)
+      // Baseline: serial, forced-scalar.
+      reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
+      ScGuardEngine baseline(base);
+      stats::Rng base_rng(7);
+      const MatchResult expected = baseline.Run(workload, base_rng);
+      const double expected_next_draw = base_rng.UniformDouble();
+      reachability::ResetClassifySimd();
+      ASSERT_GT(expected.metrics.assigned_tasks, 0)
           << mc.name << "/" << pc.name;
-      // Mirror on vs off: identical decisions; only the traffic model of
-      // the counters differs.
-      ExpectBitIdentical(expected[0], expected[1], /*compare_traffic=*/false,
-                         std::string(mc.name) + "/" + pc.name +
-                             " mirror on-vs-off baseline");
-      EXPECT_EQ(expected_next_draw[0], expected_next_draw[1]);
+      if (pc.backend == index::PrunerBackend::kLinearScan) {
+        linear = expected;
+        linear_next_draw = expected_next_draw;
+      } else if (pc.gamma.has_value() &&
+                 pc.backend == index::PrunerBackend::kGrid) {
+        // Mirror vs gather over the same rectangles: identical decisions;
+        // only the traffic model of the counters differs.
+        ExpectBitIdentical(linear, expected,
+                           std::string(mc.name) + " grid vs linear",
+                           Compare::kScan);
+        EXPECT_EQ(linear_next_draw, expected_next_draw);
+        EXPECT_GT(expected.metrics.cells_emitted_direct +
+                      expected.metrics.u2u_gather_bytes,
+                  0);
+      }
 
-      for (const bool mirror : {false, true}) {
-        for (const bool force_scalar : {true, false}) {
-          for (const auto& pool : pools) {
-            EnginePolicy policy = base;
-            policy.runtime.cell_mirror = mirror;
-            policy.runtime.pool = pool.get();
-            policy.runtime.shard_size = 64;  // Multiple chunks per task.
-            if (force_scalar) {
-              reachability::SetClassifySimd(
-                  reachability::ClassifySimd::kScalar);
-            }
-            ScGuardEngine engine(policy);
-            stats::Rng rng(7);
-            const MatchResult result = engine.Run(workload, rng);
-            reachability::ResetClassifySimd();
-            const std::string label =
-                std::string(mc.name) + "/" + pc.name +
-                " mirror=" + (mirror ? "on" : "off") +
-                " simd=" + (force_scalar ? "scalar" : "auto") +
-                " threads=" + std::to_string(pool ? pool->num_threads() : 0);
-            ExpectBitIdentical(expected[mirror ? 1 : 0], result,
-                               /*compare_traffic=*/true, label);
-            EXPECT_EQ(expected_next_draw[mirror ? 1 : 0], rng.UniformDouble())
-                << label;
+      for (const bool force_scalar : {true, false}) {
+        for (const auto& pool : pools) {
+          EnginePolicy policy = base;
+          policy.runtime.pool = pool.get();
+          policy.runtime.shard_size = 64;  // Multiple chunks per task.
+          if (force_scalar) {
+            reachability::SetClassifySimd(reachability::ClassifySimd::kScalar);
           }
+          ScGuardEngine engine(policy);
+          stats::Rng rng(7);
+          const MatchResult result = engine.Run(workload, rng);
+          reachability::ResetClassifySimd();
+          const std::string label =
+              std::string(mc.name) + "/" + pc.name +
+              " simd=" + (force_scalar ? "scalar" : "auto") +
+              " threads=" + std::to_string(pool ? pool->num_threads() : 0);
+          ExpectBitIdentical(expected, result, label);
+          EXPECT_EQ(expected_next_draw, rng.UniformDouble()) << label;
         }
       }
     }
@@ -188,10 +149,11 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
 
 // A dense grid-pruned run must actually exercise the certificate-direct
 // path (cells emitted with zero per-worker loads), and the mirror's traffic
-// must come in under the gather model's for the same scanned workers.
+// must come in under the gather model's for the same scanned workers (the
+// linear backend's gather over the same rectangles).
 TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   const reachability::AnalyticalModel model(kDefault);
-  const Workload workload = NoisyWorkload(2000, 20260810);
+  const Workload workload = NoisyWorkload(2000, 2000, 20260810);
 
   EnginePolicy policy;
   policy.u2u_model = &model;
@@ -205,14 +167,14 @@ TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   policy.pruning_backend = index::PrunerBackend::kGrid;
 
   EnginePolicy off = policy;
-  off.runtime.cell_mirror = false;
+  off.pruning_backend = index::PrunerBackend::kLinearScan;
   ScGuardEngine engine_on(policy);
   ScGuardEngine engine_off(off);
   stats::Rng rng_on(3);
   stats::Rng rng_off(3);
   const MatchResult r_on = engine_on.Run(workload, rng_on);
   const MatchResult r_off = engine_off.Run(workload, rng_off);
-  ExpectBitIdentical(r_on, r_off, /*compare_traffic=*/false, "dense grid");
+  ExpectBitIdentical(r_on, r_off, "dense grid", Compare::kScan);
 
   EXPECT_GT(r_on.metrics.cells_emitted_direct, 0);
   EXPECT_EQ(r_off.metrics.cells_emitted_direct, 0);
@@ -391,10 +353,11 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
   mirror.ForgetGrid();
 }
 
-// Stage-level churn: a mirror-on and a mirror-off stage driven through the
-// same AddWorker / Collect / MarkMatched / UpdateWorkerLocation sequence
-// must emit identical candidate lists and scan accounting throughout.
-TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
+// Stage-level churn: a grid (mirror) stage and a linear-backend (gather)
+// stage driven through the same AddWorker / Collect / MarkMatched /
+// UpdateWorkerLocation sequence must emit identical candidate lists and
+// scan accounting throughout.
+TEST(MirrorStageChurnTest, MirrorMatchesLinearBackendThroughChurn) {
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
@@ -405,7 +368,7 @@ TEST(MirrorStageChurnTest, MirrorOnOffAgreeThroughChurn) {
   config.pruning = U2uCandidateStage::Pruning{
       0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
   U2uCandidateStage::Config config_off = config;
-  config_off.runtime.cell_mirror = false;
+  config_off.pruning->backend = index::PrunerBackend::kLinearScan;
 
   U2uCandidateStage on(config);
   U2uCandidateStage off(config_off);

@@ -3,19 +3,27 @@
 // shutdown completeness, queue-full backpressure, epoch monotonicity, and
 // the determinism contract — a concurrent service run is bit-identical to
 // a serial replay of its admission log, and a service fed only tasks is
-// bit-identical to ScGuardEngine::Run.
+// bit-identical to ScGuardEngine::Run, metrics and stage counters included —
+// and hostile ingest refused or clamped instead of aborting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "assign/scguard_engine.h"
 #include "data/workload.h"
+#include "engine_fixtures.h"
 #include "geo/bbox.h"
+#include "index/grid_index.h"
+#include "obs/metrics.h"
+#include "obs/obs_config.h"
 #include "privacy/mechanism.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
@@ -30,17 +38,7 @@ using privacy::PrivacyParams;
 
 constexpr PrivacyParams kDefault{0.7, 800.0};
 
-assign::Workload NoisyWorkload(int workers, int tasks, uint64_t seed) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig config;
-  config.num_workers = workers;
-  config.num_tasks = tasks;
-  stats::Rng rng(seed);
-  assign::Workload w = data::MakeUniformWorkload(region, config, rng);
-  data::PerturbWorkload(kDefault, kDefault, rng, w);
-  return w;
-}
+using fixtures::NoisyWorkload;
 
 ServiceConfig BaseConfig(const reachability::ReachabilityModel* model,
                          const geo::BoundingBox& region) {
@@ -58,17 +56,14 @@ ServiceConfig BaseConfig(const reachability::ReachabilityModel* model,
   return config;
 }
 
+/// The service's results as one MatchResult, for the shared comparison.
+assign::MatchResult Result(const AssignmentService& svc) {
+  return {svc.assignments(), svc.metrics()};
+}
+
 void ExpectSameResults(const AssignmentService& a, const AssignmentService& b,
                        const char* label) {
-  ASSERT_EQ(a.assignments().size(), b.assignments().size()) << label;
-  for (size_t i = 0; i < a.assignments().size(); ++i) {
-    EXPECT_EQ(a.assignments()[i].task_id, b.assignments()[i].task_id)
-        << label << " @" << i;
-    EXPECT_EQ(a.assignments()[i].worker_id, b.assignments()[i].worker_id)
-        << label << " @" << i;
-    EXPECT_EQ(a.assignments()[i].travel_m, b.assignments()[i].travel_m)
-        << label << " @" << i;
-  }
+  fixtures::ExpectBitIdentical(Result(a), Result(b), label);
   ASSERT_EQ(a.completions().size(), b.completions().size()) << label;
   for (size_t i = 0; i < a.completions().size(); ++i) {
     EXPECT_EQ(a.completions()[i].task_id, b.completions()[i].task_id)
@@ -78,12 +73,6 @@ void ExpectSameResults(const AssignmentService& a, const AssignmentService& b,
     EXPECT_EQ(a.completions()[i].travel_m, b.completions()[i].travel_m)
         << label << " @" << i;
   }
-  EXPECT_EQ(a.metrics().candidates_sum, b.metrics().candidates_sum) << label;
-  EXPECT_EQ(a.metrics().requester_to_worker_msgs,
-            b.metrics().requester_to_worker_msgs)
-      << label;
-  EXPECT_EQ(a.metrics().false_hits, b.metrics().false_hits) << label;
-  EXPECT_EQ(a.metrics().u2u_scanned, b.metrics().u2u_scanned) << label;
 }
 
 TEST(MpscQueueTest, FifoSingleThread) {
@@ -241,13 +230,36 @@ TEST(ServiceTest, BitIdenticalToSerialReplayOfAdmissionLog) {
   ExpectSameResults(live, replay, "live vs replay");
 }
 
+/// Growth of every scguard.engine.* counter and histogram count between
+/// two snapshots.
+std::map<std::string, int64_t> EngineDeltas(const obs::MetricsSnapshot& from,
+                                            const obs::MetricsSnapshot& to) {
+  std::map<std::string, int64_t> deltas;
+  for (const auto& [name, value] : to.counters) {
+    if (name.rfind("scguard.engine.", 0) != 0) continue;
+    const auto it = from.counters.find(name);
+    deltas[name] = value - (it == from.counters.end() ? 0 : it->second);
+  }
+  for (const auto& [name, hist] : to.histograms) {
+    if (name.rfind("scguard.engine.", 0) != 0) continue;
+    const auto it = from.histograms.find(name);
+    deltas[name + ".count"] =
+        hist.count - (it == from.histograms.end() ? 0 : it->second.count);
+  }
+  return deltas;
+}
+
 TEST(ServiceTest, MatchesEngineWithoutReports) {
   // A service fed only tasks executes the identical protocol sequence as
   // one ScGuardEngine::Run: same random-rank stream (rank_seed == the
-  // run Rng's seed), same per-task stage bodies, same MarkMatched
-  // active-set maintenance.
+  // run Rng's seed), same per-task pipeline, same MarkMatched active-set
+  // maintenance — so every deterministic metric and, with obs on, every
+  // stage counter and per-stage histogram count agree.
   const assign::Workload workload = NoisyWorkload(250, 200, 7003);
   const reachability::AnalyticalModel model(kDefault);
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::SetConfig(obs::ObsConfig{.enabled = true});
+  const obs::MetricsSnapshot before_service = registry.Snapshot();
 
   ServiceConfig config = BaseConfig(&model, workload.region);
   config.rank_seed = 42;
@@ -258,33 +270,94 @@ TEST(ServiceTest, MatchesEngineWithoutReports) {
     ASSERT_TRUE(svc.SubmitTask(t));
   }
   svc.Stop(AssignmentService::StopMode::kDrain);
+  const obs::MetricsSnapshot after_service = registry.Snapshot();
 
   assign::EnginePolicy policy;
-  policy.u2u_model = &model;
-  policy.u2e_model = &model;
-  policy.alpha = config.alpha;
-  policy.beta = config.beta;
-  policy.rank = config.rank;
-  policy.worker_params = kDefault;
-  policy.task_params = kDefault;
-  policy.pruning_gamma = config.pruning_gamma;
-  policy.pruning_backend = config.pruning_backend;
+  static_cast<assign::ProtocolPolicy&>(policy) = config;
   policy.compute_accuracy_metrics = false;
   assign::ScGuardEngine engine(std::move(policy));
   stats::Rng rng(42);
   const assign::MatchResult run = engine.Run(workload, rng);
+  const obs::MetricsSnapshot after_engine = registry.Snapshot();
+  obs::SetConfig(obs::ObsConfig{.enabled = false});
 
-  ASSERT_EQ(svc.assignments().size(), run.assignments.size());
-  for (size_t i = 0; i < run.assignments.size(); ++i) {
-    EXPECT_EQ(svc.assignments()[i].task_id, run.assignments[i].task_id);
-    EXPECT_EQ(svc.assignments()[i].worker_id, run.assignments[i].worker_id);
-    EXPECT_EQ(svc.assignments()[i].travel_m, run.assignments[i].travel_m);
+  ASSERT_GT(run.metrics.assigned_tasks, 0);
+  fixtures::ExpectBitIdentical(Result(svc), run, "service vs engine");
+
+  const auto service_deltas = EngineDeltas(before_service, after_service);
+  EXPECT_EQ(service_deltas, EngineDeltas(after_service, after_engine));
+  EXPECT_EQ(service_deltas.at("scguard.engine.tasks"), 200);
+  for (const char* stage : {"u2u", "u2e", "e2e"}) {
+    EXPECT_GT(service_deltas.at(std::string("scguard.engine.") + stage +
+                                "_seconds.count"),
+              0)
+        << stage;
   }
-  EXPECT_EQ(svc.metrics().candidates_sum, run.metrics.candidates_sum);
-  EXPECT_EQ(svc.metrics().u2u_scanned, run.metrics.u2u_scanned);
-  EXPECT_EQ(svc.metrics().false_hits, run.metrics.false_hits);
-  EXPECT_EQ(svc.metrics().requester_to_worker_msgs,
-            run.metrics.requester_to_worker_msgs);
+}
+
+TEST(ServiceTest, HostileIngestIsRefusedOrClampedNotFatal) {
+  // Unknown worker ids and non-finite coordinates are refused at the door
+  // and counted apart from queue-full rejections; a finite but absurdly
+  // distant location is admitted and lands in a border grid cell. The
+  // service then drains normally. Runs under ASan/UBSan in CI.
+  const assign::Workload workload = NoisyWorkload(200, 60, 7005);
+  const reachability::AnalyticalModel model(kDefault);
+  AssignmentService svc(BaseConfig(&model, workload.region));
+  for (const auto& w : workload.workers) svc.RegisterWorker(w);
+  svc.Start();
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const geo::Point ok = workload.workers[0].location;
+  const auto unknown = static_cast<uint32_t>(workload.workers.size());
+  EXPECT_FALSE(svc.ReportLocation(unknown, ok, ok));
+  EXPECT_FALSE(svc.ReportLocation(std::numeric_limits<uint32_t>::max(), ok,
+                                  ok));
+  EXPECT_FALSE(svc.ReportLocation(0, {kNaN, ok.y}, ok));
+  EXPECT_FALSE(svc.ReportLocation(0, ok, {ok.x, kInf}));
+  EXPECT_FALSE(svc.ReportLocation(0, ok, {-kInf, ok.y}));
+  for (const geo::Point bad : {geo::Point{kNaN, 0.0}, geo::Point{0.0, kInf},
+                               geo::Point{-kInf, 0.0}}) {
+    assign::Task t = workload.tasks[0];
+    t.noisy_location = bad;
+    EXPECT_FALSE(svc.SubmitTask(t));
+  }
+
+  // Worker 1 re-reports from 1e300 m away, and a task appears right there:
+  // both clamp into the same corner cell, so the task finds that worker.
+  const geo::Point far{1e300, 1e300};
+  EXPECT_TRUE(svc.ReportLocation(1, far, far));
+  assign::Task far_task;
+  far_task.id = 1000000;
+  far_task.location = far;
+  far_task.noisy_location = far;
+  EXPECT_TRUE(svc.SubmitTask(far_task));
+  for (const auto& t : workload.tasks) EXPECT_TRUE(svc.SubmitTask(t));
+  svc.Stop(AssignmentService::StopMode::kDrain);
+
+  const IngestStats ingest = svc.ingest_stats();
+  EXPECT_EQ(ingest.reports_invalid, 5);
+  EXPECT_EQ(ingest.tasks_invalid, 3);
+  EXPECT_EQ(ingest.reports_rejected, 0);
+  EXPECT_EQ(ingest.tasks_rejected, 0);
+  EXPECT_EQ(ingest.reports_submitted, 1);
+  EXPECT_EQ(ingest.tasks_submitted,
+            static_cast<int64_t>(workload.tasks.size()) + 1);
+  ASSERT_EQ(svc.completions().size(), workload.tasks.size() + 1);
+  EXPECT_EQ(svc.completions()[0].task_id, far_task.id);
+  EXPECT_EQ(svc.completions()[0].worker_id, workload.workers[1].id);
+  EXPECT_GT(svc.metrics().assigned_tasks, 1);
+
+  // The grid itself: a far-out or non-finite center clamps into a border
+  // cell instead of overflowing the cell cast.
+  index::GridIndex grid(workload.region, 8);
+  grid.Insert({1e300, -1e300}, 100.0, 7);
+  grid.Insert({kNaN, kNaN}, 100.0, 9);
+  const size_t corner = 7;  // Cell (x = 7, y = 0), row-major.
+  ASSERT_EQ(grid.cell_count(corner), 1u);
+  EXPECT_EQ(grid.member_id(grid.cell_begin(corner)), 7);
+  ASSERT_EQ(grid.cell_count(0), 1u);
+  EXPECT_EQ(grid.member_id(grid.cell_begin(0)), 9);
 }
 
 TEST(ServiceTest, QueueFullBackpressureRejectsWithoutBlocking) {

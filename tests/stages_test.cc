@@ -21,7 +21,7 @@
 #include "assign/stages/contact_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "core/protocol.h"
-#include "data/workload.h"
+#include "engine_fixtures.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
@@ -40,18 +40,6 @@ struct PipelineResult {
   std::set<std::pair<int64_t, int64_t>> pairs;
   int64_t disclosures = 0;
 };
-
-assign::Workload MakeWorkload() {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
-  data::WorkloadConfig wconfig;
-  wconfig.num_workers = 80;
-  wconfig.num_tasks = 80;
-  stats::Rng rng(7);
-  assign::Workload workload = data::MakeUniformWorkload(region, wconfig, rng);
-  data::PerturbWorkload(kParams, kParams, rng, workload);
-  return workload;
-}
 
 reachability::KernelOptions Kernel(bool on) {
   reachability::KernelOptions kernel;
@@ -155,7 +143,7 @@ PipelineResult RunStageDriver(const assign::Workload& workload,
 class StageEquivalenceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    workload_ = new assign::Workload(MakeWorkload());
+    workload_ = new assign::Workload(fixtures::NoisyWorkload(80, 80, 7));
     binary_ = new reachability::BinaryModel();
     analytical_ = new reachability::AnalyticalModel(kParams);
     reachability::EmpiricalModelConfig config;
