@@ -10,6 +10,7 @@
 #include "data/beijing.h"
 #include "data/workload.h"
 #include "index/pruning.h"
+#include "obs/span.h"
 #include "privacy/planar_laplace.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
@@ -548,7 +549,7 @@ void BM_RecorderU2uHotLoop(benchmark::State& state) {
   obs::SetConfig(obs_config);
   auto& recorder = obs::FlightRecorder::Global();
   recorder.Reset();
-  static const uint16_t span_id = recorder.InternName("bench.u2u_scan");
+  static const obs::SpanSite span_site("bench.u2u_scan");
 
   const size_t n = 5000;
   FilterFixture f = MakeFilterFixture(n);
@@ -568,7 +569,7 @@ void BM_RecorderU2uHotLoop(benchmark::State& state) {
     const geo::Point task = f.tasks[t++ % f.tasks.size()];
     int64_t accepted = 0;
     {
-      const obs::TimedEvent span(span_id);
+      const obs::Span span(span_site);
       for (size_t i = 0; i < n; ++i) {
         const double dx = f.soa.x[i] - task.x;
         const double dy = f.soa.y[i] - task.y;

@@ -10,7 +10,7 @@
 #include "core/scguard.h"
 #include "data/beijing.h"
 #include "data/workload.h"
-#include "privacy/geo_ind.h"
+#include "privacy/mechanism.h"
 #include "reachability/analytical_model.h"
 
 int main() {
@@ -20,7 +20,7 @@ int main() {
   // (eps = 0.7, r = 800 m): an adversary seeing the reported location
   // cannot distinguish true locations within 800 m beyond a factor e^0.7.
   const privacy::PrivacyParams params{0.7, 800.0};
-  const privacy::GeoIndMechanism mechanism(params);
+  const privacy::PlanarLaplaceMechanism mechanism(params);
   stats::Rng rng(2024);
 
   const geo::Point true_location{1250.0, -430.0};  // Local meters.

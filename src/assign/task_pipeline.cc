@@ -8,57 +8,12 @@
 #include "geo/point.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/span.h"
 
 namespace scguard::assign {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// The pipeline's per-task histograms (DESIGN.md §7), resolved once per
-/// process and observed only while obs::Enabled(). Its counters are
-/// accumulated in plain members and locals and flushed by Finish, once per
-/// run, so the per-worker hot loop never touches an atomic.
-struct EngineObs {
-  obs::Histogram* u2u_seconds;
-  obs::Histogram* u2e_seconds;
-  obs::Histogram* e2e_seconds;
-  obs::Histogram* u2u_scan_workers;
-
-  static const EngineObs& Get() {
-    auto& registry = obs::MetricsRegistry::Global();
-    static const EngineObs o = {
-        registry.GetHistogram("scguard.engine.u2u_seconds"),
-        registry.GetHistogram("scguard.engine.u2e_seconds"),
-        registry.GetHistogram("scguard.engine.e2e_seconds"),
-        registry.GetHistogram("scguard.engine.u2u_scan_workers")};
-    return o;
-  }
-};
-
-/// Pre-interned flight-recorder ids for the per-task stage spans
-/// (recorder.h: interning is a mutex, so it happens once per process, not
-/// per task).
-struct EngineTraceIds {
-  uint16_t u2u;
-  uint16_t u2e;
-  uint16_t e2e;
-
-  static const EngineTraceIds& Get() {
-    auto& recorder = obs::FlightRecorder::Global();
-    static const EngineTraceIds ids = {
-        recorder.InternName("engine.u2u"),
-        recorder.InternName("engine.u2e"),
-        recorder.InternName("engine.e2e")};
-    return ids;
-  }
-};
-
-uint64_t ToNs(Clock::time_point t) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          t.time_since_epoch())
-          .count());
-}
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -117,8 +72,6 @@ void TaskPipeline::Prepare() {
 }
 
 TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
-  const bool obs_on = obs::Enabled();
-  const bool rec_on = obs::RecorderEnabled();
   RunMetrics& m = result.metrics;
   m.num_tasks += 1;
   TaskOutcome outcome;
@@ -136,20 +89,16 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   if (m.num_tasks == 1) m.u2u_scanned_first_task = scan.scanned_last;
   m.u2u_scanned_last_task = scan.scanned_last;
   {
-    // One end-of-stage clock read serves RunMetrics, the histogram, and
-    // the flight-recorder span — recording adds no extra clock cost.
+    // One end-of-stage clock read serves RunMetrics and the span, so
+    // observing adds no clock cost.
+    static const obs::SpanSite kU2uSite("engine.u2u");
+    static obs::Histogram* const kScanWorkers =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "scguard.engine.u2u_scan_workers");
     const auto u2u_end = Clock::now();
-    const double u2u_elapsed = Seconds(u2u_start, u2u_end);
-    m.u2u_seconds += u2u_elapsed;
-    if (obs_on) {
-      const EngineObs& eo = EngineObs::Get();
-      eo.u2u_seconds->Observe(u2u_elapsed);
-      eo.u2u_scan_workers->Observe(static_cast<double>(scan.scanned_last));
-    }
-    if (rec_on) {
-      obs::EmitSpanAt(EngineTraceIds::Get().u2u, ToNs(u2u_start),
-                      ToNs(u2u_end));
-    }
+    m.u2u_seconds += Seconds(u2u_start, u2u_end);
+    obs::RecordSpan(kU2uSite, u2u_start, u2u_end);
+    kScanWorkers->Observe(static_cast<double>(scan.scanned_last));
   }
   m.candidates_sum += static_cast<int64_t>(candidates.size());
   m.server_to_requester_msgs += 1;
@@ -164,19 +113,18 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   u2e_.Rank(soa, candidates, task.location, random_rank_.data(), ranked_,
             task.id);
   {
+    static const obs::SpanSite kU2eSite("engine.u2e");
     const auto u2e_end = Clock::now();
-    const double u2e_elapsed = Seconds(u2e_start, u2e_end);
-    m.u2e_seconds += u2e_elapsed;
-    if (obs_on) EngineObs::Get().u2e_seconds->Observe(u2e_elapsed);
-    if (rec_on) {
-      obs::EmitSpanAt(EngineTraceIds::Get().u2e, ToNs(u2e_start),
-                      ToNs(u2e_end));
-    }
+    m.u2e_seconds += Seconds(u2e_start, u2e_end);
+    obs::RecordSpan(kU2eSite, u2e_start, u2e_end);
   }
 
   // ---- Stage 3: E2E (workers), interleaved with U2E re-ranking ------
+  // RunMetrics keeps no E2E time, so only an observer pays these reads.
+  static const obs::SpanSite kE2eSite("engine.e2e");
+  const bool timed = obs::Enabled() || obs::RecorderEnabled();
   Clock::time_point e2e_start;
-  if (obs_on || rec_on) e2e_start = Clock::now();
+  if (timed) e2e_start = Clock::now();
   // Audit attribution of each disclosure's admitting U2U filter: with the
   // alpha-threshold kernel on, a candidate inside the certain-accept band
   // was admitted without a model evaluation; everything else (the
@@ -211,16 +159,7 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
       });
   outcome.cancelled = contact.cancelled;
   if (contact.cancelled) ++beta_cancels_;
-  if (obs_on || rec_on) {
-    const auto e2e_end = Clock::now();
-    if (obs_on) {
-      EngineObs::Get().e2e_seconds->Observe(Seconds(e2e_start, e2e_end));
-    }
-    if (rec_on) {
-      obs::EmitSpanAt(EngineTraceIds::Get().e2e, ToNs(e2e_start),
-                      ToNs(e2e_end));
-    }
-  }
+  if (timed) obs::RecordSpan(kE2eSite, e2e_start, Clock::now());
   return outcome;
 }
 

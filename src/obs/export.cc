@@ -1,42 +1,24 @@
 #include "obs/export.h"
 
-#include <limits>
-#include <sstream>
-
-#include "common/str_format.h"
 #include "obs/recorder.h"
 
 namespace scguard::obs {
 
 std::string SnapshotJson() {
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const std::string metrics_json = snapshot.ToJson();
-  std::ostringstream os;
-  // Splice the registry object open to prepend `enabled` and append
-  // `spans` — metrics_json is always "{...}".
-  os << "{\"enabled\":" << (Enabled() ? "true" : "false") << ','
-     << metrics_json.substr(1, metrics_json.size() - 2)
-     << ",\"spans\":" << Tracer::Global().ToJson() << '}';
-  return os.str();
+  const std::string metrics_json =
+      MetricsRegistry::Global().Snapshot().ToJson();
+  // Splice the registry object open to prepend `enabled` — metrics_json is
+  // always "{...}".
+  return std::string("{\"enabled\":") + (Enabled() ? "true" : "false") +
+         ',' + metrics_json.substr(1);
 }
 
 std::string PrometheusText() {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << MetricsRegistry::Global().Snapshot().ToPrometheus();
-  os << "# TYPE scguard_span_seconds_total counter\n";
-  for (const auto& [path, stats] : Tracer::Global().Snapshot()) {
-    os << "scguard_span_seconds_total{path=\"" << path << "\"} "
-       << stats.total_seconds << '\n';
-    os << "scguard_span_count{path=\"" << path << "\"} " << stats.count
-       << '\n';
-  }
-  return os.str();
+  return MetricsRegistry::Global().Snapshot().ToPrometheus();
 }
 
 void ResetGlobal() {
   MetricsRegistry::Global().ResetAll();
-  Tracer::Global().Reset();
   FlightRecorder::Global().Reset();
 }
 

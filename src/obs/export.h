@@ -4,22 +4,21 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace scguard::obs {
 
-/// One JSON object covering the whole observability state — the `metrics`
-/// block benches embed in `BENCH_<name>.json`:
-///   {"enabled":true,"counters":{...},"gauges":{...},
-///    "histograms":{...},"spans":{...}}
+/// One JSON object covering the whole metrics state — the `metrics` block
+/// benches embed in `BENCH_<name>.json`:
+///   {"enabled":true,"counters":{...},"gauges":{...},"histograms":{...}}
+/// Span timings are the `scguard.<label>_seconds` histograms (span.h).
 std::string SnapshotJson();
 
-/// Prometheus text exposition of the global registry plus the tracer's
-/// span aggregates (exported as `scguard_span_seconds_total{path="..."}`).
+/// Prometheus text exposition of the global registry.
 std::string PrometheusText();
 
-/// Zeroes the global registry and tracer. Benches call this between
-/// phases to report per-phase deltas; tests call it for isolation.
+/// Zeroes the global registry and drains the flight recorder. Benches call
+/// this between phases to report per-phase deltas; tests call it for
+/// isolation.
 void ResetGlobal();
 
 }  // namespace scguard::obs

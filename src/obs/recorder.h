@@ -15,7 +15,7 @@
 namespace scguard::obs {
 
 /// The flight recorder (DESIGN.md section 12): event-level tracing on top
-/// of the aggregate-only metrics/tracer layer. Every instrumented thread
+/// of the aggregate-only metrics layer. Every instrumented thread
 /// appends fixed-size binary events to its own lock-free SPSC ring; a
 /// drain (bench exit, test assertion) collects all rings into one
 /// timestamp-sorted stream that exports to Chrome trace-event JSON (opens
@@ -152,8 +152,8 @@ class FlightRecorder {
   /// Fills ts/tid and pushes onto the calling thread's ring. The gate
   /// (RecorderEnabled) lives in the inline helpers below, not here.
   void Emit(TraceEvent e);
-  /// As Emit with an explicit timestamp (callers that already read the
-  /// clock for RunMetrics reuse the same time point).
+  /// As Emit with an explicit timestamp (span.h's RecordSpan reuses the
+  /// time points its caller already read).
   void EmitAt(uint64_t ts_ns, TraceEvent e);
 
   /// Moves every ring's pending events into one stream sorted by
@@ -247,18 +247,6 @@ inline void AuditBudgetSpend(int64_t owner, double epsilon, bool granted) {
        .detail = granted ? uint8_t{1} : uint8_t{0}});
 }
 
-/// Span pair with explicit timestamps, for callers that already read the
-/// clock (the engine's per-stage RunMetrics timings).
-inline void EmitSpanAt(uint16_t name_id, uint64_t begin_ns, uint64_t end_ns) {
-  if (!RecorderEnabled()) return;
-  auto& recorder = FlightRecorder::Global();
-  recorder.EmitAt(begin_ns,
-                  {.name_id = name_id,
-                   .type = static_cast<uint8_t>(EventType::kSpanBegin)});
-  recorder.EmitAt(end_ns, {.name_id = name_id,
-                           .type = static_cast<uint8_t>(EventType::kSpanEnd)});
-}
-
 inline void EmitInstant(uint16_t name_id, int64_t arg0 = 0, double value = 0.0) {
   if (!RecorderEnabled()) return;
   FlightRecorder::Global().Emit(
@@ -272,34 +260,6 @@ inline void EmitCounter(uint16_t name_id, int64_t value) {
       {.arg0 = value, .name_id = name_id,
        .type = static_cast<uint8_t>(EventType::kCounter)});
 }
-
-/// RAII span with a pre-interned id — the per-task analog of obs::Span
-/// (which aggregates *and* records but pays a string intern per
-/// construction; this pays two clock reads and two ring stores, nothing
-/// else). Gate captured at construction so begin/end stay paired across a
-/// mid-scope toggle.
-class TimedEvent {
- public:
-  explicit TimedEvent(uint16_t name_id)
-      : name_id_(name_id), active_(RecorderEnabled()) {
-    if (!active_) return;
-    FlightRecorder::Global().Emit(
-        {.name_id = name_id_,
-         .type = static_cast<uint8_t>(EventType::kSpanBegin)});
-  }
-  ~TimedEvent() {
-    if (!active_) return;
-    FlightRecorder::Global().Emit(
-        {.name_id = name_id_,
-         .type = static_cast<uint8_t>(EventType::kSpanEnd)});
-  }
-  TimedEvent(const TimedEvent&) = delete;
-  TimedEvent& operator=(const TimedEvent&) = delete;
-
- private:
-  uint16_t name_id_;
-  bool active_;
-};
 
 }  // namespace scguard::obs
 

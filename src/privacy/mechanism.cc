@@ -46,8 +46,8 @@ PlanarLaplaceMechanism::PlanarLaplaceMechanism(const PrivacyParams& params)
 
 geo::Point PlanarLaplaceMechanism::Perturb(geo::Point x,
                                            stats::Rng& rng) const {
-  // Exactly GeoIndMechanism::Perturb: one Sample, added to x. The bit-
-  // identity contract of the refactor lives on this line.
+  // One Sample, added to x: the draw order TruncatedGeoInd(kNone) and the
+  // pre-interface inline call sites share bit for bit.
   return x + laplace_.Sample(rng);
 }
 

@@ -209,7 +209,7 @@ Result<std::unique_ptr<const Mechanism>> MakeMechanism(
     const geo::BoundingBox& fallback_region = geo::BoundingBox{});
 
 /// MakeMechanism that dies (SCGUARD_CHECK) on error, for call sites without
-/// Status plumbing. Mirrors the GeoIndMechanism ctor/Create split.
+/// Status plumbing.
 std::unique_ptr<const Mechanism> MakeMechanismOrDie(
     const PrivacyParams& params,
     const geo::BoundingBox& fallback_region = geo::BoundingBox{});

@@ -2,7 +2,10 @@
 #define SCGUARD_PRIVACY_TRUNCATED_H_
 
 #include "geo/bbox.h"
-#include "privacy/geo_ind.h"
+#include "geo/point.h"
+#include "privacy/planar_laplace.h"
+#include "privacy/privacy_params.h"
+#include "stats/rng.h"
 
 namespace scguard::privacy {
 
@@ -36,7 +39,8 @@ constexpr std::string_view TruncationModeName(TruncationMode mode) {
   return "?";
 }
 
-/// Geo-I mechanism whose outputs are constrained to a deployment region.
+/// The planar-Laplace (eps, r)-Geo-I mechanism with its outputs constrained
+/// to a deployment region; kNone draws exactly as PlanarLaplaceMechanism.
 class TruncatedGeoInd {
  public:
   /// Requires valid params and a non-empty region.
@@ -49,10 +53,9 @@ class TruncatedGeoInd {
 
   TruncationMode mode() const { return mode_; }
   const geo::BoundingBox& region() const { return region_; }
-  const GeoIndMechanism& base() const { return base_; }
 
  private:
-  GeoIndMechanism base_;
+  PlanarLaplace laplace_;
   geo::BoundingBox region_;
   TruncationMode mode_;
 };

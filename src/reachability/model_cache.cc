@@ -8,7 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/recorder.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/rng.h"
 
 namespace scguard::reachability {
@@ -136,7 +136,8 @@ Result<std::shared_ptr<const EmpiricalModel>> ModelCache::GetOrBuild(
   }
 
   if (model == nullptr) {
-    obs::Span build_span("model_cache.build");
+    static const obs::SpanSite kBuildSite("model_cache.build");
+    const obs::Span build_span(kBuildSite);
     stats::Rng rng(build_seed);
     SCGUARD_ASSIGN_OR_RETURN(
         EmpiricalModel built,

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs/span.h"
 #include "runtime/task_group.h"
 
 namespace scguard::runtime {
@@ -33,16 +34,14 @@ Status ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
       obs::MetricsRegistry::Global().GetCounter(
           "scguard.runtime.parallel_for.nested_serial_sections");
   chunks_counter->Increment(num_chunks);
-  // Flight-recorder span per invocation plus a chunk-count sample, so a
-  // Perfetto trace shows where the fan-outs sit inside the engine's stage
-  // spans. Ids intern once per process; the whole block is a no-op branch
-  // while the recorder is off.
-  static const uint16_t rec_span_id =
-      obs::FlightRecorder::Global().InternName("runtime.parallel_for");
+  // A span per invocation plus a chunk-count sample, so a Perfetto trace
+  // shows where the fan-outs sit inside the engine's stage spans. Both are
+  // no-op branches while obs and the recorder are off.
+  static const obs::SpanSite span_site("runtime.parallel_for");
   static const uint16_t rec_chunks_id =
       obs::FlightRecorder::Global().InternName(
           "runtime.parallel_for.num_chunks");
-  const obs::TimedEvent rec_span(rec_span_id);
+  const obs::Span span(span_site);
   obs::EmitCounter(rec_chunks_id, num_chunks);
   const auto chunk_bounds = [&](int64_t c) {
     const int64_t lo = begin + c * grain;

@@ -7,8 +7,7 @@
 #include "common/check.h"
 #include "geo/point.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "runtime/backoff.h"
 
 namespace scguard::service {
@@ -32,6 +31,8 @@ struct ServiceObs {
   obs::Counter* reports;
   obs::Counter* tasks_rejected;
   obs::Counter* reports_rejected;
+  obs::Counter* tasks_invalid;
+  obs::Counter* reports_invalid;
   obs::Counter* epochs;
   obs::Gauge* queue_depth;
   obs::Gauge* epoch_lag;
@@ -44,27 +45,14 @@ struct ServiceObs {
         registry.GetCounter("scguard.service.reports"),
         registry.GetCounter("scguard.service.tasks_rejected"),
         registry.GetCounter("scguard.service.reports_rejected"),
+        registry.GetCounter("scguard.service.tasks_invalid"),
+        registry.GetCounter("scguard.service.reports_invalid"),
         registry.GetCounter("scguard.service.epochs"),
         registry.GetGauge("scguard.service.ingest_queue_depth"),
         registry.GetGauge("scguard.service.epoch_lag"),
         registry.GetHistogram(
             "scguard.service.admission_to_assignment_seconds")};
     return o;
-  }
-};
-
-/// Pre-interned span names for the service's flight-recorder family.
-struct ServiceTraceIds {
-  uint16_t apply;
-  uint16_t scan;
-  uint16_t drain;
-
-  static const ServiceTraceIds& Get() {
-    auto& recorder = obs::FlightRecorder::Global();
-    static const ServiceTraceIds ids = {recorder.InternName("service.apply"),
-                                        recorder.InternName("service.scan"),
-                                        recorder.InternName("service.drain")};
-    return ids;
   }
 };
 
@@ -149,13 +137,12 @@ void AssignmentService::Stop(StopMode mode) {
     draining_.store(true, std::memory_order_release);
   }
   consumer_.join();
+  const auto drain_end = Clock::now();
   drain_seconds_ =
-      std::chrono::duration<double>(Clock::now() - drain_start).count();
-  if (mode == StopMode::kDrain && obs::RecorderEnabled()) {
-    const uint64_t end_ns = NowNs();
-    obs::EmitSpanAt(
-        ServiceTraceIds::Get().drain,
-        end_ns - static_cast<uint64_t>(drain_seconds_ * 1e9), end_ns);
+      std::chrono::duration<double>(drain_end - drain_start).count();
+  if (mode == StopMode::kDrain) {
+    static const obs::SpanSite kDrainSite("service.drain");
+    obs::RecordSpan(kDrainSite, drain_start, drain_end);
   }
 }
 
@@ -190,35 +177,18 @@ IngestStats AssignmentService::ingest_stats() const {
 }
 
 void AssignmentService::ConsumerLoop() {
+  static const obs::SpanSite kApplySite("service.apply");
+  static const obs::SpanSite kScanSite("service.scan");
   const bool obs_on = obs::Enabled();
-  const bool rec_on = obs::RecorderEnabled();
   const ServiceObs& so = ServiceObs::Get();
-  const ServiceTraceIds& sti = ServiceTraceIds::Get();
   runtime::IdleBackoff backoff;
   std::vector<ServiceEvent> batch_tasks;
   batch_tasks.reserve(static_cast<size_t>(config_.max_batch));
   const auto loop_start = Clock::now();
 
   for (;;) {
-    // ---- Apply phase: drain a bounded batch ------------------------
-    // Reports mutate the stage state in pop order (incremental Relocate +
-    // reactivation); tasks are set aside and scanned after the epoch
-    // bump, so every task in a batch sees the same snapshot.
-    batch_tasks.clear();
-    const uint64_t apply_start_ns = rec_on ? NowNs() : 0;
-    size_t popped = 0;
     ServiceEvent ev;
-    while (popped < static_cast<size_t>(config_.max_batch) &&
-           queue_.TryPop(ev)) {
-      ++popped;
-      if (ev.kind == ServiceEvent::Kind::kReport) {
-        log_.push_back(ev);
-        ApplyReport(ev);
-      } else {
-        batch_tasks.push_back(ev);
-      }
-    }
-    if (popped == 0) {
+    if (!queue_.TryPop(ev)) {
       if (abandon_.load(std::memory_order_acquire) ||
           draining_.load(std::memory_order_acquire)) {
         break;
@@ -227,28 +197,46 @@ void AssignmentService::ConsumerLoop() {
       continue;
     }
     backoff.Reset();
-    events_applied_.fetch_add(static_cast<int64_t>(popped),
-                              std::memory_order_relaxed);
 
-    // ---- Publish: one epoch per batch ------------------------------
-    epoch_.fetch_add(1, std::memory_order_release);
-    ++epochs_published_;
-    if (obs_on) {
-      so.queue_depth->Set(static_cast<double>(queue_.ApproxDepth()));
-      const int64_t pushed =
-          tasks_pushed_.load(std::memory_order_relaxed) +
-          reports_pushed_.load(std::memory_order_relaxed);
-      so.epoch_lag->Set(static_cast<double>(
-          pushed - events_applied_.load(std::memory_order_relaxed)));
+    // ---- Apply phase: drain a bounded batch ------------------------
+    // Reports mutate the stage state in pop order (incremental Relocate +
+    // reactivation); tasks are set aside and scanned after the epoch
+    // bump, so every task in a batch sees the same snapshot.
+    batch_tasks.clear();
+    {
+      const obs::Span apply_span(kApplySite);
+      size_t popped = 0;
+      do {
+        ++popped;
+        if (ev.kind == ServiceEvent::Kind::kReport) {
+          log_.push_back(ev);
+          ApplyReport(ev);
+        } else {
+          batch_tasks.push_back(ev);
+        }
+      } while (popped < static_cast<size_t>(config_.max_batch) &&
+               queue_.TryPop(ev));
+      events_applied_.fetch_add(static_cast<int64_t>(popped),
+                                std::memory_order_relaxed);
+
+      // ---- Publish: one epoch per batch ----------------------------
+      epoch_.fetch_add(1, std::memory_order_release);
+      ++epochs_published_;
+      if (obs_on) {
+        so.queue_depth->Set(static_cast<double>(queue_.ApproxDepth()));
+        const int64_t pushed =
+            tasks_pushed_.load(std::memory_order_relaxed) +
+            reports_pushed_.load(std::memory_order_relaxed);
+        so.epoch_lag->Set(static_cast<double>(
+            pushed - events_applied_.load(std::memory_order_relaxed)));
+      }
     }
-    if (rec_on) obs::EmitSpanAt(sti.apply, apply_start_ns, NowNs());
 
     // ---- Scan phase: tasks pinned at the new epoch -----------------
     for (const ServiceEvent& task_ev : batch_tasks) {
-      const uint64_t scan_start_ns = rec_on ? NowNs() : 0;
+      const obs::Span scan_span(kScanSite);
       log_.push_back(task_ev);
       ScanTask(task_ev);
-      if (rec_on) obs::EmitSpanAt(sti.scan, scan_start_ns, NowNs());
       if (obs_on && !completions_.empty()) {
         const CompletionRecord& done = completions_.back();
         so.admission_to_assignment->Observe(
@@ -305,6 +293,9 @@ void AssignmentService::FinalizeMetrics() {
       tasks_rejected_.load(std::memory_order_relaxed));
   so.reports_rejected->Increment(
       reports_rejected_.load(std::memory_order_relaxed));
+  so.tasks_invalid->Increment(tasks_invalid_.load(std::memory_order_relaxed));
+  so.reports_invalid->Increment(
+      reports_invalid_.load(std::memory_order_relaxed));
   so.epochs->Increment(epochs_published_);
 }
 

@@ -11,7 +11,7 @@
 #include "common/check.h"
 #include "data/beijing.h"
 #include "data/trip_model.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "privacy/mechanism.h"
 #include "reachability/analytical_model.h"
 #include "reachability/empirical_model.h"
@@ -145,7 +145,8 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
     DynamicRoundMetrics metrics;
     metrics.round = round;
     double travel_sum = 0;
-    const obs::Span round_span("sim.dynamic_round");
+    static const obs::SpanSite kRoundSite("sim.dynamic_round");
+    const obs::Span round_span(kRoundSite);
     for (int t = 0; t < config.tasks_per_round; ++t) {
       // Synthetic task id for the audit trail: stable for a fixed config,
       // unique across the whole run.

@@ -7,7 +7,7 @@
 
 #include "data/beijing.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "runtime/parallel_for.h"
 
 namespace scguard::sim {
@@ -107,7 +107,8 @@ Result<assign::Workload> ExperimentRunner::MakeWorkload(
 Result<AggregatedMetrics> ExperimentRunner::Run(
     assign::MatcherHandle& handle, const privacy::PrivacyParams& worker_params,
     const privacy::PrivacyParams& task_params) const {
-  const obs::Span run_span("sim.run");
+  static const obs::SpanSite kRunSite("sim.run");
+  const obs::Span run_span(kRunSite);
   // Seed fan-out: every seed derives its own Rng streams from base_seed,
   // builds its own workload, and writes its metrics into its own slot, so
   // the aggregate below — a seed-ordered reduction — is bit-identical for

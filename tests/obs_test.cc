@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -11,7 +12,8 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
+#include "obs/span.h"
 #include "privacy/budget.h"
 #include "reachability/empirical_model.h"
 #include "reachability/model_cache.h"
@@ -22,8 +24,8 @@
 namespace scguard::obs {
 namespace {
 
-/// Every test runs against the process-global registry/tracer, so each
-/// one starts from zeroed metrics and leaves observability disabled.
+/// Every test runs against the process-global registry and recorder, so
+/// each one starts from zeroed metrics and leaves observability disabled.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -119,29 +121,6 @@ TEST_F(ObsTest, HistogramQuantilesInterpolate) {
   EXPECT_EQ(h->Quantile(0.5), 0.0);
 }
 
-// Satellite (ISSUE 7): pin `SpanStats::min_seconds` semantics. The first
-// Record *seeds* min and max with the observed duration — min must never
-// stick at the zero-initialized default, or every span would report a
-// bogus 0s minimum forever.
-TEST_F(ObsTest, TracerMinSecondsSeedsFromFirstSample) {
-  Tracer tracer;
-  tracer.Record("pin", 2.0);
-  auto spans = tracer.Snapshot();
-  EXPECT_EQ(spans.at("pin").min_seconds, 2.0);
-  EXPECT_EQ(spans.at("pin").max_seconds, 2.0);
-  tracer.Record("pin", 0.5);
-  tracer.Record("pin", 3.0);
-  spans = tracer.Snapshot();
-  EXPECT_EQ(spans.at("pin").count, 3);
-  EXPECT_EQ(spans.at("pin").min_seconds, 0.5);
-  EXPECT_EQ(spans.at("pin").max_seconds, 3.0);
-  EXPECT_EQ(spans.at("pin").total_seconds, 5.5);
-  // A span that is genuinely instantaneous still pins min to 0 via a real
-  // observation, not via the default initializer.
-  tracer.Record("pin", 0.0);
-  EXPECT_EQ(tracer.Snapshot().at("pin").min_seconds, 0.0);
-}
-
 // Satellite (ISSUE 7): quantile boundary behavior. Observations landing
 // exactly on a bucket bound count into that bucket (lower_bound), ranks
 // landing exactly on a bucket edge interpolate to the bound itself, and
@@ -187,33 +166,122 @@ TEST_F(ObsTest, HistogramQuantileBoundaries) {
   EXPECT_EQ(h->Quantile(2.0), h->Quantile(1.0));
 }
 
-TEST_F(ObsTest, SpanNestingBuildsPaths) {
-  {
-    Span outer("outer");
-    {
-      Span inner("inner");
-    }
-    { Span inner2("inner"); }
+/// The events of `site` in the recorder's drained stream, in drain order.
+std::vector<TraceEvent> DrainSite(const SpanSite& site) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : FlightRecorder::Global().Drain()) {
+    if (e.name_id == site.name_id()) out.push_back(e);
   }
-  { Span outer2("outer"); }
-  const auto spans = Tracer::Global().Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  ASSERT_TRUE(spans.count("outer"));
-  ASSERT_TRUE(spans.count("outer/inner"));
-  EXPECT_EQ(spans.at("outer").count, 2);
-  EXPECT_EQ(spans.at("outer/inner").count, 2);
-  EXPECT_GE(spans.at("outer").total_seconds,
-            spans.at("outer/inner").total_seconds);
-  EXPECT_LE(spans.at("outer/inner").min_seconds,
-            spans.at("outer/inner").max_seconds);
+  return out;
 }
 
-TEST_F(ObsTest, DisabledSpansRecordNothing) {
-  SetConfig(ObsConfig{.enabled = false});
-  {
-    Span span("ghost");
+int64_t CountType(const std::vector<TraceEvent>& events, EventType type) {
+  int64_t n = 0;
+  for (const TraceEvent& e : events) {
+    if (e.type == static_cast<uint8_t>(type)) ++n;
   }
-  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
+  return n;
+}
+
+// Each gate feeds exactly one sink: the histogram counts only while obs is
+// on, and B/E pairs appear only while the recorder is on — for both the
+// RAII span and RecordSpan.
+TEST_F(ObsTest, SpanGateMatrix) {
+  static const SpanSite site("test.span.matrix");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const bool obs_on : {false, true}) {
+    for (const bool rec_on : {false, true}) {
+      SetConfig(ObsConfig{.enabled = obs_on, .recorder = rec_on});
+      ResetGlobal();
+      { const Span span(site); }
+      RecordSpan(site, t0, t0 + std::chrono::microseconds(3));
+      const std::vector<TraceEvent> events = DrainSite(site);
+      EXPECT_EQ(site.histogram()->Count(), obs_on ? 2 : 0)
+          << obs_on << rec_on;
+      EXPECT_EQ(CountType(events, EventType::kSpanBegin), rec_on ? 2 : 0)
+          << obs_on << rec_on;
+      EXPECT_EQ(CountType(events, EventType::kSpanEnd), rec_on ? 2 : 0)
+          << obs_on << rec_on;
+    }
+  }
+}
+
+// Nesting lives in the trace: the inner pair sits inside the outer pair,
+// on the same tid, in both timestamp and drain order.
+TEST_F(ObsTest, SpanNestingEnclosesInnerPair) {
+  static const SpanSite outer_site("test.span.outer");
+  static const SpanSite inner_site("test.span.inner");
+  SetConfig(ObsConfig{.enabled = true, .recorder = true});
+  {
+    const Span outer(outer_site);
+    const Span inner(inner_site);
+  }
+  const std::vector<TraceEvent> events = FlightRecorder::Global().Drain();
+  std::vector<const TraceEvent*> pair_events;
+  for (const TraceEvent& e : events) {
+    if (e.name_id == outer_site.name_id() ||
+        e.name_id == inner_site.name_id()) {
+      pair_events.push_back(&e);
+    }
+  }
+  ASSERT_EQ(pair_events.size(), 4u);
+  const auto is = [&](size_t i, const SpanSite& site, EventType type) {
+    return pair_events[i]->name_id == site.name_id() &&
+           pair_events[i]->type == static_cast<uint8_t>(type);
+  };
+  EXPECT_TRUE(is(0, outer_site, EventType::kSpanBegin));
+  EXPECT_TRUE(is(1, inner_site, EventType::kSpanBegin));
+  EXPECT_TRUE(is(2, inner_site, EventType::kSpanEnd));
+  EXPECT_TRUE(is(3, outer_site, EventType::kSpanEnd));
+  for (size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(pair_events[i]->tid, pair_events[0]->tid);
+    EXPECT_LE(pair_events[i - 1]->ts_ns, pair_events[i]->ts_ns);
+  }
+  EXPECT_EQ(outer_site.histogram()->Count(), 1);
+  EXPECT_EQ(inner_site.histogram()->Count(), 1);
+  EXPECT_GE(outer_site.histogram()->Sum(), inner_site.histogram()->Sum());
+}
+
+// The gates are captured at construction: toggling them inside a span
+// never leaves a B without its E, nor an E without its B.
+TEST_F(ObsTest, SpanMidScopeToggleStaysBalanced) {
+  static const SpanSite site("test.span.toggle");
+  SetConfig(ObsConfig{.enabled = true, .recorder = true});
+  {
+    const Span span(site);
+    SetConfig(ObsConfig{});
+  }
+  std::vector<TraceEvent> events = DrainSite(site);
+  EXPECT_EQ(CountType(events, EventType::kSpanBegin), 1);
+  EXPECT_EQ(CountType(events, EventType::kSpanEnd), 1);
+
+  {
+    const Span span(site);
+    SetConfig(ObsConfig{.enabled = true, .recorder = true});
+  }
+  events = DrainSite(site);
+  EXPECT_EQ(CountType(events, EventType::kSpanBegin), 0);
+  EXPECT_EQ(CountType(events, EventType::kSpanEnd), 0);
+}
+
+// RecordSpan reports the caller's own time points: the pair carries them
+// exactly and the histogram observes their difference.
+TEST_F(ObsTest, RecordSpanWritesGivenTimestamps) {
+  static const SpanSite site("test.span.record");
+  SetConfig(ObsConfig{.enabled = true, .recorder = true});
+  const std::chrono::steady_clock::time_point begin(
+      std::chrono::nanoseconds(1000000));
+  const auto end = begin + std::chrono::nanoseconds(2500);
+  RecordSpan(site, begin, end);
+  const std::vector<TraceEvent> events = DrainSite(site);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].type, static_cast<uint8_t>(EventType::kSpanBegin));
+  EXPECT_EQ(events[0].ts_ns, 1000000u);
+  EXPECT_EQ(events[1].type, static_cast<uint8_t>(EventType::kSpanEnd));
+  EXPECT_EQ(events[1].ts_ns, 1002500u);
+  EXPECT_EQ(site.histogram()->Count(), 1);
+  EXPECT_EQ(site.histogram()->Sum(),
+            std::chrono::duration<double>(end - begin).count());
 }
 
 TEST_F(ObsTest, JsonExportShape) {
@@ -222,15 +290,17 @@ TEST_F(ObsTest, JsonExportShape) {
   MetricsRegistry::Global()
       .GetHistogram("test.json.histogram", {1.0, 2.0})
       ->Observe(0.5);
-  { Span span("test.json.span"); }
+  static const SpanSite span_site("test.json.span");
+  { const Span span(span_site); }
   const std::string json = SnapshotJson();
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
   EXPECT_NE(json.find("\"test.json.counter\":7"), std::string::npos);
   EXPECT_NE(json.find("\"test.json.gauge\":1.5"), std::string::npos);
   EXPECT_NE(json.find("\"test.json.histogram\":{\"count\":1"),
             std::string::npos);
-  EXPECT_NE(json.find("\"spans\":{\"test.json.span\":{\"count\":1"),
+  EXPECT_NE(json.find("\"scguard.test.json.span_seconds\":{\"count\":1"),
             std::string::npos);
+  EXPECT_EQ(json.find("\"spans\""), std::string::npos);
 }
 
 TEST_F(ObsTest, PrometheusExportShape) {

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <vector>
 
-#include "privacy/geo_ind.h"
+#include "privacy/mechanism.h"
 #include "privacy/planar_laplace.h"
 #include "privacy/privacy_params.h"
 #include "stats/rng.h"
@@ -144,13 +144,16 @@ TEST(PlanarLaplaceTest, DiskProbabilityMatchesMonteCarlo) {
   }
 }
 
+// The Geo-I mechanism is PlanarLaplaceMechanism; checked construction goes
+// through the MakeMechanism factory.
 TEST(GeoIndTest, CreateValidatesParams) {
-  EXPECT_TRUE(GeoIndMechanism::Create({0.7, 800.0}).ok());
-  EXPECT_FALSE(GeoIndMechanism::Create({0.0, 800.0}).ok());
+  EXPECT_TRUE(MakeMechanism({0.7, 800.0}).ok());
+  EXPECT_FALSE(MakeMechanism({0.0, 800.0}).ok());
+  EXPECT_FALSE(MakeMechanism({0.7, 0.0}).ok());
 }
 
 TEST(GeoIndTest, PerturbationCentersOnTrueLocation) {
-  const GeoIndMechanism mech({0.7, 800.0});
+  const PlanarLaplaceMechanism mech({0.7, 800.0});
   stats::Rng rng(4);
   const geo::Point x{1234.0, -567.0};
   geo::Point mean{0, 0};
@@ -162,13 +165,6 @@ TEST(GeoIndTest, PerturbationCentersOnTrueLocation) {
   mean = mean * (1.0 / n);
   const double typical = 2.0 / mech.params().unit_epsilon();  // Mean radius.
   EXPECT_LT(mean.Norm(), typical * 0.05);  // Unbiased.
-}
-
-TEST(GeoIndTest, DistinguishabilityBound) {
-  const GeoIndMechanism mech({0.7, 800.0});
-  // At the radius of concern the bound is e^eps.
-  EXPECT_NEAR(mech.DistinguishabilityBound(800.0), std::exp(0.7), 1e-12);
-  EXPECT_DOUBLE_EQ(mech.DistinguishabilityBound(0.0), 1.0);
 }
 
 // The defining Geo-I property, verified empirically: for two locations at

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -17,6 +18,7 @@
 #include "obs/export.h"
 #include "obs/obs_config.h"
 #include "obs/recorder.h"
+#include "obs/span.h"
 #include "obs/trace_export.h"
 #include "privacy/budget.h"
 #include "reachability/analytical_model.h"
@@ -107,8 +109,10 @@ TEST_F(RecorderTest, DisabledEmissionIsANoOp) {
   AuditBudgetSpend(1, 0.1, true);
   EmitInstant(0);
   EmitCounter(0, 42);
-  EmitSpanAt(0, 10, 20);
-  { TimedEvent span(0); }
+  static const SpanSite site("test.disabled.span");
+  const std::chrono::steady_clock::time_point t0{};
+  RecordSpan(site, t0, t0 + std::chrono::nanoseconds(10));
+  { const Span span(site); }
   EXPECT_TRUE(FlightRecorder::Global().Drain().empty());
 }
 

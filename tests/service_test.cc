@@ -299,9 +299,13 @@ TEST(ServiceTest, HostileIngestIsRefusedOrClampedNotFatal) {
   // Unknown worker ids and non-finite coordinates are refused at the door
   // and counted apart from queue-full rejections; a finite but absurdly
   // distant location is admitted and lands in a border grid cell. The
-  // service then drains normally. Runs under ASan/UBSan in CI.
+  // service then drains normally, exporting both refusal counts. Runs
+  // under ASan/UBSan in CI.
   const assign::Workload workload = NoisyWorkload(200, 60, 7005);
   const reachability::AnalyticalModel model(kDefault);
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::SetConfig(obs::ObsConfig{.enabled = true});
+  const obs::MetricsSnapshot before = registry.Snapshot();
   AssignmentService svc(BaseConfig(&model, workload.region));
   for (const auto& w : workload.workers) svc.RegisterWorker(w);
   svc.Start();
@@ -334,10 +338,19 @@ TEST(ServiceTest, HostileIngestIsRefusedOrClampedNotFatal) {
   EXPECT_TRUE(svc.SubmitTask(far_task));
   for (const auto& t : workload.tasks) EXPECT_TRUE(svc.SubmitTask(t));
   svc.Stop(AssignmentService::StopMode::kDrain);
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  obs::SetConfig(obs::ObsConfig{.enabled = false});
 
   const IngestStats ingest = svc.ingest_stats();
   EXPECT_EQ(ingest.reports_invalid, 5);
   EXPECT_EQ(ingest.tasks_invalid, 3);
+  const auto delta = [&](const std::string& name) {
+    const auto it = before.counters.find(name);
+    return after.counters.at(name) -
+           (it == before.counters.end() ? 0 : it->second);
+  };
+  EXPECT_EQ(delta("scguard.service.tasks_invalid"), ingest.tasks_invalid);
+  EXPECT_EQ(delta("scguard.service.reports_invalid"), ingest.reports_invalid);
   EXPECT_EQ(ingest.reports_rejected, 0);
   EXPECT_EQ(ingest.tasks_rejected, 0);
   EXPECT_EQ(ingest.reports_submitted, 1);
