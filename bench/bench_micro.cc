@@ -6,6 +6,7 @@
 
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
+#include "assign/stages/rank_stage.h"
 #include "bench/bench_common.h"
 #include "data/beijing.h"
 #include "data/workload.h"
@@ -482,6 +483,50 @@ void BM_ProbReachableBatch(benchmark::State& state) {
   state.SetLabel(std::string(model->name()));
 }
 BENCHMARK(BM_ProbReachableBatch)->Arg(0)->Arg(1)->Arg(2);
+
+// U2E ranking of one rush-like task (~26k candidates at uniform observed
+// distance, r ~ U[1000, 3000] m, analytical model) up to its first two
+// contacts: the eager Rank (0) scores and sorts every candidate, the
+// certified cursor (1) bounds them from the memoized lattice and scores
+// only those the first two entries need. Same entries either way
+// (tests/rank_cursor_test.cc); items are candidates ranked.
+void BM_U2eRank(benchmark::State& state) {
+  const size_t n = 26000;
+  stats::Rng rng(13);
+  reachability::WorkerFilterSoA soa;
+  soa.Resize(n);
+  std::vector<uint32_t> candidates(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double d = rng.UniformDouble(0.0, 15000.0);
+    const double theta = rng.UniformDouble(0.0, 2.0 * M_PI);
+    soa.x[i] = d * std::cos(theta);
+    soa.y[i] = d * std::sin(theta);
+    soa.reach_radius_m[i] = rng.UniformDouble(1000.0, 3000.0);
+    candidates[i] = static_cast<uint32_t>(i);
+  }
+  const reachability::AnalyticalModel model(kParams);
+  assign::U2eRankStage stage({.model = &model,
+                              .rank = assign::RankStrategy::kProbability,
+                              .kernel = {}});
+  const bool lazy = state.range(0) != 0;
+  std::vector<std::pair<double, size_t>> ranked;
+  for (auto _ : state) {
+    if (lazy) {
+      assign::U2eRankCursor& cursor =
+          stage.Open(soa, candidates, {0.0, 0.0}, nullptr);
+      assign::U2eRankCursor::Entry entry;
+      for (int k = 0; k < 2 && cursor.Next(entry); ++k) {
+        benchmark::DoNotOptimize(entry);
+      }
+    } else {
+      stage.Rank(soa, candidates, {0.0, 0.0}, nullptr, ranked);
+      benchmark::DoNotOptimize(ranked.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetLabel(lazy ? "cursor" : "eager");
+}
+BENCHMARK(BM_U2eRank)->Arg(0)->Arg(1);
 
 // End-to-end engine throughput, kernel off (0) vs on (1). Output is
 // bit-identical across the arms (tests/kernel_test.cc); only speed moves.

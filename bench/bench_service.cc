@@ -129,9 +129,6 @@ int Main() {
     config.task_params = privacy_level;
     config.pruning_gamma = 0.9;
     config.pruning_backend = index::PrunerBackend::kGrid;
-    // Bounded-error U2E scoring (DESIGN.md section 8): the service point
-    // trades exact per-candidate erf evaluation for LUT throughput.
-    config.kernel.u2e_lut = true;
     config.region = workload.region;
 
     service::AssignmentService svc(config);

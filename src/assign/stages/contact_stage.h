@@ -63,11 +63,9 @@ class E2eContactStage {
     int64_t disclosures = 0;   ///< Task-location disclosures made.
     int64_t false_hits = 0;    ///< Disclosed-to workers that rejected.
     bool cancelled = false;    ///< Beta threshold tripped.
-    size_t next = 0;           ///< Entries consumed from the ranked list.
-
-    /// First ranked entry that was never contacted (a beta cancel consumed
-    /// its tripping entry without contacting it).
-    size_t first_uncontacted() const { return cancelled ? next - 1 : next; }
+    /// Entries consumed from the ranking (a beta cancel consumes its
+    /// tripping entry without contacting it).
+    size_t next = 0;
   };
 
   explicit E2eContactStage(const Config& config) : config_(config) {}
@@ -86,35 +84,9 @@ class E2eContactStage {
   Outcome Contact(const std::vector<std::pair<double, Id>>& ranked,
                   OfferFn&& offer, int64_t audit_task_id,
                   FilterFn&& admit_filter) const {
-    Outcome o;
-    const bool audit = obs::RecorderEnabled();
-    while (o.accepted < config_.redundancy_k && o.next < ranked.size()) {
-      const auto& [score, id] = ranked[o.next++];
-      // Beta thresholding (Alg. 2 Line 13): the requester cancels rather
-      // than disclose to an unlikely-reachable worker. Under
-      // kFirstContactOnly the threshold only guards the first disclosure.
-      const bool beta_applies =
-          config_.rank == RankStrategy::kProbability && config_.beta > 0.0 &&
-          (config_.beta_mode == BetaMode::kEveryContact || o.next == 1);
-      if (beta_applies && score < config_.beta) {
-        o.cancelled = true;
-        break;
-      }
-      // This is the protocol's only task-location disclosure point.
-      ++o.disclosures;
-      const bool accepted = offer(id);
-      if (accepted) {
-        ++o.accepted;
-      } else {
-        // The worker learned the task location yet rejects: a false hit.
-        ++o.false_hits;
-      }
-      if (audit) {
-        obs::AuditE2eDisclosure(audit_task_id, static_cast<int64_t>(id),
-                                score, accepted, admit_filter(id));
-      }
-    }
-    return o;
+    RankedList<Id> source(ranked);
+    std::pair<double, Id> tripped;
+    return Walk(source, offer, audit_task_id, admit_filter, tripped);
   }
 
   template <typename Id, typename OfferFn>
@@ -168,21 +140,19 @@ class E2eContactStage {
   Outcome Run(const std::vector<std::pair<double, Id>>& ranked,
               OfferFn&& offer, ReachFn&& can_reach, RunMetrics& m,
               int64_t audit_task_id, FilterFn&& admit_filter) const {
-    const Outcome o = Contact(ranked, offer, audit_task_id,
-                              std::forward<FilterFn>(admit_filter));
-    m.requester_to_worker_msgs += o.disclosures;
-    m.false_hits += o.false_hits;
-    if (o.accepted >= config_.redundancy_k) {
-      m.assigned_tasks += 1;
-    } else {
-      // Task ends unassigned (cancelled or exhausted): reachable candidates
-      // that were never contacted are false dismissals. On a beta cancel,
-      // the candidate that tripped the threshold was not contacted either.
-      for (size_t k = o.first_uncontacted(); k < ranked.size(); ++k) {
-        if (can_reach(ranked[k].second)) m.false_dismissals += 1;
-      }
-    }
-    return o;
+    RankedList<Id> source(ranked);
+    return RunWalk(source, offer, can_reach, m, audit_task_id, admit_filter);
+  }
+
+  /// As above over a lazily ranked cursor (U2eRankStage::Open): the beta
+  /// checks read each emitted entry's exact score, and an unassigned task's
+  /// false dismissals are counted over the entries never emitted, so the
+  /// fold is identical to running the vector overload on the drained list.
+  template <typename OfferFn, typename ReachFn, typename FilterFn>
+  Outcome Run(U2eRankCursor& cursor, OfferFn&& offer, ReachFn&& can_reach,
+              RunMetrics& m, int64_t audit_task_id,
+              FilterFn&& admit_filter) const {
+    return RunWalk(cursor, offer, can_reach, m, audit_task_id, admit_filter);
   }
 
   template <typename Id, typename OfferFn, typename ReachFn>
@@ -196,6 +166,91 @@ class E2eContactStage {
   const Config& config() const { return config_; }
 
  private:
+  /// A ranked vector read front to back through the cursor interface
+  /// (Next / ForEachRemaining), so one walk serves both.
+  template <typename Id>
+  class RankedList {
+   public:
+    using Entry = std::pair<double, Id>;
+    explicit RankedList(const std::vector<Entry>& ranked) : ranked_(ranked) {}
+    bool Next(Entry& entry) {
+      if (next_ == ranked_.size()) return false;
+      entry = ranked_[next_++];
+      return true;
+    }
+    template <typename Fn>
+    void ForEachRemaining(Fn&& fn) const {
+      for (size_t k = next_; k < ranked_.size(); ++k) fn(ranked_[k].second);
+    }
+
+   private:
+    const std::vector<Entry>& ranked_;
+    size_t next_ = 0;
+  };
+
+  /// The contact walk over a ranked source. On a beta cancel, `tripped`
+  /// receives the entry that tripped it.
+  template <typename Source, typename OfferFn, typename FilterFn>
+  Outcome Walk(Source& source, OfferFn& offer, int64_t audit_task_id,
+               FilterFn& admit_filter,
+               typename Source::Entry& tripped) const {
+    Outcome o;
+    const bool audit = obs::RecorderEnabled();
+    typename Source::Entry entry;
+    while (o.accepted < config_.redundancy_k && source.Next(entry)) {
+      ++o.next;
+      const auto& [score, id] = entry;
+      // Beta thresholding (Alg. 2 Line 13): the requester cancels rather
+      // than disclose to an unlikely-reachable worker. Under
+      // kFirstContactOnly the threshold only guards the first disclosure.
+      const bool beta_applies =
+          config_.rank == RankStrategy::kProbability && config_.beta > 0.0 &&
+          (config_.beta_mode == BetaMode::kEveryContact || o.next == 1);
+      if (beta_applies && score < config_.beta) {
+        o.cancelled = true;
+        tripped = entry;
+        break;
+      }
+      // This is the protocol's only task-location disclosure point.
+      ++o.disclosures;
+      const bool accepted = offer(id);
+      if (accepted) {
+        ++o.accepted;
+      } else {
+        // The worker learned the task location yet rejects: a false hit.
+        ++o.false_hits;
+      }
+      if (audit) {
+        obs::AuditE2eDisclosure(audit_task_id, static_cast<int64_t>(id),
+                                score, accepted, admit_filter(id));
+      }
+    }
+    return o;
+  }
+
+  template <typename Source, typename OfferFn, typename ReachFn,
+            typename FilterFn>
+  Outcome RunWalk(Source& source, OfferFn& offer, ReachFn& can_reach,
+                  RunMetrics& m, int64_t audit_task_id,
+                  FilterFn& admit_filter) const {
+    typename Source::Entry tripped;
+    const Outcome o = Walk(source, offer, audit_task_id, admit_filter, tripped);
+    m.requester_to_worker_msgs += o.disclosures;
+    m.false_hits += o.false_hits;
+    if (o.accepted >= config_.redundancy_k) {
+      m.assigned_tasks += 1;
+    } else {
+      // Task ends unassigned (cancelled or exhausted): reachable candidates
+      // that were never contacted are false dismissals — every entry not
+      // yet consumed and, on a beta cancel, the one that tripped it.
+      if (o.cancelled && can_reach(tripped.second)) m.false_dismissals += 1;
+      source.ForEachRemaining([&](const auto& id) {
+        if (can_reach(id)) m.false_dismissals += 1;
+      });
+    }
+    return o;
+  }
+
   Config config_;
 };
 

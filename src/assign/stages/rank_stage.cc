@@ -1,27 +1,117 @@
 #include "assign/stages/rank_stage.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/check.h"
 
 namespace scguard::assign {
+namespace {
+
+// Relative slack below a sqrt-of-squares distance that covers its few-ulp
+// disagreement with std::hypot.
+constexpr double kDistanceSlack = 1.0 - 1e-12;
+
+// The kRandom / kNearest score of worker `i`.
+double StrategyScore(RankStrategy rank,
+                     const reachability::WorkerFilterSoA& soa, size_t i,
+                     geo::Point exact_task_location,
+                     const double* random_rank) {
+  return rank == RankStrategy::kRandom
+             ? random_rank[i]
+             : -geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
+}
+
+// Heap order putting the best (score-desc / id-asc) entry in front.
+struct WorseEntry {
+  bool operator()(const U2eRankCursor::Entry& a,
+                  const U2eRankCursor::Entry& b) const {
+    return ScoreDescIdAscLess{}(b, a);
+  }
+};
+
+}  // namespace
+
+void U2eRankCursor::Start(size_t top, double max_bound) {
+  refills_ = 0;
+  hot_.clear();
+  scored_.clear();
+  if (cold_.empty()) return;
+  hot_.push_back(cold_[top]);
+  cold_[top] = cold_.back();
+  cold_.pop_back();
+  cold_max_ = max_bound;  // Still an upper bound on what is left.
+  Certify();
+}
+
+void U2eRankCursor::Certify() {
+  for (;;) {
+    const bool any = !scored_.empty();
+    const double best = any ? scored_.front().first : 0.0;
+    if (!hot_.empty() && (!any || hot_.front().bound >= best)) {
+      std::pop_heap(hot_.begin(), hot_.end(), BoundLess);
+      const Pending p = hot_.back();
+      hot_.pop_back();
+      double score = p.bound;
+      if (!exact_) {
+        ++exact_evals_;
+        score = model_->ProbReachable(
+            reachability::Stage::kU2E,
+            geo::Distance({soa_->x[p.id], soa_->y[p.id]}, task_),
+            soa_->reach_radius_m[p.id]);
+      }
+      scored_.emplace_back(score, p.id);
+      std::push_heap(scored_.begin(), scored_.end(), WorseEntry{});
+    } else if (!cold_.empty() && (!any || cold_max_ >= best)) {
+      Refill(any ? best : cold_max_);
+    } else {
+      return;
+    }
+  }
+}
+
+void U2eRankCursor::Refill(double threshold) {
+  const bool all = ++refills_ > kMaxRefills;
+  size_t kept = 0;
+  double kept_max = -std::numeric_limits<double>::infinity();
+  for (const Pending& p : cold_) {
+    if (all || p.bound >= threshold) {
+      hot_.push_back(p);
+    } else {
+      cold_[kept++] = p;
+      kept_max = std::max(kept_max, p.bound);
+    }
+  }
+  cold_.resize(kept);
+  cold_max_ = kept_max;
+  std::make_heap(hot_.begin(), hot_.end(), BoundLess);
+}
+
+bool U2eRankCursor::Next(Entry& entry) {
+  Certify();
+  if (scored_.empty()) return false;
+  std::pop_heap(scored_.begin(), scored_.end(), WorseEntry{});
+  entry = scored_.back();
+  scored_.pop_back();
+  return true;
+}
 
 U2eRankStage::U2eRankStage(const Config& config) : config_(config) {
   if (config_.rank == RankStrategy::kProbability) {
     SCGUARD_CHECK(config_.model != nullptr);
-    if (config_.kernel.u2e_lut) {
-      lut_.emplace(config_.model, reachability::Stage::kU2E, config_.kernel);
+    if (config_.model->U2eMonotone()) {
+      lattice_.emplace(config_.model, config_.kernel.threshold_margin);
     }
   }
+  cursor_.model_ = config_.model;
+  cursor_.exact_ = !lattice_.has_value();
 }
 
 void U2eRankStage::ScoreBatch(const double* observed_distance_m,
                               const double* reach_radius_m, size_t n,
                               double* out) {
-  if (lut_.has_value()) {
-    for (size_t k = 0; k < n; ++k) {
-      out[k] = lut_->Prob(observed_distance_m[k], reach_radius_m[k]);
-    }
-    return;
-  }
+  batch_evals_ += static_cast<int64_t>(n);
   config_.model->ProbReachableBatch(reachability::Stage::kU2E,
                                     observed_distance_m, reach_radius_m, n,
                                     out);
@@ -42,6 +132,32 @@ const double* U2eRankStage::ScoreStagedInputs(size_t n) {
   return p_.data();
 }
 
+void U2eRankStage::ScoreCandidates(const reachability::WorkerFilterSoA& soa,
+                                   const std::vector<uint32_t>& candidates,
+                                   geo::Point exact_task_location) {
+  // Batched scoring: gather candidate distances/radii into dense arrays,
+  // then one ProbReachableBatch call instead of a virtual call per
+  // candidate.
+  const size_t c = candidates.size();
+  d_.resize(c);
+  r_.resize(c);
+  p_.resize(c);
+  for (size_t k = 0; k < c; ++k) {
+    const size_t i = candidates[k];
+    d_[k] = geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
+    r_[k] = soa.reach_radius_m[i];
+  }
+  ScoreBatch(d_.data(), r_.data(), c, p_.data());
+}
+
+void U2eRankStage::AuditCandidates(int64_t audit_task_id,
+                                   size_t count) const {
+  // Each candidate's noisy location reached the requester: one aggregate
+  // audit event per ranking (reconciles with RunMetrics::candidates_sum).
+  obs::AuditU2eCandidates(audit_task_id, static_cast<int64_t>(count),
+                          config_.audit_epsilon);
+}
+
 void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
                         const std::vector<uint32_t>& candidates,
                         geo::Point exact_task_location,
@@ -50,47 +166,76 @@ void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
                         int64_t audit_task_id) {
   ranked.clear();
   if (config_.rank == RankStrategy::kProbability) {
-    // Batched scoring: gather candidate distances/radii into dense arrays,
-    // then one ProbReachableBatch call (or the bounded-error LUT when
-    // enabled) instead of a virtual call per candidate.
-    const size_t c = candidates.size();
-    d_.resize(c);
-    r_.resize(c);
-    p_.resize(c);
-    for (size_t k = 0; k < c; ++k) {
-      const size_t i = candidates[k];
-      d_[k] = geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
-      r_[k] = soa.reach_radius_m[i];
-    }
-    ScoreBatch(d_.data(), r_.data(), c, p_.data());
-    for (size_t k = 0; k < c; ++k) {
+    ScoreCandidates(soa, candidates, exact_task_location);
+    for (size_t k = 0; k < candidates.size(); ++k) {
       ranked.emplace_back(p_[k], candidates[k]);
     }
   } else {
     for (const uint32_t i : candidates) {
-      const double score =
-          config_.rank == RankStrategy::kRandom
-              ? random_rank[i]
-              : -geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
-      ranked.emplace_back(score, i);
+      ranked.emplace_back(StrategyScore(config_.rank, soa, i,
+                                        exact_task_location, random_rank),
+                          i);
     }
   }
   SortRankedCandidates(ranked);
 
   if (obs::RecorderEnabled()) {
-    // Each candidate's noisy location reached the requester: one aggregate
-    // audit event per ranking (reconciles with RunMetrics::candidates_sum),
-    // per-candidate lines only in full-audit mode — O(candidates) events
+    AuditCandidates(audit_task_id, candidates.size());
+    // Per-candidate lines only in full-audit mode — O(candidates) events
     // per task is for small runs and tests, not the 1M bench.
-    obs::AuditU2eCandidates(audit_task_id,
-                            static_cast<int64_t>(candidates.size()),
-                            config_.audit_epsilon);
     if (obs::AuditFullEnabled()) {
       for (const auto& [score, i] : ranked) {
         obs::AuditU2eCandidate(audit_task_id, static_cast<int64_t>(i), score);
       }
     }
   }
+}
+
+U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
+                                  const std::vector<uint32_t>& candidates,
+                                  geo::Point exact_task_location,
+                                  const double* random_rank,
+                                  int64_t audit_task_id) {
+  U2eRankCursor& c = cursor_;
+  c.soa_ = &soa;
+  c.task_ = exact_task_location;
+  const size_t n = candidates.size();
+  if (lattice_.has_value()) {
+    // The bound needs a distance no larger than the geo::Distance (hypot)
+    // that scores the candidate. sqrt of the rounded sum of squares is
+    // within a few ulps of it at a fraction of hypot's cost; the relative
+    // slack keeps it below. The gather runs as its own tight loop, which
+    // overlaps the scattered SoA loads far better than the lattice pass.
+    d_.resize(n);
+    r_.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = candidates[k];
+      const double dx = soa.x[i] - exact_task_location.x;
+      const double dy = soa.y[i] - exact_task_location.y;
+      d_[k] = std::sqrt(dx * dx + dy * dy) * kDistanceSlack;
+      r_[k] = soa.reach_radius_m[i];
+    }
+    p_.resize(n);
+    for (size_t k = 0; k < n; ++k) p_[k] = lattice_->UpperBound(d_[k], r_[k]);
+  } else if (config_.rank == RankStrategy::kProbability) {
+    // No monotonicity to certify a bound with: score everything, as Rank.
+    ScoreCandidates(soa, candidates, exact_task_location);
+  } else {
+    p_.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      p_[k] = StrategyScore(config_.rank, soa, candidates[k],
+                            exact_task_location, random_rank);
+    }
+  }
+  c.cold_.resize(n);
+  size_t top = 0;
+  for (size_t k = 0; k < n; ++k) {
+    c.cold_[k] = {p_[k], candidates[k]};
+    if (p_[k] > p_[top]) top = k;
+  }
+  if (obs::RecorderEnabled()) AuditCandidates(audit_task_id, n);
+  c.Start(top, n > 0 ? p_[top] : 0.0);
+  return c;
 }
 
 }  // namespace scguard::assign

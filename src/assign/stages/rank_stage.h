@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -57,16 +58,87 @@ void SortRankedCandidates(std::vector<Pair>& ranked, IdFn id_of) {
             });
 }
 
+/// One task's U2E ranking, produced lazily (DESIGN.md section 10). Entries
+/// come out in exactly the SortRankedCandidates order (score descending, id
+/// ascending) with exactly the scores U2eRankStage::Rank assigns, but a
+/// candidate is scored only once its upper bound reaches the best exact
+/// score not yet emitted: every unscored candidate then scores at most its
+/// bound, strictly below the entry about to be emitted. Equal bounds fall
+/// through to an exact evaluation, so ties still break by id. Obtained from
+/// U2eRankStage::Open; valid until that stage's next Open.
+///
+/// Unscored candidates sit in a max-heap ("hot") or, while their bounds
+/// stay below every score still to be emitted, in an unordered "cold" list
+/// that is never heapified: a task that contacts one or two workers pays
+/// one linear pass to find its hot set instead of ordering every bound.
+class U2eRankCursor {
+ public:
+  using Entry = std::pair<double, size_t>;
+
+  /// Writes the next entry in contact order; false once all are emitted.
+  bool Next(Entry& entry);
+
+  /// Calls `fn(id)` for every candidate not yet emitted, in no particular
+  /// order (E2E's false-dismissal count needs the set, not the order).
+  template <typename Fn>
+  void ForEachRemaining(Fn&& fn) const {
+    for (const Pending& p : cold_) fn(static_cast<size_t>(p.id));
+    for (const Pending& p : hot_) fn(static_cast<size_t>(p.id));
+    for (const Entry& e : scored_) fn(e.second);
+  }
+
+ private:
+  friend class U2eRankStage;
+
+  struct Pending {
+    double bound;  ///< >= the candidate's exact score; == it when exact_.
+    uint32_t id;
+  };
+  static bool BoundLess(const Pending& a, const Pending& b) {
+    return a.bound < b.bound;
+  }
+
+  /// Starts a task over the candidates in cold_: moves the best-bounded
+  /// one (cold_[top]) to the hot heap and certifies the first entry.
+  void Start(size_t top, double max_bound);
+
+  /// Scores hot candidates, highest bound first, and refills the hot heap
+  /// from the cold list, until no unscored bound reaches the best scored
+  /// entry.
+  void Certify();
+
+  /// Moves every cold candidate whose bound reaches `threshold` (all of
+  /// them once kMaxRefills passes have run) to the hot heap.
+  void Refill(double threshold);
+
+  /// Cold passes per task before the rest is heapified wholesale, which
+  /// caps a long contact walk at a few linear passes plus one heapify.
+  static constexpr int kMaxRefills = 3;
+
+  const reachability::ReachabilityModel* model_ = nullptr;
+  const reachability::WorkerFilterSoA* soa_ = nullptr;
+  geo::Point task_;
+  bool exact_ = true;  ///< Bounds are already the exact scores.
+  int refills_ = 0;
+  int64_t exact_evals_ = 0;
+  std::vector<Pending> cold_;  ///< Unordered; every bound <= cold_max_.
+  double cold_max_ = 0.0;
+  std::vector<Pending> hot_;   ///< Max-heap on bound.
+  std::vector<Entry> scored_;  ///< Heap with the best entry in front.
+};
+
 /// The requester-side U2E ranking stage (Alg. 2 Lines 10-12, DESIGN.md
 /// section 10): scores candidates against the *exact* task location — which
 /// only the requester knows — and orders them best-first with the shared
-/// deterministic tie-break. Probability scoring goes through the batched
-/// model kernel (one ProbReachableBatch per task) or the opt-in
-/// bounded-error KernelLut; random and nearest-neighbor strategies score
-/// from a caller-supplied rank array / the observed distance.
+/// deterministic tie-break. Two forms: the eager Rank scores every
+/// candidate through one ProbReachableBatch call and sorts; Open returns a
+/// U2eRankCursor that scores lazily behind certified lattice bounds
+/// (U2eBoundLattice) when the model declares U2eMonotone(), and in full
+/// otherwise. Random and nearest-neighbor strategies score from a
+/// caller-supplied rank array / the observed distance.
 ///
-/// Not thread-safe (the LUT builds lazily); run-local like the other
-/// stages.
+/// Not thread-safe (the bound lattice fills lazily); run-local like the
+/// other stages.
 class U2eRankStage {
  public:
   struct Config {
@@ -74,8 +146,7 @@ class U2eRankStage {
     /// Not owned.
     const reachability::ReachabilityModel* model = nullptr;
     RankStrategy rank = RankStrategy::kProbability;
-    /// kernel.u2e_lut routes scoring through the bounded-error LUT
-    /// (DESIGN.md section 8); off by default.
+    /// kernel.threshold_margin pads every lattice bound.
     reachability::KernelOptions kernel;
     /// The epsilon the candidates' noisy locations were perturbed at —
     /// recorded on the flight recorder's per-task U2E audit event
@@ -102,10 +173,28 @@ class U2eRankStage {
             std::vector<std::pair<double, size_t>>& ranked,
             int64_t audit_task_id = obs::kAuditNoTask);
 
+  /// The lazy form of Rank over the same arguments: the returned cursor
+  /// emits Rank's `ranked` list entry by entry. One pass computes every
+  /// candidate's observed distance and upper bound; the candidates needed
+  /// to certify the first entry are scored before returning. Emits the
+  /// kAuditCandidates event as Rank does; full-audit callers drain the
+  /// cursor to log every score. The positions and radii in `soa`, and
+  /// `random_rank`, must stay unchanged while the cursor is in use.
+  U2eRankCursor& Open(const reachability::WorkerFilterSoA& soa,
+                      const std::vector<uint32_t>& candidates,
+                      geo::Point exact_task_location,
+                      const double* random_rank,
+                      int64_t audit_task_id = obs::kAuditNoTask);
+
+  /// Exact model evaluations made by Rank, Open and their cursors so far
+  /// (lattice node fills excluded).
+  int64_t exact_evals() const {
+    return batch_evals_ + cursor_.exact_evals_;
+  }
+
   /// Batched probability scoring of (observed distance, radius) pairs:
-  /// out[i] = Pr(reachable at U2E | d[i], r[i]), through the LUT when
-  /// enabled. The protocol-party adapter ranks AoS candidate lists through
-  /// this.
+  /// out[i] = Pr(reachable at U2E | d[i], r[i]). The protocol-party adapter
+  /// ranks AoS candidate lists through this.
   void ScoreBatch(const double* observed_distance_m,
                   const double* reach_radius_m, size_t n, double* out);
 
@@ -125,8 +214,18 @@ class U2eRankStage {
   const double* ScoreStagedInputs(size_t n);
 
  private:
+  /// Gathers the candidates' observed distances and radii into d_ / r_
+  /// and scores them into p_.
+  void ScoreCandidates(const reachability::WorkerFilterSoA& soa,
+                       const std::vector<uint32_t>& candidates,
+                       geo::Point exact_task_location);
+  void AuditCandidates(int64_t audit_task_id, size_t count) const;
+
   Config config_;
-  std::optional<reachability::KernelLut> lut_;
+  /// Set for a kProbability stage whose model declares U2eMonotone().
+  std::optional<reachability::U2eBoundLattice> lattice_;
+  U2eRankCursor cursor_;
+  int64_t batch_evals_ = 0;
   // Batching scratch, reused across tasks.
   std::vector<double> d_;
   std::vector<double> r_;

@@ -66,10 +66,7 @@ uint32_t TaskPipeline::AddWorker(const Worker& w, stats::Rng& rank_rng) {
   return u2u_.AddWorker(w.noisy_location, w.reach_radius_m);
 }
 
-void TaskPipeline::Prepare() {
-  u2u_.Prepare();
-  ranked_.reserve(u2u_.size());
-}
+void TaskPipeline::Prepare() { u2u_.Prepare(); }
 
 TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   RunMetrics& m = result.metrics;
@@ -107,11 +104,12 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
 
   // ---- Stage 2: U2E (requester) ------------------------------------
   // Requester knows the exact task location and the candidates' noisy
-  // locations; ranks them best-first.
+  // locations; ranks them best-first. The cursor certifies the first
+  // contact here and scores later ones only as E2E asks for them.
   const reachability::WorkerFilterSoA& soa = u2u_.soa();
   const auto u2e_start = Clock::now();
-  u2e_.Rank(soa, candidates, task.location, random_rank_.data(), ranked_,
-            task.id);
+  U2eRankCursor& ranking = u2e_.Open(soa, candidates, task.location,
+                                     random_rank_.data(), task.id);
   {
     static const obs::SpanSite kU2eSite("engine.u2e");
     const auto u2e_end = Clock::now();
@@ -125,38 +123,50 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   const bool timed = obs::Enabled() || obs::RecorderEnabled();
   Clock::time_point e2e_start;
   if (timed) e2e_start = Clock::now();
+  const auto offer = [&](size_t i) {
+    const Worker& w = workers_[i];
+    if (!w.CanReach(task.location)) return false;
+    u2u_.MarkMatched(static_cast<uint32_t>(i));
+    const double travel = geo::Distance(w.location, task.location);
+    result.assignments.push_back({task.id, w.id, travel});
+    m.accepted_assignments += 1;
+    m.travel_sum_m += travel;
+    if (outcome.worker_id < 0) {
+      outcome.worker_id = w.id;
+      outcome.travel_m = travel;
+    }
+    return true;
+  };
+  const auto can_reach = [&](size_t i) {
+    return workers_[i].CanReach(task.location);
+  };
   // Audit attribution of each disclosure's admitting U2U filter: with the
   // alpha-threshold kernel on, a candidate inside the certain-accept band
   // was admitted without a model evaluation; everything else (the
   // uncertain band, or the kernel-off scan) was a direct eval. The SoA
   // bands are only filled when the kernel is on.
   const bool has_bands = soa.accept_below_sq.size() == u2u_.size();
-  const E2eContactStage::Outcome contact = e2e_.Run(
-      ranked_,
-      [&](size_t i) {
-        const Worker& w = workers_[i];
-        if (!w.CanReach(task.location)) return false;
-        u2u_.MarkMatched(static_cast<uint32_t>(i));
-        const double travel = geo::Distance(w.location, task.location);
-        result.assignments.push_back({task.id, w.id, travel});
-        m.accepted_assignments += 1;
-        m.travel_sum_m += travel;
-        if (outcome.worker_id < 0) {
-          outcome.worker_id = w.id;
-          outcome.travel_m = travel;
-        }
-        return true;
-      },
-      [&](size_t i) { return workers_[i].CanReach(task.location); }, m,
-      task.id,
-      [&](size_t i) {
-        if (!has_bands) return obs::AuditFilter::kDirectEval;
-        const double dx = soa.x[i] - task.noisy_location.x;
-        const double dy = soa.y[i] - task.noisy_location.y;
-        return dx * dx + dy * dy <= soa.accept_below_sq[i]
-                   ? obs::AuditFilter::kAlphaBandAccept
-                   : obs::AuditFilter::kDirectEval;
-      });
+  const auto admit_filter = [&](size_t i) {
+    if (!has_bands) return obs::AuditFilter::kDirectEval;
+    const double dx = soa.x[i] - task.noisy_location.x;
+    const double dy = soa.y[i] - task.noisy_location.y;
+    return dx * dx + dy * dy <= soa.accept_below_sq[i]
+               ? obs::AuditFilter::kAlphaBandAccept
+               : obs::AuditFilter::kDirectEval;
+  };
+  E2eContactStage::Outcome contact;
+  if (obs::RecorderEnabled() && obs::AuditFullEnabled()) {
+    // Full audit logs every candidate's score, so drain the whole ranking.
+    ranked_.clear();
+    for (U2eRankCursor::Entry entry; ranking.Next(entry);) {
+      obs::AuditU2eCandidate(task.id, static_cast<int64_t>(entry.second),
+                             entry.first);
+      ranked_.push_back(entry);
+    }
+    contact = e2e_.Run(ranked_, offer, can_reach, m, task.id, admit_filter);
+  } else {
+    contact = e2e_.Run(ranking, offer, can_reach, m, task.id, admit_filter);
+  }
   outcome.cancelled = contact.cancelled;
   if (contact.cancelled) ++beta_cancels_;
   if (timed) obs::RecordSpan(kE2eSite, e2e_start, Clock::now());
@@ -185,6 +195,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"assigned_tasks", m.assigned_tasks},
       {"assignments", m.accepted_assignments},
       {"candidates", m.candidates_sum},
+      {"u2e_evals", u2e_.exact_evals()},
       {"workers_evaluated", evaluated_},
       {"workers_pruned", pruned_},
       {"alpha_rejections", alpha_rejections_},

@@ -71,7 +71,7 @@ struct ProtocolPolicy {
 
   /// Evaluation-kernel knobs (DESIGN.md section 8). Defaults keep the
   /// exact threshold-inversion U2U filter on (bit-identical assignments,
-  /// verified by tests/kernel_test.cc) and the bounded-error U2E LUT off.
+  /// verified by tests/kernel_test.cc).
   reachability::KernelOptions kernel;
 
   /// Parallel-scan knobs (DESIGN.md section 9). Defaults keep the scan
@@ -95,8 +95,8 @@ struct TaskOutcome {
 ///   U2U  server:    noisy worker + noisy task locations -> candidate set
 ///   U2E  requester: exact task + noisy worker locations -> ranked contacts
 ///   E2E  worker:    exact task location -> accept iff d(w, t) <= R_w
-/// It owns the three stages, the per-worker random-rank priorities and the
-/// ranking scratch, and writes each task's RunMetrics accounting, stage
+/// It owns the three stages and the per-worker random-rank priorities,
+/// and writes each task's RunMetrics accounting, stage
 /// histograms, flight-recorder spans and audit-filter attribution in one
 /// place. Observation never perturbs the protocol: no RNG draws, no
 /// reordering (tests/obs_test.cc holds it to that).
@@ -123,9 +123,10 @@ class TaskPipeline {
   /// task's U2U timing measures only the scan.
   void Prepare();
 
-  /// Runs one task through U2U Collect -> U2E Rank -> E2E contact,
-  /// appending accepted pairs to `result.assignments` and folding the
-  /// task into `result.metrics`.
+  /// Runs one task through U2U Collect -> U2E Open -> E2E contact over the
+  /// lazy ranking, appending accepted pairs to `result.assignments` and
+  /// folding the task into `result.metrics`. Bit-identical to ranking
+  /// eagerly with U2eRankStage::Rank (tests/rank_cursor_test.cc).
   TaskOutcome Execute(const Task& task, MatchResult& result);
 
   /// End-of-run fold into `m`: worker count, grid-certification and
@@ -142,7 +143,8 @@ class TaskPipeline {
   U2eRankStage u2e_;
   const E2eContactStage e2e_;
   std::vector<double> random_rank_;
-  std::vector<std::pair<double, size_t>> ranked_;  // Reused scratch.
+  // Full-audit drain of the ranking, reused across tasks.
+  std::vector<std::pair<double, size_t>> ranked_;
 
   // Counter-only accounting, flushed once by Finish.
   int64_t evaluated_ = 0;         // Workers the U2U filter actually scored.

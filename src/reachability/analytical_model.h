@@ -84,6 +84,11 @@ class AnalyticalModel final : public ReachabilityModel {
                           const double* reach_radius_m, size_t n,
                           double* out) const override;
 
+  /// Every mode passes the dense (d, r) sweep of tests/rank_cursor_test.cc:
+  /// the Rice CDF (three modes) and the planar Laplace disk integral
+  /// (kExactLaplace) are monotone to within rounding.
+  bool U2eMonotone() const override { return true; }
+
   std::string_view name() const override { return "analytical"; }
 
   AnalyticalMode mode() const { return mode_; }

@@ -17,6 +17,9 @@ class BinaryModel final : public ReachabilityModel {
                           const double* reach_radius_m, size_t n,
                           double* out) const override;
 
+  /// The step 1{d' <= R_w} is monotone exactly.
+  bool U2eMonotone() const override { return true; }
+
   std::string_view name() const override { return "binary"; }
 };
 

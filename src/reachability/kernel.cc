@@ -205,85 +205,22 @@ AlphaThreshold AlphaThresholdCache::Invert(double reach_radius_m) const {
   return MakeThreshold(accept_below_m, reject_above_m);
 }
 
-KernelLut::KernelLut(const ReachabilityModel* model, Stage stage,
-                     const KernelOptions& options)
-    : model_(model), stage_(stage), options_(options) {
-  SCGUARD_CHECK(model != nullptr);
-  SCGUARD_CHECK(options.lut_step_m > 0.0);
-  SCGUARD_CHECK(options.lut_max_abs_error > 0.0 &&
-                options.lut_max_abs_error < 1.0);
+U2eBoundLattice::U2eBoundLattice(const ReachabilityModel* model,
+                                 double margin)
+    : model_(model),
+      margin_(margin),
+      rows_(static_cast<size_t>(kMaxRadiusM / kStepM) + 1) {
+  SCGUARD_CHECK(model != nullptr && model->U2eMonotone());
+  SCGUARD_CHECK(margin >= 0.0);
 }
 
-double KernelLut::Prob(double observed_distance_m, double reach_radius_m) {
-  const uint64_t key = RadiusKey(reach_radius_m);
-  auto it = by_radius_.find(key);
-  if (it == by_radius_.end()) {
-    it = by_radius_.emplace(key, Build(reach_radius_m)).first;
-  }
-  const Table& table = it->second;
-  if (observed_distance_m >= table.max_d) return table.tail_value;
-  const double pos = observed_distance_m * table.inv_step;
-  const auto idx = static_cast<size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  return table.values[idx] +
-         frac * (table.values[idx + 1] - table.values[idx]);
-}
-
-KernelLut::Table KernelLut::Build(double reach_radius_m) {
-  const double bound = options_.lut_max_abs_error;
-  const auto p = [this, reach_radius_m](double d) {
-    return model_->ProbReachable(stage_, d, reach_radius_m);
-  };
-
-  // Grid end: where the probability has fallen below a tenth of the error
-  // bound, so returning the flat tail value keeps the contract (the true
-  // probability is monotone below it).
-  double max_d = std::max(2.0 * reach_radius_m, 1000.0);
-  while (p(max_d) > bound * 0.1 && max_d < 1e7) max_d *= 2.0;
-
-  double step = options_.lut_step_m;
-  for (int refinement = 0;; ++refinement) {
-    Table table;
-    table.step = step;
-    table.inv_step = 1.0 / step;
-    const auto n = static_cast<size_t>(std::ceil(max_d / step)) + 1;
-    table.max_d = static_cast<double>(n - 1) * step;
-    table.values.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      table.values[i] = p(static_cast<double>(i) * step);
-    }
-    table.tail_value = table.values.back();
-
-    // Verification: for monotone p both the interpolant and the function
-    // stay inside [v[i+1], v[i]], so a cell with bracket width <= bound is
-    // proven; wider cells (the CDF's transition region) are checked at the
-    // quarter points against half the bound, leaving headroom for
-    // off-sample residuals of the smooth closed forms.
-    double worst = 0.0;
-    bool ok = true;
-    for (size_t i = 0; ok && i + 1 < n; ++i) {
-      const double bracket = std::abs(table.values[i] - table.values[i + 1]);
-      if (bracket <= bound) continue;
-      const double d0 = static_cast<double>(i) * step;
-      for (const double frac : {0.25, 0.5, 0.75}) {
-        const double d = d0 + frac * step;
-        const double interp =
-            table.values[i] + frac * (table.values[i + 1] - table.values[i]);
-        const double err = std::abs(interp - p(d));
-        worst = std::max(worst, err);
-        if (err > bound * 0.5) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok || refinement >= 12) {
-      SCGUARD_CHECK(ok && "KernelLut could not meet its error bound");
-      worst_verified_error_ = std::max(worst_verified_error_, worst);
-      return table;
-    }
-    step *= 0.5;
-  }
+double U2eBoundLattice::Fill(size_t i, size_t j) {
+  ++nodes_filled_;
+  const double p = model_->ProbReachable(Stage::kU2E,
+                                         static_cast<double>(i) * kStepM,
+                                         static_cast<double>(j) * kStepM);
+  // A NaN node would compare below every score and hide its candidates.
+  return std::isnan(p) ? kInf : p;
 }
 
 void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,

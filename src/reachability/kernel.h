@@ -1,8 +1,11 @@
 #ifndef SCGUARD_REACHABILITY_KERNEL_H_
 #define SCGUARD_REACHABILITY_KERNEL_H_
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -11,32 +14,20 @@
 namespace scguard::reachability {
 
 /// Evaluation-kernel knobs for the protocol hot path (engine U2U filter and
-/// U2E scoring). Defaults are thresholds-on / LUT-off: the threshold path is
-/// exact (bit-identical assignment decisions), the LUT trades a bounded
-/// probability error for speed and must be opted into.
+/// U2E ranking). Both paths are exact: the threshold filter makes
+/// bit-identical assignment decisions, and the U2E ranking certifies its
+/// lazily scored contacts with margin-padded lattice bounds (DESIGN.md
+/// sections 8 and 10).
 struct KernelOptions {
   /// Replace the per-pair `ProbReachable >= alpha` U2U filter by a
   /// precomputed critical-distance compare (exact; see AlphaThresholdCache).
   bool alpha_thresholds = true;
 
-  /// Score the U2E stage through an interpolated lookup table instead of
-  /// direct model evaluation. Bounded absolute error (lut_max_abs_error) on
-  /// every returned probability; changes ranking only where two candidates
-  /// score within the bound of each other. Off by default.
-  bool u2e_lut = false;
-
-  /// Initial observed-distance grid spacing of the LUT; halved until the
-  /// construction-time error check passes.
-  double lut_step_m = 50.0;
-
-  /// Max absolute probability error the LUT is verified against.
-  double lut_max_abs_error = 1e-4;
-
   /// Probability margin separating the certain-accept / certain-reject
-  /// regions from the direct-evaluation band of the threshold filter. Must
-  /// dominate the model's own evaluation noise around the alpha crossing
-  /// (ulp-level for the closed forms); the defaults leave nine decades of
-  /// headroom.
+  /// regions from the direct-evaluation band of the threshold filter, and
+  /// padding every U2E lattice upper bound. Must dominate the model's own
+  /// evaluation noise (ulp-level for the closed forms); the default leaves
+  /// nine decades of headroom.
   double threshold_margin = 1e-9;
 };
 
@@ -133,49 +124,67 @@ class AlphaThresholdCache {
   std::unordered_map<uint64_t, AlphaThreshold> by_radius_;
 };
 
-/// Opt-in interpolated probability table for the U2E scoring path: one
-/// linear-interpolation grid over observed distance per distinct reach
-/// radius (the radius dimension is never interpolated, so the only error
-/// source is the distance grid). Each table is verified at construction —
-/// the grid is refined until both the monotone bracket bound and sampled
-/// interpolation residuals sit under KernelOptions::lut_max_abs_error —
-/// so every Prob() return is within that bound of the direct evaluation.
+/// Upper bounds on U2E reachability from a memoized lattice of exact
+/// evaluations (DESIGN.md section 10). For a model that declares
+/// U2eMonotone(), Pr(reachable | d, r) is at most its value at the lattice
+/// corner below d and above r:
+///   UpperBound(d, r) = ProbReachable(kU2E, d_lo, r_hi) + margin
+/// where d_lo <= d and r_hi >= r are the nearest nodes, kStepM apart; the
+/// margin absorbs the ulp-level non-monotonicity of the closed forms. A
+/// node is evaluated the first time a bound needs it, so a workload pays
+/// one evaluation per distinct corner it touches. Outside the lattice — a
+/// NaN or negative distance, one past kMaxDistanceM, a NaN, non-positive
+/// or larger-than-kMaxRadiusM radius — the bound is the trivial 1.0.
 ///
-/// Worth enabling only when the number of scoring queries per distinct
-/// radius clearly exceeds the table build cost (several hundred direct
-/// evaluations); see DESIGN.md section 8. Not thread-safe (lazy per-radius
-/// builds).
-class KernelLut {
+/// Not thread-safe (lazy fills); run-local like AlphaThresholdCache.
+class U2eBoundLattice {
  public:
-  /// `model` must outlive the LUT.
-  KernelLut(const ReachabilityModel* model, Stage stage,
-            const KernelOptions& options);
+  /// Node spacing along both axes, meters.
+  static constexpr double kStepM = 25.0;
+  /// Lattice extent, meters.
+  static constexpr double kMaxDistanceM = 20000.0;
+  static constexpr double kMaxRadiusM = 5000.0;
 
-  /// Interpolated Pr(reachable | d, r); |result - direct| is bounded by
-  /// options.lut_max_abs_error.
-  double Prob(double observed_distance_m, double reach_radius_m);
+  /// `model` must outlive the lattice and declare U2eMonotone().
+  U2eBoundLattice(const ReachabilityModel* model, double margin);
 
-  /// Largest interpolation residual observed while verifying any built
-  /// table (always <= options.lut_max_abs_error).
-  double worst_verified_error() const { return worst_verified_error_; }
-  size_t tables_built() const { return by_radius_.size(); }
+  /// >= model->ProbReachable(Stage::kU2E, d, r) for every d >= 0, r >= 0.
+  double UpperBound(double observed_distance_m, double reach_radius_m) {
+    const double d = observed_distance_m;
+    const double r = reach_radius_m;
+    if (!(d >= 0.0 && d <= kMaxDistanceM && r > 0.0 && r <= kMaxRadiusM)) {
+      return 1.0;
+    }
+    // Multiplying by the inexact 1/25 may land one node off; each
+    // correction restores d_lo <= d and r_hi >= r.
+    auto i = static_cast<size_t>(d * kInvStep);
+    if (static_cast<double>(i) * kStepM > d) --i;
+    auto j = static_cast<size_t>(r * kInvStep);
+    if (static_cast<double>(j) * kStepM < r) ++j;
+    std::vector<double>& row = rows_[j];
+    if (row.empty()) row.assign(kDistanceNodes, kUnfilled);
+    double& node = row[i];
+    if (std::isnan(node)) node = Fill(i, j);
+    return node + margin_;
+  }
+
+  /// Nodes evaluated so far.
+  int64_t nodes_filled() const { return nodes_filled_; }
 
  private:
-  struct Table {
-    double step = 0.0;
-    double inv_step = 0.0;
-    double max_d = 0.0;          ///< Grid end; beyond it the tail value.
-    double tail_value = 0.0;     ///< Probability at/after max_d (tiny).
-    std::vector<double> values;  ///< Prob at i * step, i = 0..n.
-  };
+  static constexpr double kInvStep = 1.0 / kStepM;
+  static constexpr size_t kDistanceNodes =
+      static_cast<size_t>(kMaxDistanceM / kStepM) + 1;
+  static constexpr double kUnfilled = std::numeric_limits<double>::quiet_NaN();
 
-  Table Build(double reach_radius_m);
+  double Fill(size_t i, size_t j);
 
   const ReachabilityModel* model_;
-  Stage stage_;
-  KernelOptions options_;
-  double worst_verified_error_ = 0.0;
-  std::unordered_map<uint64_t, Table> by_radius_;
+  double margin_;
+  int64_t nodes_filled_ = 0;
+  /// One row of distance nodes per radius node, allocated on first use;
+  /// kUnfilled marks a node not yet evaluated.
+  std::vector<std::vector<double>> rows_;
 };
 
 /// Structure-of-arrays snapshot of the per-worker state the U2U filter

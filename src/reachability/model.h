@@ -51,6 +51,14 @@ class ReachabilityModel {
     }
   }
 
+  /// Whether U2E ProbReachable is non-increasing in the observed distance
+  /// and non-decreasing in the reach radius, up to evaluation noise far
+  /// below KernelOptions::threshold_margin. The certified lazy U2E ranking
+  /// (assign::U2eRankStage::Open) bounds a candidate's score by a lattice
+  /// corner only for models that declare this; every other model is scored
+  /// in full. tests/rank_cursor_test.cc sweeps each declaration.
+  virtual bool U2eMonotone() const { return false; }
+
   /// Short identifier used in experiment tables ("binary", "analytical",
   /// "empirical").
   virtual std::string_view name() const = 0;

@@ -12,7 +12,6 @@
 #include "reachability/empirical_model.h"
 #include "reachability/empirical_table.h"
 #include "reachability/kernel.h"
-#include "stats/rice.h"
 #include "stats/rng.h"
 
 namespace scguard::reachability {
@@ -229,52 +228,6 @@ TEST(BatchEvalTest, MatchesScalarBitForBit) {
       }
     }
   }
-}
-
-// ------------------------------------------------------------------ LUT
-
-TEST(KernelLutTest, ErrorBoundHoldsAgainstDirectRice) {
-  const AnalyticalModel model(kDefault);
-  KernelOptions options;
-  options.u2e_lut = true;
-  KernelLut lut(&model, Stage::kU2E, options);
-  // U2E under the paper model IS the Rice CDF: check the LUT against both
-  // the model and an independent 1 - MarcumQ1 evaluation.
-  const double sigma = std::sqrt(2.0) * kDefault.radius_m / kDefault.epsilon;
-  double worst = 0.0;
-  for (double radius : {700.0, 1400.0, 2800.0}) {
-    for (double d = 0.0; d <= 20000.0; d += 3.7) {
-      const double got = lut.Prob(d, radius);
-      const double direct = model.ProbReachable(Stage::kU2E, d, radius);
-      worst = std::max(worst, std::abs(got - direct));
-      ASSERT_NEAR(got, direct, options.lut_max_abs_error)
-          << "R=" << radius << " d=" << d;
-      const double marcum = stats::RiceDistribution(d, sigma).Cdf(radius);
-      ASSERT_NEAR(got, marcum, options.lut_max_abs_error)
-          << "R=" << radius << " d=" << d;
-    }
-  }
-  EXPECT_EQ(lut.tables_built(), 3u);
-  EXPECT_LE(lut.worst_verified_error(), options.lut_max_abs_error);
-  EXPECT_GT(worst, 0.0);  // The LUT interpolates, it is not a pass-through.
-}
-
-TEST(KernelLutTest, EngineWithLutStaysCloseToExactScoring) {
-  const Workload w = NoisyWorkload(100, 100, 40);
-  AlgorithmParams params;
-  params.worker_params = kDefault;
-  params.task_params = kDefault;
-  MatcherHandle exact = MakeProbabilisticModel(params);
-  params.kernel.u2e_lut = true;
-  MatcherHandle lut = MakeProbabilisticModel(params);
-  stats::Rng rng_a(41), rng_b(41);
-  const MatchResult a = exact.Run(w, rng_a);
-  const MatchResult b = lut.Run(w, rng_b);
-  // The 1e-4 score error can only flip near-tied rankings; the aggregate
-  // outcome must stay essentially unchanged.
-  EXPECT_EQ(a.metrics.candidates_sum, b.metrics.candidates_sum);
-  EXPECT_NEAR(static_cast<double>(a.metrics.assigned_tasks),
-              static_cast<double>(b.metrics.assigned_tasks), 2.0);
 }
 
 // ----------------------------------------- Empirical sparse fallback

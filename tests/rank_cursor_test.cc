@@ -1,0 +1,571 @@
+// The certified lazy U2E ranking (DESIGN.md section 10): the monotonicity
+// every lattice bound rests on, the lattice's edge cases, and bit-identity
+// of the cursor with the eager U2eRankStage::Rank — at the stage, and
+// through the whole engine against a reference run that ranks eagerly and walks
+// the ranked vector.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "assign/scguard_engine.h"
+#include "assign/stages/candidate_stage.h"
+#include "assign/stages/contact_stage.h"
+#include "assign/stages/rank_stage.h"
+#include "engine_fixtures.h"
+#include "obs/metrics.h"
+#include "obs/obs_config.h"
+#include "reachability/analytical_model.h"
+#include "reachability/binary_model.h"
+#include "reachability/empirical_model.h"
+#include "reachability/kernel.h"
+#include "stats/rng.h"
+
+namespace scguard {
+namespace {
+
+using assign::BetaMode;
+using assign::RankStrategy;
+using reachability::AnalyticalMode;
+using reachability::AnalyticalModel;
+using reachability::BinaryModel;
+using reachability::ReachabilityModel;
+using reachability::Stage;
+using reachability::U2eBoundLattice;
+
+constexpr privacy::PrivacyParams kParams = fixtures::kDefaultPrivacy;
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// "Well inside" the margin every lattice bound is padded with.
+const double kMonotoneTolerance =
+    reachability::KernelOptions{}.threshold_margin / 100.0;
+
+std::vector<std::unique_ptr<ReachabilityModel>> MonotoneCandidates() {
+  std::vector<std::unique_ptr<ReachabilityModel>> models;
+  models.push_back(std::make_unique<BinaryModel>());
+  for (const AnalyticalMode mode :
+       {AnalyticalMode::kPaperNormalApprox, AnalyticalMode::kExactRice,
+        AnalyticalMode::kMomentMatched, AnalyticalMode::kExactLaplace}) {
+    models.push_back(std::make_unique<AnalyticalModel>(kParams, mode));
+  }
+  return models;
+}
+
+std::string Label(const ReachabilityModel& model) {
+  if (const auto* a = dynamic_cast<const AnalyticalModel*>(&model)) {
+    return std::string(reachability::AnalyticalModeName(a->mode()));
+  }
+  return std::string(model.name());
+}
+
+// --------------------------------------------------------- monotonicity
+
+// Every model that declares U2eMonotone() must be non-increasing in the
+// observed distance and non-decreasing in the reach radius over the whole
+// lattice domain, at <= 5 m resolution and straddling every Poisson-mode
+// switch of the noncentral chi-squared series behind the Rice CDF
+// (j0 = floor(nu^2 / (2 sigma^2)) changes at nu = sigma sqrt(2 j)). A mode
+// that fails must declare itself non-monotone; the margin is not the knob.
+TEST(U2eMonotonicityTest, DeclaredModelsAreMonotoneOverTheLattice) {
+  std::vector<double> radii = {25.0};
+  for (double r = 250.0; r <= U2eBoundLattice::kMaxRadiusM; r += 250.0) {
+    radii.push_back(r);
+  }
+  for (const auto& model : MonotoneCandidates()) {
+    SCOPED_TRACE(Label(*model));
+    ASSERT_TRUE(model->U2eMonotone());
+    const auto p = [&](double d, double r) {
+      return model->ProbReachable(Stage::kU2E, d, r);
+    };
+    for (const double r : radii) {
+      double prev = p(0.0, r);
+      for (double d = 5.0; d <= U2eBoundLattice::kMaxDistanceM; d += 5.0) {
+        const double cur = p(d, r);
+        ASSERT_LE(cur, prev + kMonotoneTolerance) << "r=" << r << " d=" << d;
+        prev = cur;
+      }
+    }
+    for (const double d : {0.0, 10.0, 400.0, 1600.0, 4000.0, 9000.0,
+                           U2eBoundLattice::kMaxDistanceM}) {
+      double prev = p(d, 25.0);
+      for (double r = 30.0; r <= U2eBoundLattice::kMaxRadiusM; r += 5.0) {
+        const double cur = p(d, r);
+        ASSERT_GE(cur, prev - kMonotoneTolerance) << "d=" << d << " r=" << r;
+        prev = cur;
+      }
+    }
+    const auto* analytical = dynamic_cast<const AnalyticalModel*>(model.get());
+    if (analytical == nullptr ||
+        analytical->mode() == AnalyticalMode::kExactLaplace) {
+      continue;  // No Rice CDF, no Poisson switches.
+    }
+    const double sigma = std::sqrt(analytical->WorkerCoordinateVariance());
+    int switches = 0;
+    for (int j = 1;; ++j) {
+      const double nu = sigma * std::sqrt(2.0 * j);
+      if (nu > U2eBoundLattice::kMaxDistanceM) break;
+      ++switches;
+      double below = nu;
+      double above = nu;
+      for (int ulp = 0; ulp < 4; ++ulp) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, kInf);
+      }
+      for (const double r : radii) {
+        ASSERT_LE(p(above, r), p(below, r) + kMonotoneTolerance)
+            << "switch j=" << j << " r=" << r;
+        ASSERT_LE(p(nu + 1e-6, r), p(nu - 1e-6, r) + kMonotoneTolerance)
+            << "switch j=" << j << " r=" << r;
+      }
+    }
+    EXPECT_GT(switches, 10);
+  }
+}
+
+TEST(U2eMonotonicityTest, EmpiricalTablesAreNotDeclaredMonotone) {
+  reachability::EmpiricalModelConfig config;
+  config.region = geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
+  config.num_samples = 2000;
+  stats::Rng rng(5);
+  auto built = reachability::EmpiricalModel::Build(config, kParams, rng);
+  ASSERT_TRUE(built.ok());
+  EXPECT_FALSE(built->U2eMonotone());
+}
+
+// -------------------------------------------------------------- lattice
+
+TEST(U2eBoundLatticeTest, BoundsHoldAndFillLazily) {
+  const AnalyticalModel model(kParams);
+  const double margin = reachability::KernelOptions{}.threshold_margin;
+  U2eBoundLattice lattice(&model, margin);
+  EXPECT_EQ(lattice.nodes_filled(), 0);
+
+  // d = 0 and lattice nodes exactly: the corner is the point itself.
+  EXPECT_EQ(lattice.UpperBound(0.0, 1000.0),
+            model.ProbReachable(Stage::kU2E, 0.0, 1000.0) + margin);
+  EXPECT_EQ(lattice.nodes_filled(), 1);
+  EXPECT_EQ(lattice.UpperBound(0.0, 1000.0),
+            model.ProbReachable(Stage::kU2E, 0.0, 1000.0) + margin);
+  EXPECT_EQ(lattice.nodes_filled(), 1);  // Memoized.
+  EXPECT_EQ(lattice.UpperBound(2500.0, 2000.0),
+            model.ProbReachable(Stage::kU2E, 2500.0, 2000.0) + margin);
+
+  // Off-node points bound from the corner below d and above r.
+  stats::Rng rng(3);
+  for (int k = 0; k < 2000; ++k) {
+    const double d = rng.UniformDouble(0.0, U2eBoundLattice::kMaxDistanceM);
+    const double r = rng.UniformDouble(1.0, U2eBoundLattice::kMaxRadiusM);
+    ASSERT_GE(lattice.UpperBound(d, r), model.ProbReachable(Stage::kU2E, d, r))
+        << "d=" << d << " r=" << r;
+  }
+  // The last nodes of both axes are inside the lattice.
+  EXPECT_LT(lattice.UpperBound(U2eBoundLattice::kMaxDistanceM,
+                               U2eBoundLattice::kMaxRadiusM),
+            1.0);
+}
+
+TEST(U2eBoundLatticeTest, OutsideTheLatticeTheBoundIsTrivial) {
+  const AnalyticalModel model(kParams);
+  U2eBoundLattice lattice(&model, 1e-9);
+  const double past_d = std::nextafter(U2eBoundLattice::kMaxDistanceM, kInf);
+  const double past_r = std::nextafter(U2eBoundLattice::kMaxRadiusM, kInf);
+  for (const auto& [d, r] : std::vector<std::pair<double, double>>{
+           {past_d, 1000.0}, {1e6, 1000.0}, {kInf, 1000.0},
+           {kNaN, 1000.0}, {-1.0, 1000.0}, {100.0, kNaN},
+           {100.0, 0.0}, {100.0, -5.0}, {100.0, past_r},
+           {100.0, kInf}}) {
+    EXPECT_EQ(lattice.UpperBound(d, r), 1.0) << "d=" << d << " r=" << r;
+  }
+  EXPECT_EQ(lattice.nodes_filled(), 0);
+}
+
+// ------------------------------------------------ stage-level identity
+
+// A hand-built snapshot: every worker is a candidate of a task at `task`.
+struct Snapshot {
+  reachability::WorkerFilterSoA soa;
+  std::vector<uint32_t> candidates;
+
+  void Add(geo::Point noisy, double radius) {
+    const size_t i = soa.size();
+    soa.Resize(i + 1);
+    soa.x[i] = noisy.x;
+    soa.y[i] = noisy.y;
+    soa.reach_radius_m[i] = radius;
+    candidates.push_back(static_cast<uint32_t>(i));
+  }
+};
+
+using Ranked = std::vector<std::pair<double, size_t>>;
+
+Ranked Drain(assign::U2eRankCursor& cursor) {
+  Ranked out;
+  for (assign::U2eRankCursor::Entry e; cursor.Next(e);) out.push_back(e);
+  return out;
+}
+
+// Rank and a drained Open agree entry for entry, bit for bit.
+void ExpectCursorMatchesRank(const ReachabilityModel* model,
+                             RankStrategy rank, const Snapshot& snap,
+                             geo::Point task, const double* random_rank) {
+  assign::U2eRankStage eager({.model = model, .rank = rank, .kernel = {}});
+  assign::U2eRankStage lazy({.model = model, .rank = rank, .kernel = {}});
+  Ranked want;
+  eager.Rank(snap.soa, snap.candidates, task, random_rank, want);
+  const Ranked got =
+      Drain(lazy.Open(snap.soa, snap.candidates, task, random_rank));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].second, want[k].second) << "entry " << k;
+    EXPECT_EQ(std::memcmp(&got[k].first, &want[k].first, sizeof(double)), 0)
+        << "entry " << k;
+  }
+}
+
+TEST(U2eRankCursorTest, AllTiesBreakByIdAsEagerRanking) {
+  // Binary scores are 0 or 1: forty workers tie at 1 and forty at 0, with
+  // ids interleaved so only the tie-break orders them.
+  const BinaryModel binary;
+  Snapshot snap;
+  stats::Rng rng(11);
+  for (int k = 0; k < 80; ++k) {
+    const double d = k % 2 == 0 ? rng.UniformDouble(0.0, 900.0)
+                                : rng.UniformDouble(1100.0, 5000.0);
+    snap.Add({d, 0.0}, 1000.0);
+  }
+  ExpectCursorMatchesRank(&binary, RankStrategy::kProbability, snap, {0, 0},
+                          nullptr);
+  // Nearest and random with ties too: equal distances, equal priorities.
+  Snapshot ring;
+  std::vector<double> priority;
+  for (int k = 0; k < 60; ++k) {
+    ring.Add({k % 3 == 0 ? 300.0 : -300.0, 0.0}, 1000.0);
+    priority.push_back(k % 4 == 0 ? 0.5 : 0.25);
+  }
+  ExpectCursorMatchesRank(&binary, RankStrategy::kNearest, ring, {0, 0},
+                          nullptr);
+  ExpectCursorMatchesRank(&binary, RankStrategy::kRandom, ring, {0, 0},
+                          priority.data());
+}
+
+TEST(U2eRankCursorTest, LatticeEdgesRankAsEagerRanking) {
+  const AnalyticalModel model(kParams);
+  Snapshot snap;
+  const geo::Point task{1000.0, -2000.0};
+  const double past = U2eBoundLattice::kMaxDistanceM + 3000.0;
+  // d = 0 (several, tied), exactly on distance nodes, past the last node,
+  // and radii on a node, tiny, past the last node.
+  for (const double r : {1000.0, 1.0, 2500.0, U2eBoundLattice::kMaxRadiusM,
+                         U2eBoundLattice::kMaxRadiusM + 1000.0}) {
+    snap.Add(task, r);
+    snap.Add({task.x + 25.0, task.y}, r);
+    snap.Add({task.x, task.y + 1250.0}, r);
+    snap.Add({task.x + past, task.y}, r);
+    snap.Add({task.x - 3.0, task.y + 4.0}, r);
+  }
+  stats::Rng rng(17);
+  for (int k = 0; k < 400; ++k) {
+    snap.Add({task.x + rng.UniformDouble(-8000.0, 8000.0),
+              task.y + rng.UniformDouble(-8000.0, 8000.0)},
+             rng.UniformDouble(1000.0, 3000.0));
+  }
+  ExpectCursorMatchesRank(&model, RankStrategy::kProbability, snap, task,
+                          nullptr);
+  // A radius of 0 scores 0 everywhere and still ranks by id.
+  Snapshot zero;
+  for (int k = 0; k < 20; ++k) zero.Add({task.x + 10.0 * k, task.y}, 0.0);
+  ExpectCursorMatchesRank(&model, RankStrategy::kProbability, zero, task,
+                          nullptr);
+}
+
+TEST(U2eRankCursorTest, NaNRadiusGetsTheTrivialBound) {
+  // The binary step scores a NaN radius 0 (d <= NaN is false); its bound
+  // is 1.0, so the cursor must score it rather than trust the lattice.
+  const BinaryModel binary;
+  Snapshot snap;
+  for (int k = 0; k < 30; ++k) {
+    snap.Add({50.0 * k, 0.0}, k % 3 == 0 ? kNaN : 700.0);
+  }
+  ExpectCursorMatchesRank(&binary, RankStrategy::kProbability, snap, {0, 0},
+                          nullptr);
+}
+
+TEST(U2eRankCursorTest, ScoresFewCandidatesAndLeavesTheRestForDismissals) {
+  const AnalyticalModel model(kParams);
+  Snapshot snap;
+  stats::Rng rng(23);
+  for (int k = 0; k < 5000; ++k) {
+    snap.Add({rng.UniformDouble(-6000.0, 6000.0),
+              rng.UniformDouble(-6000.0, 6000.0)},
+             rng.UniformDouble(1000.0, 3000.0));
+  }
+  assign::U2eRankStage eager({.model = &model, .kernel = {}});
+  assign::U2eRankStage lazy({.model = &model, .kernel = {}});
+  Ranked want;
+  eager.Rank(snap.soa, snap.candidates, {0, 0}, nullptr, want);
+  assign::U2eRankCursor& cursor =
+      lazy.Open(snap.soa, snap.candidates, {0, 0}, nullptr);
+  for (size_t k = 0; k < 3; ++k) {
+    assign::U2eRankCursor::Entry e;
+    ASSERT_TRUE(cursor.Next(e));
+    EXPECT_EQ(e, want[k]);
+  }
+  EXPECT_LT(lazy.exact_evals(), 100);
+  EXPECT_EQ(eager.exact_evals(), 5000);
+  // The entries never emitted are exactly the tail of the eager ranking.
+  std::vector<size_t> rest;
+  cursor.ForEachRemaining([&](size_t id) { rest.push_back(id); });
+  std::sort(rest.begin(), rest.end());
+  std::vector<size_t> tail;
+  for (size_t k = 3; k < want.size(); ++k) tail.push_back(want[k].second);
+  std::sort(tail.begin(), tail.end());
+  EXPECT_EQ(rest, tail);
+}
+
+// A beta cancel consumes its tripping entry without contacting it: on an
+// unassigned task that entry and every one never emitted are dismissed.
+TEST(U2eRankCursorTest, CancelledTaskDismissesTrippedAndUnemitted) {
+  const AnalyticalModel model(kParams);
+  Snapshot snap;
+  for (int k = 0; k < 12; ++k) snap.Add({300.0 * k, 0.0}, 1000.0);
+  const assign::E2eContactStage e2e({.rank = RankStrategy::kProbability,
+                                     .beta = 0.99,
+                                     .beta_mode = BetaMode::kEveryContact,
+                                     .redundancy_k = 1});
+  const auto offer = [](size_t) { return true; };
+  const auto reachable = [](size_t) { return true; };
+  assign::U2eRankStage u2e({.model = &model, .kernel = {}});
+  Ranked ranked;
+  u2e.Rank(snap.soa, snap.candidates, {0, 0}, nullptr, ranked);
+  ASSERT_LT(ranked.front().first, 0.99);  // The first entry trips beta.
+  assign::RunMetrics by_vector;
+  const auto vector_outcome =
+      e2e.Run(ranked, offer, reachable, by_vector, obs::kAuditNoTask,
+              assign::UnknownAdmitFilter{});
+  assign::RunMetrics by_cursor;
+  const auto cursor_outcome =
+      e2e.Run(u2e.Open(snap.soa, snap.candidates, {0, 0}, nullptr), offer,
+              reachable, by_cursor, obs::kAuditNoTask,
+              assign::UnknownAdmitFilter{});
+  for (const auto& [o, m] : {std::pair{vector_outcome, by_vector},
+                             std::pair{cursor_outcome, by_cursor}}) {
+    EXPECT_TRUE(o.cancelled);
+    EXPECT_EQ(o.next, 1u);
+    EXPECT_EQ(o.disclosures, 0);
+    EXPECT_EQ(m.false_dismissals, 12);
+    EXPECT_EQ(m.assigned_tasks, 0);
+  }
+}
+
+// ----------------------------------------------- engine-level identity
+
+// The pipeline body with eager Rank and the vector Run: the reference the
+// cursor-driven engine must reproduce bit for bit.
+assign::MatchResult RunEagerReference(const assign::EnginePolicy& policy,
+                                   const assign::Workload& workload,
+                                   stats::Rng& rng) {
+  assign::MatchResult result;
+  assign::RunMetrics& m = result.metrics;
+  assign::U2uCandidateStage::Config u2u_config;
+  u2u_config.model = policy.u2u_model;
+  u2u_config.alpha = policy.alpha;
+  u2u_config.kernel = policy.kernel;
+  assign::U2uCandidateStage u2u(std::move(u2u_config));
+  std::vector<double> random_rank;
+  for (const assign::Worker& w : workload.workers) {
+    random_rank.push_back(rng.UniformDouble());
+    u2u.AddWorker(w.noisy_location, w.reach_radius_m);
+  }
+  u2u.Prepare();
+  assign::U2eRankStage u2e({.model = policy.u2e_model, .rank = policy.rank,
+                            .kernel = policy.kernel});
+  const assign::E2eContactStage e2e(
+      {.rank = policy.rank, .beta = policy.beta,
+       .beta_mode = policy.beta_mode, .redundancy_k = policy.redundancy_k});
+  Ranked ranked;
+  for (const assign::Task& task : workload.tasks) {
+    m.num_tasks += 1;
+    int64_t truly_reachable_available = 0;
+    for (size_t i = 0; i < workload.workers.size(); ++i) {
+      if (!u2u.is_matched(static_cast<uint32_t>(i)) &&
+          workload.workers[i].CanReach(task.location)) {
+        ++truly_reachable_available;
+      }
+    }
+    const std::vector<uint32_t>& candidates = u2u.Collect(task.noisy_location);
+    m.candidates_sum += static_cast<int64_t>(candidates.size());
+    m.server_to_requester_msgs += 1;
+    int64_t candidates_reachable = 0;
+    for (const uint32_t i : candidates) {
+      if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
+    }
+    const auto candidate_count = static_cast<int64_t>(candidates.size());
+    if (!candidates.empty()) {
+      u2e.Rank(u2u.soa(), candidates, task.location, random_rank.data(),
+               ranked);
+      e2e.Run(
+          ranked,
+          [&](size_t i) {
+            const assign::Worker& w = workload.workers[i];
+            if (!w.CanReach(task.location)) return false;
+            u2u.MarkMatched(static_cast<uint32_t>(i));
+            const double travel = geo::Distance(w.location, task.location);
+            result.assignments.push_back({task.id, w.id, travel});
+            m.accepted_assignments += 1;
+            m.travel_sum_m += travel;
+            return true;
+          },
+          [&](size_t i) { return workload.workers[i].CanReach(task.location); },
+          m);
+    }
+    m.AddCandidateAccuracy(candidates_reachable, candidate_count,
+                           truly_reachable_available);
+  }
+  m.num_workers = static_cast<int64_t>(workload.workers.size());
+  return result;
+}
+
+class CursorEngineTest : public ::testing::TestWithParam<int> {
+ protected:
+  static void SetUpTestSuite() {
+    workload_ = new assign::Workload(fixtures::NoisyWorkload(5000, 40, 31));
+    binary_ = new BinaryModel();
+    analytical_ = new AnalyticalModel(kParams);
+    reachability::EmpiricalModelConfig config;
+    config.region = workload_->region;
+    config.num_samples = 20000;
+    stats::Rng rng(9);
+    auto built = reachability::EmpiricalModel::Build(config, kParams, rng);
+    ASSERT_TRUE(built.ok());
+    empirical_ = new reachability::EmpiricalModel(std::move(*built));
+  }
+
+  static void TearDownTestSuite() {
+    delete empirical_;
+    delete analytical_;
+    delete binary_;
+    delete workload_;
+  }
+
+  static const ReachabilityModel* Model(int which) {
+    switch (which) {
+      case 0:
+        return binary_;
+      case 1:
+        return analytical_;
+      default:
+        return empirical_;
+    }
+  }
+
+  static assign::EnginePolicy Policy(const ReachabilityModel* model) {
+    assign::EnginePolicy policy;
+    policy.u2u_model = model;
+    policy.u2e_model = model;
+    policy.alpha = 0.1;
+    policy.worker_params = kParams;
+    policy.task_params = kParams;
+    return policy;
+  }
+
+  static const assign::Workload* workload_;
+  static const BinaryModel* binary_;
+  static const AnalyticalModel* analytical_;
+  static const reachability::EmpiricalModel* empirical_;
+};
+
+const assign::Workload* CursorEngineTest::workload_ = nullptr;
+const BinaryModel* CursorEngineTest::binary_ = nullptr;
+const AnalyticalModel* CursorEngineTest::analytical_ = nullptr;
+const reachability::EmpiricalModel* CursorEngineTest::empirical_ = nullptr;
+
+TEST_P(CursorEngineTest, EngineMatchesEagerReference) {
+  const ReachabilityModel* model = Model(GetParam());
+  for (const RankStrategy rank :
+       {RankStrategy::kProbability, RankStrategy::kRandom,
+        RankStrategy::kNearest}) {
+    for (const double beta : {0.0, 0.25, 0.9}) {
+      for (const BetaMode mode :
+           {BetaMode::kEveryContact, BetaMode::kFirstContactOnly}) {
+        for (const int k : {1, 3}) {
+          const std::string label =
+              std::string(model->name()) + "/" +
+              std::string(assign::RankStrategyName(rank)) +
+              "/beta=" + std::to_string(beta) +
+              (mode == BetaMode::kEveryContact ? "/every" : "/first") +
+              "/k=" + std::to_string(k);
+          assign::EnginePolicy policy = Policy(model);
+          policy.rank = rank;
+          policy.beta = beta;
+          policy.beta_mode = mode;
+          policy.redundancy_k = k;
+          stats::Rng engine_rng(77);
+          const assign::MatchResult engine =
+              assign::ScGuardEngine(policy).Run(*workload_, engine_rng);
+          stats::Rng reference_rng(77);
+          const assign::MatchResult reference =
+              RunEagerReference(policy, *workload_, reference_rng);
+          fixtures::ExpectBitIdentical(engine, reference, label,
+                                       fixtures::Compare::kOutcome);
+          EXPECT_EQ(engine_rng(), reference_rng()) << label;
+          if (rank == RankStrategy::kProbability && beta == 0.25) {
+            EXPECT_GT(engine.metrics.assigned_tasks, 0) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+std::string ModelName(const ::testing::TestParamInfo<int>& param) {
+  const char* names[] = {"Binary", "Analytical", "Empirical"};
+  return names[param.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, CursorEngineTest, ::testing::Values(0, 1, 2),
+                         ModelName);
+
+// scguard.engine.u2e_evals counts exact model evaluations: the lattice
+// prunes the analytical model's, the empirical model is scored in full.
+TEST_F(CursorEngineTest, U2eEvalsCounterShowsThePruning) {
+  obs::ObsConfig on;
+  on.enabled = true;
+  obs::SetConfig(on);
+  obs::Counter* evals =
+      obs::MetricsRegistry::Global().GetCounter("scguard.engine.u2e_evals");
+  obs::Counter* candidates =
+      obs::MetricsRegistry::Global().GetCounter("scguard.engine.candidates");
+  for (const ReachabilityModel* model : {Model(1), Model(2)}) {
+    SCOPED_TRACE(std::string(model->name()));
+    const int64_t evals_before = evals->Value();
+    const int64_t candidates_before = candidates->Value();
+    assign::EnginePolicy policy = Policy(model);
+    policy.beta = 0.25;
+    stats::Rng rng(77);
+    const assign::MatchResult run =
+        assign::ScGuardEngine(policy).Run(*workload_, rng);
+    const int64_t u2e_evals = evals->Value() - evals_before;
+    EXPECT_EQ(candidates->Value() - candidates_before,
+              run.metrics.candidates_sum);
+    ASSERT_GT(run.metrics.candidates_sum, 0);
+    if (model == Model(1)) {
+      EXPECT_GT(u2e_evals, 0);
+      EXPECT_LT(u2e_evals, run.metrics.candidates_sum);
+    } else {
+      EXPECT_EQ(u2e_evals, run.metrics.candidates_sum);
+    }
+  }
+  obs::SetConfig(obs::ObsConfig{});
+}
+
+}  // namespace
+}  // namespace scguard
