@@ -6,6 +6,7 @@
 
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "bench/bench_common.h"
 #include "data/beijing.h"
@@ -364,6 +365,42 @@ void BM_U2UFilterThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_U2UFilterThreshold)->Arg(5000);
 
+// U2U setup: AddWorker x 200k + Prepare (certain bands, grid bulk load,
+// cell-major mirror) with grid pruning at alpha = 0.1, on three radii (0)
+// vs distinct U[1000, 3000] m radii (1). The threshold cache bisects
+// lattice nodes, not radii, so both arms cost about the same; CI gates
+// time(1) <= 2 x time(0). Items/s = workers set up.
+void BM_U2uPrepare(benchmark::State& state) {
+  const bool distinct = state.range(0) != 0;
+  const size_t n = 200000;
+  const geo::BoundingBox region = data::BeijingRegion();
+  stats::Rng rng(17);
+  std::vector<geo::Point> noisy(n);
+  std::vector<double> radius(n);
+  const double tiers[] = {1000.0, 2000.0, 3000.0};
+  for (size_t i = 0; i < n; ++i) {
+    noisy[i] = {rng.UniformDouble(region.min_x, region.max_x),
+                rng.UniformDouble(region.min_y, region.max_y)};
+    radius[i] = distinct ? rng.UniformDouble(1000.0, 3000.0) : tiers[i % 3];
+  }
+  const reachability::AnalyticalModel model(kParams);
+  assign::U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  config.pruning = assign::U2uCandidateStage::Pruning{
+      0.9, index::PrunerBackend::kGrid, kParams, kParams, region};
+  for (auto _ : state) {
+    assign::U2uCandidateStage stage(config);
+    stage.ReserveWorkers(n);
+    for (size_t i = 0; i < n; ++i) stage.AddWorker(noisy[i], radius[i]);
+    stage.Prepare();
+    benchmark::DoNotOptimize(stage.threshold_nodes());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetLabel(distinct ? "distinct radii" : "3 radii");
+}
+BENCHMARK(BM_U2uPrepare)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // ---- Cell-major mirror kernels (DESIGN.md section 13) ----------------
 // The same certain-band trichotomy over the same workers, as the pruned
 // path's scattered gather (indices into a large SoA, one cache line per
@@ -528,8 +565,27 @@ void BM_U2eRank(benchmark::State& state) {
 }
 BENCHMARK(BM_U2eRank)->Arg(0)->Arg(1);
 
-// End-to-end engine throughput, kernel off (0) vs on (1). Output is
-// bit-identical across the arms (tests/kernel_test.cc); only speed moves.
+/// The direct-evaluation reference of the U2U filter (the tests' fixture
+/// of the same name): forwards ProbReachable and declares no monotonicity,
+/// so the stage gives it no certain regions and evaluates every scanned
+/// worker directly.
+class DirectEvalModel final : public reachability::ReachabilityModel {
+ public:
+  explicit DirectEvalModel(const reachability::ReachabilityModel* inner)
+      : inner_(inner) {}
+  double ProbReachable(reachability::Stage stage, double observed_distance_m,
+                       double reach_radius_m) const override {
+    return inner_->ProbReachable(stage, observed_distance_m, reach_radius_m);
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+ private:
+  const reachability::ReachabilityModel* inner_;
+};
+
+// End-to-end engine throughput, direct-evaluation U2U filter (0) vs the
+// certain-band kernel (1). Output is bit-identical across the arms
+// (tests/kernel_test.cc); only speed moves.
 void BM_ScGuardEngineKernel(benchmark::State& state) {
   data::WorkloadConfig config;
   config.num_workers = 500;
@@ -539,20 +595,22 @@ void BM_ScGuardEngineKernel(benchmark::State& state) {
       data::MakeUniformWorkload(data::BeijingRegion(), config, rng);
   data::PerturbWorkload(kParams, kParams, rng, workload);
   const reachability::AnalyticalModel model(kParams);
+  const DirectEvalModel direct(&model);
+  const bool kernel = state.range(0) != 0;
   assign::EnginePolicy policy;
   policy.u2u_model = &model;
+  if (!kernel) policy.u2u_model = &direct;
   policy.u2e_model = &model;
   policy.worker_params = kParams;
   policy.task_params = kParams;
   policy.compute_accuracy_metrics = false;
-  policy.kernel.alpha_thresholds = state.range(0) != 0;
   assign::ScGuardEngine engine(policy);
   for (auto _ : state) {
     stats::Rng run_rng(12);
     benchmark::DoNotOptimize(engine.Run(workload, run_rng));
   }
   state.SetItemsProcessed(state.iterations() * config.num_tasks);
-  state.SetLabel(policy.kernel.alpha_thresholds ? "kernel=on" : "kernel=off");
+  state.SetLabel(kernel ? "kernel=on" : "kernel=off");
 }
 BENCHMARK(BM_ScGuardEngineKernel)->Arg(0)->Arg(1);
 

@@ -31,12 +31,11 @@ MatchResult BatchMatcher::Run(const Workload& workload, stats::Rng& /*rng*/) {
 
   std::vector<bool> matched(workload.workers.size(), false);
 
-  // Run-local U2U stage (one threshold bisection per distinct reach radius)
-  // keeps Run safe to call concurrently on a shared matcher. The batch
-  // matcher scores full bipartite feasibility, so it uses the stage's
-  // scalar Decide — the same certain-band contract as the engine scan,
-  // prewarmed here so the cost-matrix loop mostly resolves on a
-  // squared-distance compare with no sqrt and no hash lookup.
+  // Run-local U2U stage keeps Run safe to call concurrently on a shared
+  // matcher. The batch matcher scores full bipartite feasibility, so it
+  // uses the stage's scalar Decide — the same certain-band contract as the
+  // engine scan, filled here so the cost-matrix loop mostly resolves on a
+  // squared-distance compare with no sqrt.
   U2uCandidateStage::Config u2u_config;
   u2u_config.model = model_;
   u2u_config.alpha = alpha_;

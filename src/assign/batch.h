@@ -23,8 +23,8 @@ class BatchMatcher final : public OnlineMatcher {
   /// `model` scores pair reachability from noisy data (not owned; must
   /// outlive the matcher); pairs below `alpha` are infeasible. A
   /// batch_size of 1 degenerates to a nearest-feasible online rule.
-  /// `kernel.alpha_thresholds` replaces the per-pair model evaluation
-  /// with an exact threshold compare (same decisions, see kernel.h).
+  /// Feasibility is decided through U2uCandidateStage::Decide (exact; see
+  /// kernel.h for the certain bands and `kernel.threshold_margin`).
   BatchMatcher(const reachability::ReachabilityModel* model, double alpha,
                int batch_size, reachability::KernelOptions kernel = {});
 

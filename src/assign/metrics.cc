@@ -34,6 +34,7 @@ void RunMetrics::Accumulate(const RunMetrics& other) {
   requester_to_worker_msgs += other.requester_to_worker_msgs;
   u2u_seconds += other.u2u_seconds;
   u2e_seconds += other.u2e_seconds;
+  setup_seconds += other.setup_seconds;
   total_seconds += other.total_seconds;
   u2u_scanned += other.u2u_scanned;
   cells_bulk_accepted += other.cells_bulk_accepted;

@@ -50,6 +50,10 @@ struct RunMetrics {
   double u2u_seconds = 0.0;
   /// Wall-clock spent in the requester-side U2E ranking (paper Fig. 10e).
   double u2e_seconds = 0.0;
+  /// Wall-clock of setup: worker registration plus the U2U stage's
+  /// Prepare (certain bands, pruning index, mirror). Part of total_seconds
+  /// for an engine run.
+  double setup_seconds = 0.0;
   /// Wall-clock of the whole run.
   double total_seconds = 0.0;
 

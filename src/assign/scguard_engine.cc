@@ -23,6 +23,13 @@ MatchResult ScGuardEngine::Run(const Workload& workload, stats::Rng& rng) {
   pipeline.ReserveWorkers(workload.workers.size());
   for (const Worker& w : workload.workers) pipeline.AddWorker(w, rng);
   pipeline.Prepare();
+  {
+    static const obs::SpanSite kSetupSite("assign.setup");
+    const auto setup_end = std::chrono::steady_clock::now();
+    m.setup_seconds =
+        std::chrono::duration<double>(setup_end - run_start).count();
+    obs::RecordSpan(kSetupSite, run_start, setup_end);
+  }
   const U2uCandidateStage& u2u = pipeline.u2u();
 
   for (const Task& task : workload.tasks) {

@@ -12,9 +12,9 @@
 namespace scguard::assign {
 
 U2uCandidateStage::U2uCandidateStage(Config config)
-    : config_(std::move(config)) {
-  SCGUARD_CHECK(config_.model != nullptr);
-  SCGUARD_CHECK(config_.alpha > 0.0 && config_.alpha <= 1.0);
+    : config_(std::move(config)),
+      thresholds_(config_.model, reachability::Stage::kU2U, config_.alpha,
+                  config_.kernel.threshold_margin) {
   SCGUARD_CHECK(config_.runtime.shard_size >= 1);
 }
 
@@ -48,7 +48,7 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.x[worker] = noisy_location.x;
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
-  // so the threshold prewarm stays valid. A pruning index anchors its
+  // so the worker's bands stay valid. A pruning index anchors its
   // rectangle at the old location: the grid and linear backends relocate
   // the entry in place (O(cell) with the mirror kept in sync through the
   // slice listener — the mutation the service loop amortizes, DESIGN.md
@@ -119,22 +119,16 @@ void U2uCandidateStage::Prepare() {
   const bool pruner_ready = !config_.pruning.has_value() || pruner_ != nullptr;
   if (prepared_ && warm_ == n && pruner_ready) return;
 
-  // Threshold prewarm: filling accept/reject_sq also memoizes the cache for
-  // every worker radius, which the parallel band resolution relies on
-  // (AlphaThresholdCache::Lookup is the read-only path).
-  if (config_.kernel.alpha_thresholds) {
-    if (!thresholds_.has_value()) {
-      thresholds_.emplace(config_.model, reachability::Stage::kU2U,
-                          config_.alpha, config_.kernel.threshold_margin);
-    }
-    soa_.accept_below_sq.resize(n);
-    soa_.reject_above_sq.resize(n);
-    for (size_t i = warm_; i < n; ++i) {
-      const reachability::AlphaThreshold& t =
-          thresholds_->For(soa_.reach_radius_m[i]);
-      soa_.accept_below_sq[i] = t.accept_below_sq;
-      soa_.reject_above_sq[i] = t.reject_above_sq;
-    }
+  // Per-worker certain bands: O(1) per worker (two lattice-node reads for
+  // a bisected model), so only workers registered since the last Prepare
+  // pay anything.
+  soa_.accept_below_sq.resize(n);
+  soa_.reject_above_sq.resize(n);
+  for (size_t i = warm_; i < n; ++i) {
+    const reachability::AlphaThreshold t =
+        thresholds_.For(soa_.reach_radius_m[i]);
+    soa_.accept_below_sq[i] = t.accept_below_sq;
+    soa_.reject_above_sq[i] = t.reject_above_sq;
   }
 
   if (config_.pruning.has_value()) {
@@ -161,11 +155,11 @@ void U2uCandidateStage::Prepare() {
     // reads.
     const auto shard_size = static_cast<size_t>(config_.runtime.shard_size);
     shards_.resize(n > 0 ? (n + shard_size - 1) / shard_size : 0);
-    // The mirror attaches after the threshold prewarm above (it copies the
-    // per-worker certain bands) and after the grid is final for this
+    // The mirror attaches after the certain bands above are filled (it
+    // copies them per worker) and after the grid is final for this
     // Prepare. A pruner rebuilt since the last attach has a fresh grid, so
     // re-attach whenever the association is gone (ForgetGrid cleared it).
-    if (UseMirror() && mirror_.grid() != pruner_->grid()) {
+    if (pruner_->grid() != nullptr && mirror_.grid() != pruner_->grid()) {
       mirror_.Attach(pruner_->grid(), &soa_);
     }
   } else if (warm_ == 0) {
@@ -192,24 +186,14 @@ void U2uCandidateStage::ResolveBand(geo::Point task_noisy,
                                     ShardScratch& sc) const {
   size_t kept = 0;
   for (const uint32_t i : sc.band) {
-    const reachability::AlphaThreshold* t =
-        thresholds_->Lookup(soa_.reach_radius_m[i]);
-    SCGUARD_CHECK(t != nullptr);
     const double d = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-    bool is_candidate;
-    if (d <= t->accept_below_m) {
-      is_candidate = true;
-    } else if (d >= t->reject_above_m) {
-      is_candidate = false;
-    } else {
-      ++sc.band_evals;
-      is_candidate = config_.model->ProbReachable(
-                         reachability::Stage::kU2U, d,
-                         soa_.reach_radius_m[i]) >= config_.alpha;
-    }
+    const bool is_candidate =
+        config_.model->ProbReachable(reachability::Stage::kU2U, d,
+                                     soa_.reach_radius_m[i]) >= config_.alpha;
     sc.band[kept] = i;
     kept += is_candidate ? 1 : 0;
   }
+  sc.band_evals += static_cast<int64_t>(sc.band.size());
   sc.band.resize(kept);
 }
 
@@ -217,33 +201,16 @@ void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
                                     size_t count, ShardScratch& sc) const {
   sc.out.clear();
   sc.scanned = static_cast<int64_t>(count);
-  if (thresholds_.has_value()) {
-    // Branch-free trichotomy over the contiguous SoA arrays, then one
-    // direct evaluation per in-band worker — the same decision as
-    // AlphaThresholdCache::IsCandidate, inlined so the shared cache is
-    // never mutated from a pool worker.
-    reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
-                                      task_noisy.y, sc.accept, sc.band);
-    ResolveBand(task_noisy, sc);
-    // Both lists are ascending subsets of the input, so one merge restores
-    // the serial scan's candidate order.
-    sc.out.resize(sc.accept.size() + sc.band.size());
-    std::merge(sc.accept.begin(), sc.accept.end(), sc.band.begin(),
-               sc.band.end(), sc.out.begin());
-  } else {
-    for (size_t k = 0; k < count; ++k) {
-      const uint32_t i = idx[k];
-      const double d_obs = geo::Distance({soa_.x[i], soa_.y[i]}, task_noisy);
-      const double p = config_.model->ProbReachable(
-          reachability::Stage::kU2U, d_obs, soa_.reach_radius_m[i]);
-      if (p >= config_.alpha) sc.out.push_back(i);
-    }
-  }
-}
-
-bool U2uCandidateStage::UseMirror() const {
-  return config_.kernel.alpha_thresholds && config_.pruning.has_value() &&
-         config_.pruning->backend == index::PrunerBackend::kGrid;
+  // Branch-free trichotomy over the contiguous SoA arrays, then one direct
+  // evaluation per in-band worker.
+  reachability::ClassifyCertainBand(soa_, idx, count, task_noisy.x,
+                                    task_noisy.y, sc.accept, sc.band);
+  ResolveBand(task_noisy, sc);
+  // Both lists are ascending subsets of the input, so one merge restores
+  // the serial scan's candidate order.
+  sc.out.resize(sc.accept.size() + sc.band.size());
+  std::merge(sc.accept.begin(), sc.accept.end(), sc.band.begin(),
+             sc.band.end(), sc.out.begin());
 }
 
 void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
@@ -383,7 +350,7 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
   stats_.scanned_last = 0;
   stats_.pruned_last = 0;
 
-  if (pruner_ != nullptr && UseMirror()) {
+  if (pruner_ != nullptr && pruner_->grid() != nullptr) {
     CollectMirror(task_noisy_location);
     return candidates_;
   }
@@ -479,19 +446,16 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
 bool U2uCandidateStage::Decide(uint32_t worker,
                                geo::Point task_noisy_location) {
   Prepare();
+  // The scan's trichotomy for one worker: certain regions first (no
+  // sqrt), one direct evaluation in the band.
   const geo::Point noisy{soa_.x[worker], soa_.y[worker]};
-  const double r = soa_.reach_radius_m[worker];
-  if (thresholds_.has_value()) {
-    const double d_sq = geo::SquaredDistance(noisy, task_noisy_location);
-    if (d_sq >= soa_.reject_above_sq[worker]) return false;  // No sqrt.
-    // Certain accept needs no eval; only the band pays IsCandidate.
-    return d_sq <= soa_.accept_below_sq[worker] ||
-           thresholds_->IsCandidate(geo::Distance(noisy, task_noisy_location),
-                                    r);
-  }
-  const double d_obs = geo::Distance(noisy, task_noisy_location);
-  return config_.model->ProbReachable(reachability::Stage::kU2U, d_obs, r) >=
-         config_.alpha;
+  const double d_sq = geo::SquaredDistance(noisy, task_noisy_location);
+  if (d_sq <= soa_.accept_below_sq[worker]) return true;
+  if (d_sq >= soa_.reject_above_sq[worker]) return false;
+  return config_.model->ProbReachable(
+             reachability::Stage::kU2U,
+             geo::Distance(noisy, task_noisy_location),
+             soa_.reach_radius_m[worker]) >= config_.alpha;
 }
 
 void U2uCandidateStage::MarkMatched(uint32_t worker) {

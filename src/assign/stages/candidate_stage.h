@@ -46,7 +46,7 @@ struct EngineRuntime {
 /// section 10): given noisy worker registrations, answers "which available
 /// workers are plausible candidates for this noisy task location?" with
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
-/// the WorkerFilterSoA snapshot, the inverted AlphaThresholdCache with its
+/// the WorkerFilterSoA snapshot, the AlphaThresholdCache behind its
 /// per-worker certain bands, the optional uncertainty-rectangle pruner, and
 /// the sharded active-set scan state — so every pipeline (ScGuardEngine,
 /// core::TaskingServer, sim/dynamic, BatchMatcher) shares one filter
@@ -75,8 +75,7 @@ class U2uCandidateStage {
     const reachability::ReachabilityModel* model = nullptr;
     /// U2U acceptance threshold, in (0, 1].
     double alpha = 0.1;
-    /// Kernel knobs; alpha_thresholds selects the inverted certain-band
-    /// filter (exact decisions; DESIGN.md section 8).
+    /// Kernel knobs: the certain-band margin (DESIGN.md section 8).
     reachability::KernelOptions kernel;
     /// Sharded-scan knobs (DESIGN.md section 9).
     EngineRuntime runtime;
@@ -121,10 +120,11 @@ class U2uCandidateStage {
   /// boundaries in multi-round simulations).
   void ResetAvailability();
 
-  /// Finishes lazy setup — threshold prewarm for every registered radius,
-  /// shard active lists, the pruning index — so the first Collect pays no
-  /// setup cost. Collect calls this itself; exposed so orchestrators can
-  /// keep setup out of their per-stage timings.
+  /// Finishes lazy setup — the certain bands of workers registered since
+  /// the last call (O(1) each), shard active lists, the pruning index — so
+  /// the first Collect pays no setup cost. Collect calls this itself;
+  /// exposed so orchestrators can keep setup out of their per-stage
+  /// timings.
   void Prepare();
 
   /// The U2U stage for one task: ascending indices of available workers
@@ -135,8 +135,8 @@ class U2uCandidateStage {
 
   /// Scalar membership test against one task location, ignoring
   /// availability (the batch matcher scores full bipartite feasibility).
-  /// Exactly `ProbReachable(kU2U, d, r) >= alpha`, via the certain-band
-  /// compare when the threshold kernel is on.
+  /// Exactly `ProbReachable(kU2U, d, r) >= alpha`: the certain-band
+  /// compare, plus one direct evaluation in the band.
   bool Decide(uint32_t worker, geo::Point task_noisy_location);
 
   /// Marks a worker assigned: it disappears from future Collect results.
@@ -167,6 +167,8 @@ class U2uCandidateStage {
   /// Direct in-band model evaluations, cumulative over the stage's life
   /// (summed across shard scratches; call once per run, not per task).
   int64_t band_evals() const;
+  /// Radius-lattice nodes the threshold cache inverted, cumulative.
+  int64_t threshold_nodes() const { return thresholds_.nodes_bisected(); }
   /// Active-set shard rebuilds, cumulative.
   int64_t compactions() const;
   /// The worker snapshot (noisy coordinates, radii, matched flags); the
@@ -193,22 +195,15 @@ class U2uCandidateStage {
   /// Scores `count` workers (an ascending index list with no matched
   /// entries) against the task's noisy location, appending the ascending
   /// candidate subset to `sc.out`. Safe to run concurrently on distinct
-  /// scratches: reads only the SoA, the prewarmed threshold cache, and the
-  /// (thread-safe, const) model.
+  /// scratches: reads only the SoA and the (thread-safe, const) model.
   void ScanIndices(geo::Point task_noisy, const uint32_t* idx, size_t count,
                    ShardScratch& sc) const;
 
-  /// Narrows `sc.band` to its in-band workers that pass a direct
-  /// evaluation (read-only on the prewarmed threshold cache).
+  /// Narrows `sc.band` to the in-band workers that pass a direct
+  /// evaluation.
   void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
 
-  /// True when Collect routes through the cell-major mirror: grid pruning
-  /// backend + alpha thresholds. The gather path handles everything else
-  /// (non-grid pruners never yield cell slices; without thresholds there
-  /// are no certain bands to mirror).
-  bool UseMirror() const;
-
-  /// The mirror Collect: certified cell walk, chunked range classification
+  /// The mirror Collect (grid backend): certified cell walk, chunked range classification
   /// over contiguous mirror slices, bitmap union back to ascending order.
   void CollectMirror(geo::Point task_noisy);
 
@@ -223,13 +218,13 @@ class U2uCandidateStage {
 
   Config config_;
   reachability::WorkerFilterSoA soa_;
-  std::optional<reachability::AlphaThresholdCache> thresholds_;
+  reachability::AlphaThresholdCache thresholds_;
   std::unique_ptr<index::UncertainRegionPruner> pruner_;
   /// Cell-major scoring mirror over the grid backend's member layout.
   /// Declared after pruner_ and detached (ForgetGrid) at every
   /// pruner_.reset() site, so it never holds a dangling grid pointer.
   CellScoreMirror mirror_;
-  /// Workers [0, warm_) have prewarmed thresholds and shard slots.
+  /// Workers [0, warm_) have certain bands and shard slots.
   size_t warm_ = 0;
   /// Set once Prepare ran; a later AddWorker/UpdateWorkerLocation drops a
   /// configured pruner so it is rebuilt over current data.

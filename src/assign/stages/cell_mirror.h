@@ -18,7 +18,7 @@ namespace scguard::assign {
 /// mirror in sync in O(cell) per mutation without re-reading the index.
 ///
 /// Contract with the stage:
-///  * Attach after the per-worker certain bands are prewarmed (the mirror
+///  * Attach after the per-worker certain bands are filled (the mirror
 ///    copies accept/reject_sq by worker id at build and insert time) and
 ///    after the grid is built.
 ///  * Call ForgetGrid() *before* the grid is destroyed (the stage does this

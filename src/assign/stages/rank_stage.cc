@@ -100,7 +100,7 @@ bool U2eRankCursor::Next(Entry& entry) {
 U2eRankStage::U2eRankStage(const Config& config) : config_(config) {
   if (config_.rank == RankStrategy::kProbability) {
     SCGUARD_CHECK(config_.model != nullptr);
-    if (config_.model->U2eMonotone()) {
+    if (config_.model->Monotone(reachability::Stage::kU2E)) {
       lattice_.emplace(config_.model, config_.kernel.threshold_margin);
     }
   }

@@ -133,7 +133,7 @@ class U2eRankCursor {
 /// deterministic tie-break. Two forms: the eager Rank scores every
 /// candidate through one ProbReachableBatch call and sorts; Open returns a
 /// U2eRankCursor that scores lazily behind certified lattice bounds
-/// (U2eBoundLattice) when the model declares U2eMonotone(), and in full
+/// (U2eBoundLattice) when the model declares Monotone(kU2E), and in full
 /// otherwise. Random and nearest-neighbor strategies score from a
 /// caller-supplied rank array / the observed distance.
 ///
@@ -222,7 +222,7 @@ class U2eRankStage {
   void AuditCandidates(int64_t audit_task_id, size_t count) const;
 
   Config config_;
-  /// Set for a kProbability stage whose model declares U2eMonotone().
+  /// Set for a kProbability stage whose model declares Monotone(kU2E).
   std::optional<reachability::U2eBoundLattice> lattice_;
   U2eRankCursor cursor_;
   int64_t batch_evals_ = 0;

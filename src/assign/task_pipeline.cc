@@ -140,14 +140,10 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   const auto can_reach = [&](size_t i) {
     return workers_[i].CanReach(task.location);
   };
-  // Audit attribution of each disclosure's admitting U2U filter: with the
-  // alpha-threshold kernel on, a candidate inside the certain-accept band
-  // was admitted without a model evaluation; everything else (the
-  // uncertain band, or the kernel-off scan) was a direct eval. The SoA
-  // bands are only filled when the kernel is on.
-  const bool has_bands = soa.accept_below_sq.size() == u2u_.size();
+  // Audit attribution of each disclosure's admitting U2U filter: a
+  // candidate inside the certain-accept band was admitted without a model
+  // evaluation; one from the uncertain band was a direct eval.
   const auto admit_filter = [&](size_t i) {
-    if (!has_bands) return obs::AuditFilter::kDirectEval;
     const double dx = soa.x[i] - task.noisy_location.x;
     const double dy = soa.y[i] - task.noisy_location.y;
     return dx * dx + dy * dy <= soa.accept_below_sq[i]
@@ -204,6 +200,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"false_hits", m.false_hits},
       {"false_dismissals", m.false_dismissals},
       {"u2u_band_evals", u2u_.band_evals()},
+      {"u2u_threshold_nodes", u2u_.threshold_nodes()},
       {"active_compactions", u2u_.compactions()},
       {"cells_bulk_accepted", m.cells_bulk_accepted},
       {"cells_skipped", m.cells_skipped},

@@ -69,9 +69,8 @@ struct ProtocolPolicy {
   privacy::PrivacyParams worker_params;
   privacy::PrivacyParams task_params;
 
-  /// Evaluation-kernel knobs (DESIGN.md section 8). Defaults keep the
-  /// exact threshold-inversion U2U filter on (bit-identical assignments,
-  /// verified by tests/kernel_test.cc).
+  /// Evaluation-kernel knobs (DESIGN.md section 8): the margin of the
+  /// exact U2U certain bands and U2E lattice bounds.
   reachability::KernelOptions kernel;
 
   /// Parallel-scan knobs (DESIGN.md section 9). Defaults keep the scan
@@ -119,7 +118,7 @@ class TaskPipeline {
   /// one draw per registration, in registration order.
   uint32_t AddWorker(const Worker& w, stats::Rng& rank_rng);
 
-  /// Threshold prewarm, pruning-index build and shard setup, so the first
+  /// Certain-band fill, pruning-index build and shard setup, so the first
   /// task's U2U timing measures only the scan.
   void Prepare();
 

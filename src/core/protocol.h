@@ -115,9 +115,8 @@ class RequesterDevice {
 /// the message framing lives here, the filter itself is the shared stage.
 class TaskingServer {
  public:
-  /// `alpha` is the U2U threshold applied to `model` probabilities.
-  /// `kernel.alpha_thresholds` answers the filter via the inverted
-  /// critical-distance compare (exact decisions, see kernel.h).
+  /// `alpha` is the U2U threshold applied to `model` probabilities,
+  /// decided exactly through the shared stage's certain bands (kernel.h).
   TaskingServer(const reachability::ReachabilityModel* model, double alpha,
                 reachability::KernelOptions kernel = {});
 

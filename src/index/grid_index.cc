@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -115,6 +116,83 @@ void GridIndex::Rebuild() {
   ys_.swap(new_ys);
   rs_.swap(new_rs);
   if (listener_ != nullptr) listener_->OnRebuild();
+}
+
+void GridIndex::BulkLoad(size_t n,
+                         const std::function<Entry(size_t)>& entry_at) {
+  SCGUARD_CHECK(ids_.empty() && live_ == 0);
+  // Counting pass: each entry's cell, and every cell's final member count.
+  std::vector<uint32_t> slot_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t slot = CellSlotFor(entry_at(i).center);
+    slot_of[i] = static_cast<uint32_t>(slot);
+    ++cells_ref_[slot].count;
+  }
+  // The layout Rebuild leaves; `count` restarts as each slice's fill
+  // cursor.
+  size_t total = 0;
+  for (CellRef& c : cells_ref_) {
+    c.begin = total;
+    c.cap = SliceCapacityFor(c.count);
+    c.count = 0;
+    total += c.cap;
+  }
+  ids_.resize(total);
+  xs_.resize(total);
+  ys_.resize(total);
+  rs_.resize(total);
+  cells_of_id_.reserve(n);
+  bool ascending = true;
+  for (size_t i = 0; i < n; ++i) {
+    const Entry e = entry_at(i);
+    SCGUARD_CHECK(e.expanded_radius_m >= 0.0 &&
+                  std::isfinite(e.expanded_radius_m));
+    const uint32_t slot = slot_of[i];
+    CellRef& c = cells_ref_[slot];
+    const size_t pos = c.begin + c.count;
+    if (c.count > 0 && e.id < ids_[pos - 1]) ascending = false;
+    ids_[pos] = e.id;
+    xs_[pos] = e.center.x;
+    ys_[pos] = e.center.y;
+    rs_[pos] = e.expanded_radius_m;
+    ++c.count;
+    aggs_[slot].Accumulate(e.center.x, e.center.y, e.expanded_radius_m);
+    cells_of_id_[e.id].push_back(slot);
+    max_radius_ = std::max(max_radius_, e.expanded_radius_m);
+    if (max_id_ < min_id_) {
+      min_id_ = max_id_ = e.id;
+    } else {
+      min_id_ = std::min(min_id_, e.id);
+      max_id_ = std::max(max_id_, e.id);
+    }
+  }
+  live_ = n;
+  if (!ascending) {
+    for (size_t slot = 0; slot < cells_ref_.size(); ++slot) SortSlice(slot);
+  }
+  if (listener_ != nullptr) listener_->OnRebuild();
+}
+
+void GridIndex::SortSlice(size_t slot) {
+  const CellRef& c = cells_ref_[slot];
+  const auto begin = ids_.begin() + static_cast<std::ptrdiff_t>(c.begin);
+  if (std::is_sorted(begin, begin + c.count)) return;
+  std::vector<size_t> order(c.count);
+  for (size_t k = 0; k < order.size(); ++k) order[k] = c.begin + k;
+  std::stable_sort(order.begin(), order.end(),
+                   [this](size_t a, size_t b) { return ids_[a] < ids_[b]; });
+  const auto permute = [&](auto& column) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    std::vector<T> sorted;
+    sorted.reserve(order.size());
+    for (const size_t pos : order) sorted.push_back(column[pos]);
+    std::copy(sorted.begin(), sorted.end(),
+              column.begin() + static_cast<std::ptrdiff_t>(c.begin));
+  };
+  permute(ids_);
+  permute(xs_);
+  permute(ys_);
+  permute(rs_);
 }
 
 void GridIndex::Insert(geo::Point center, double expanded_radius_m,

@@ -2,6 +2,7 @@
 #define SCGUARD_INDEX_GRID_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +83,25 @@ class GridIndex {
   /// `region` must be non-empty; `cells_per_axis` >= 1. Entries centered
   /// beyond the region are clamped to the border cells.
   GridIndex(const geo::BoundingBox& region, int cells_per_axis);
+
+  /// One entry of a bulk load: the triple Insert takes.
+  struct Entry {
+    geo::Point center;
+    double expanded_radius_m = 0.0;
+    int64_t id = 0;
+  };
+
+  /// Loads `n` entries into a freshly constructed index in one pass: a
+  /// counting pass assigns every entry its cell, slices are laid out as
+  /// Rebuild lays them out (row-major, SliceCapacityFor(count) headroom
+  /// each), and one fill pass writes the members, accumulates the per-cell
+  /// aggregates and records the id map (reserved for `n`). Ids end up
+  /// ascending within every cell whatever the input order, so queries,
+  /// certificates and later Remove / Relocate / Insert answer exactly as
+  /// after Inserting the same entries one by one — without that path's
+  /// O(n) Rebuild each time a cell fills. `entry_at(i)` is called twice
+  /// per entry and must return the same entry both times.
+  void BulkLoad(size_t n, const std::function<Entry(size_t)>& entry_at);
 
   /// Inserts a point entry: the rectangle it stands for is
   /// `BoundingBox::FromCircle(center, expanded_radius_m)`. Entries go into
@@ -230,6 +250,9 @@ class GridIndex {
   /// Re-lays the flat member arrays with fresh per-cell headroom
   /// (amortized: triggered only when a cell's slice is full). O(entries).
   void Rebuild();
+  /// Restores ascending id order inside cell `slot`'s slice (a stable sort
+  /// carrying x/y/r along); BulkLoad's fix-up for out-of-order input.
+  void SortSlice(size_t slot);
   /// Merges the ascending runs recorded in `run_starts_` into one ascending
   /// sequence (bottom-up pairwise merge through the member scratch buffer;
   /// no per-query allocation once warm).

@@ -54,10 +54,11 @@ UncertainRegionPruner::UncertainRegionPruner(
             std::sqrt(static_cast<double>(workers_.size()) / 64.0))),
         16, 512);
     grid_ = std::make_unique<GridIndex>(grid_region, cells_per_axis);
-    for (const auto& w : workers_) {
-      grid_->Insert(w.noisy_location, r_r_worker_ + w.reach_radius_m,
-                    w.worker_id);
-    }
+    grid_->BulkLoad(workers_.size(), [this](size_t i) {
+      const WorkerRegion& w = workers_[i];
+      return GridIndex::Entry{w.noisy_location, r_r_worker_ + w.reach_radius_m,
+                              w.worker_id};
+    });
   } else {
     rtree_ = std::make_unique<RTree>();
     std::vector<RTree::Entry> entries;

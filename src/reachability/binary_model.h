@@ -18,7 +18,7 @@ class BinaryModel final : public ReachabilityModel {
                           double* out) const override;
 
   /// The step 1{d' <= R_w} is monotone exactly.
-  bool U2eMonotone() const override { return true; }
+  bool Monotone(Stage /*stage*/) const override { return true; }
 
   std::string_view name() const override { return "binary"; }
 };

@@ -144,18 +144,56 @@ AlphaThresholdCache::AlphaThresholdCache(const ReachabilityModel* model,
   SCGUARD_CHECK(model != nullptr);
   SCGUARD_CHECK(alpha > 0.0 && alpha <= 1.0);
   SCGUARD_CHECK(margin > 0.0 && margin < alpha);
+  // Exact per-model inversions first; they need no monotonicity.
+  if (dynamic_cast<const BinaryModel*>(model) != nullptr) {
+    inversion_ = Inversion::kBinary;
+  } else if (dynamic_cast<const EmpiricalModel*>(model) != nullptr) {
+    inversion_ = Inversion::kEmpirical;
+  } else if (model->Monotone(stage)) {
+    inversion_ = Inversion::kLattice;
+  } else {
+    inversion_ = Inversion::kNone;
+  }
 }
 
-const AlphaThreshold& AlphaThresholdCache::For(double reach_radius_m) {
-  const uint64_t key = RadiusKey(reach_radius_m);
-  const auto it = by_radius_.find(key);
-  if (it != by_radius_.end()) return it->second;
-  return by_radius_.emplace(key, Invert(reach_radius_m)).first->second;
+AlphaThreshold AlphaThresholdCache::For(double reach_radius_m) {
+  const double r = reach_radius_m;
+  if (inversion_ == Inversion::kNone) {
+    return MakeThreshold(-1.0, kInf);  // Every distance is in the band.
+  }
+  // The range test is false for NaN, so a node index is only ever
+  // computed from a finite radius in (0, kMaxRadiusM].
+  if (inversion_ != Inversion::kLattice || !(r > 0.0 && r <= kMaxRadiusM)) {
+    return Invert(r);
+  }
+  // Nodes sit on whole meters: truncation is the exact floor, and an
+  // integral radius is exactly its node.
+  const auto lo = static_cast<size_t>(r);
+  const size_t hi = static_cast<double>(lo) == r ? lo : lo + 1;
+  if (nodes_.size() <= hi) {
+    AlphaThreshold unfilled;
+    unfilled.reject_above_m = std::numeric_limits<double>::quiet_NaN();
+    nodes_.resize(hi + 1, unfilled);
+  }
+  AlphaThreshold t = Node(hi);
+  const AlphaThreshold& below = Node(lo);
+  t.accept_below_m = below.accept_below_m;
+  t.accept_below_sq = below.accept_below_sq;
+  return t;
+}
+
+const AlphaThreshold& AlphaThresholdCache::Node(size_t k) {
+  AlphaThreshold& node = nodes_[k];
+  if (std::isnan(node.reject_above_m)) {
+    node = Invert(static_cast<double>(k));
+    ++nodes_bisected_;
+  }
+  return node;
 }
 
 bool AlphaThresholdCache::IsCandidate(double observed_distance_m,
                                       double reach_radius_m) {
-  const AlphaThreshold& t = For(reach_radius_m);
+  const AlphaThreshold t = For(reach_radius_m);
   if (observed_distance_m <= t.accept_below_m) return true;
   if (observed_distance_m >= t.reject_above_m) return false;
   ++exact_evals_;
@@ -164,8 +202,7 @@ bool AlphaThresholdCache::IsCandidate(double observed_distance_m,
 }
 
 AlphaThreshold AlphaThresholdCache::Invert(double reach_radius_m) const {
-  // Exact per-model inversions first; they need no probability margin.
-  if (dynamic_cast<const BinaryModel*>(model_) != nullptr) {
+  if (inversion_ == Inversion::kBinary) {
     // p is the step 1{d <= R}: for any alpha in (0, 1] the filter is the
     // oblivious compare itself. The distance bounds are exact; only the
     // squared bounds keep a band for hypot rounding.
@@ -177,7 +214,8 @@ AlphaThreshold AlphaThresholdCache::Invert(double reach_radius_m) const {
     t.reject_above_sq = ToRejectSq(r);
     return t;
   }
-  if (const auto* empirical = dynamic_cast<const EmpiricalModel*>(model_)) {
+  if (inversion_ == Inversion::kEmpirical) {
+    const auto* empirical = static_cast<const EmpiricalModel*>(model_);
     const EmpiricalTable& table = stage_ == Stage::kU2U
                                       ? empirical->u2u_table()
                                       : empirical->u2e_table();
@@ -210,7 +248,7 @@ U2eBoundLattice::U2eBoundLattice(const ReachabilityModel* model,
     : model_(model),
       margin_(margin),
       rows_(static_cast<size_t>(kMaxRadiusM / kStepM) + 1) {
-  SCGUARD_CHECK(model != nullptr && model->U2eMonotone());
+  SCGUARD_CHECK(model != nullptr && model->Monotone(Stage::kU2E));
   SCGUARD_CHECK(margin >= 0.0);
 }
 
@@ -245,7 +283,7 @@ void ClassifyCertainBandScalar(const WorkerFilterSoA& soa,
     const double d_sq = dx * dx + dy * dy;
     // Unconditional slot writes + predicated increments keep the loop free
     // of data-dependent branches; d_sq == accept bound counts as accept,
-    // matching AlphaThreshold::NeedsExactEval's open band.
+    // leaving the open band (accept, reject) to a direct evaluation.
     const bool in_accept = d_sq <= accept_sq[i];
     const bool in_band = (d_sq > accept_sq[i]) & (d_sq < reject_sq[i]);
     accept_out[num_accept] = i;

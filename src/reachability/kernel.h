@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "reachability/model.h"
@@ -19,27 +17,13 @@ namespace scguard::reachability {
 /// lazily scored contacts with margin-padded lattice bounds (DESIGN.md
 /// sections 8 and 10).
 struct KernelOptions {
-  /// Replace the per-pair `ProbReachable >= alpha` U2U filter by a
-  /// precomputed critical-distance compare (exact; see AlphaThresholdCache).
-  bool alpha_thresholds = true;
-
   /// Probability margin separating the certain-accept / certain-reject
   /// regions from the direct-evaluation band of the threshold filter, and
   /// padding every U2E lattice upper bound. Must dominate the model's own
-  /// evaluation noise (ulp-level for the closed forms); the default leaves
-  /// nine decades of headroom.
+  /// evaluation noise in both d and r (ulp-level for the closed forms);
+  /// the default leaves nine decades of headroom.
   double threshold_margin = 1e-9;
 };
-
-/// Bit pattern of a radius, used as the memoization key (exact-value
-/// classes; quantize radii upstream to share tables across near-equal
-/// values).
-inline uint64_t RadiusKey(double reach_radius_m) {
-  uint64_t key = 0;
-  static_assert(sizeof(key) == sizeof(reach_radius_m));
-  std::memcpy(&key, &reach_radius_m, sizeof(key));
-  return key;
-}
 
 /// The alpha filter for one (stage, alpha, reach_radius), inverted into
 /// distance space. The decision contract, relied on for bit-identical
@@ -50,83 +34,90 @@ inline uint64_t RadiusKey(double reach_radius_m) {
 /// `d_sq` approximates; the squared bounds carry enough slack that hypot
 /// rounding can never move a point across a certain region. Distances in
 /// the open band between the two bounds must be resolved by one direct
-/// model evaluation (AlphaThresholdCache::IsCandidate does this); the band
-/// is a few nanometres wide for the closed-form models and at most the
-/// non-monotone bucket range for empirical tables.
+/// model evaluation. The band is a few nanometres wide for an on-lattice
+/// closed-form radius, under a meter between lattice nodes, at most the
+/// non-monotone bucket range for empirical tables, and everything for a
+/// model that declares no monotonicity.
 struct AlphaThreshold {
   double accept_below_m = -1.0;   ///< d <= this => candidate. < 0: none.
   double reject_above_m = 0.0;    ///< d >= this => not a candidate.
   double accept_below_sq = -1.0;  ///< Squared-space accept bound (slacked).
   double reject_above_sq = 0.0;   ///< Squared-space reject bound (slacked).
-
-  /// True when the decision at squared distance `d_sq` cannot be taken from
-  /// the precomputed bounds and needs one direct evaluation.
-  bool NeedsExactEval(double d_sq) const {
-    return d_sq > accept_below_sq && d_sq < reject_above_sq;
-  }
 };
 
-/// Inverts the alpha filter once per distinct (stage, reach_radius): because
-/// ProbReachable is monotone non-increasing in the observed distance for
-/// every model (the geo-indistinguishability threshold trick of Andres et
-/// al., CCS'13), `p >= alpha` is a critical-distance compare. Construction
-/// is per-model:
-///  * BinaryModel: d* = R exactly, no search.
+/// Certain bounds of the alpha filter per reach radius. Because
+/// ProbReachable is monotone non-increasing in the observed distance (the
+/// geo-indistinguishability threshold trick of Andres et al., CCS'13),
+/// `p >= alpha` is a critical-distance compare. Construction is per-model:
+///  * BinaryModel: d* = R exactly, no search, per radius.
 ///  * EmpiricalModel: the probability is constant per observed-distance
-///    bucket, so the accept set is read off the bucket row exactly — no
-///    monotonicity assumption; a non-monotone middle range stays in the
-///    direct-evaluation band.
-///  * Anything else (the analytical closed forms): bisection of the
-///    monotone ProbReachable to the alpha -/+ margin levels.
-/// Thresholds are memoized by radius bit pattern; a workload with shared
-/// radii pays one inversion per distinct value.
+///    bucket, so the accept set is read off the bucket row of each radius
+///    exactly — no monotonicity assumption; a non-monotone middle range
+///    stays in the direct-evaluation band.
+///  * A model declaring Monotone(stage) (the Gaussian analytical modes):
+///    bisection to the alpha -/+ margin levels, but only at radius nodes
+///    1 m apart, memoized in a dense array filled on first use. A radius
+///    r in [r_k, r_k+1] takes its accept bound from node r_k and its reject
+///    bound from node r_k+1: p is non-decreasing in r, so
+///    p(d, r) >= p(d, r_k) >= alpha + margin on the accept side and
+///    p(d, r) <= p(d, r_k+1) <= alpha - margin on the reject side, with the
+///    margin absorbing ulp-level non-monotonicity in r exactly as it does
+///    in d. A radius on a node uses that node for both bounds, which are
+///    then the per-radius inversion itself. Radii off the lattice (NaN,
+///    +-inf, <= 0, past kMaxRadiusM) are inverted individually, so a node
+///    index is never computed from them.
+///  * Any other model: no certain regions (accept_below_sq = -1,
+///    reject_above_sq = +inf); every decision is a direct evaluation.
 ///
-/// Not thread-safe (lazy memoization); use one instance per thread or run.
+/// Not thread-safe (lazy node fills); use one instance per thread or run.
 class AlphaThresholdCache {
  public:
+  /// Lattice extent, meters; nodes sit on every whole meter up to it.
+  static constexpr double kMaxRadiusM = 20000.0;
+
   /// `model` must outlive the cache. Requires alpha in (0, 1].
   AlphaThresholdCache(const ReachabilityModel* model, Stage stage,
                       double alpha, double margin = 1e-9);
 
-  /// The inverted filter for this radius (memoized).
-  const AlphaThreshold& For(double reach_radius_m);
-
-  /// Read-only lookup of an already-memoized radius; nullptr when the
-  /// radius was never inverted. Unlike For(), never mutates, so concurrent
-  /// readers may share a warmed cache — the parallel engine scan resolves
-  /// its in-band workers through this after prewarming every worker radius
-  /// (DESIGN.md section 9).
-  const AlphaThreshold* Lookup(double reach_radius_m) const {
-    const auto it = by_radius_.find(RadiusKey(reach_radius_m));
-    return it == by_radius_.end() ? nullptr : &it->second;
-  }
+  /// Certain bounds valid at this radius (see the class comment).
+  AlphaThreshold For(double reach_radius_m);
 
   /// Exactly `model->ProbReachable(stage, d, r) >= alpha`, via the
-  /// threshold compare plus (rarely) one direct evaluation in the band.
+  /// threshold compare plus one direct evaluation in the band.
   bool IsCandidate(double observed_distance_m, double reach_radius_m);
 
   /// Band resolutions that required a direct model call (test support).
   int64_t exact_evals() const { return exact_evals_; }
-  size_t size() const { return by_radius_.size(); }
+  /// Lattice nodes inverted so far.
+  int64_t nodes_bisected() const { return nodes_bisected_; }
 
   const ReachabilityModel* model() const { return model_; }
   Stage stage() const { return stage_; }
   double alpha() const { return alpha_; }
 
  private:
+  enum class Inversion { kBinary, kEmpirical, kLattice, kNone };
+
+  /// The exact inversion of one radius (any model but kNone).
   AlphaThreshold Invert(double reach_radius_m) const;
+  /// Lattice node `k` (radius k meters), inverted on first use.
+  const AlphaThreshold& Node(size_t k);
 
   const ReachabilityModel* model_;
   Stage stage_;
   double alpha_;
   double margin_;
+  Inversion inversion_;
   int64_t exact_evals_ = 0;
-  std::unordered_map<uint64_t, AlphaThreshold> by_radius_;
+  int64_t nodes_bisected_ = 0;
+  /// Lattice nodes, grown to the highest index used; a NaN
+  /// reject_above_m marks a node not yet inverted.
+  std::vector<AlphaThreshold> nodes_;
 };
 
 /// Upper bounds on U2E reachability from a memoized lattice of exact
 /// evaluations (DESIGN.md section 10). For a model that declares
-/// U2eMonotone(), Pr(reachable | d, r) is at most its value at the lattice
+/// Monotone(kU2E), Pr(reachable | d, r) is at most its value at the lattice
 /// corner below d and above r:
 ///   UpperBound(d, r) = ProbReachable(kU2E, d_lo, r_hi) + margin
 /// where d_lo <= d and r_hi >= r are the nearest nodes, kStepM apart; the
@@ -145,7 +136,7 @@ class U2eBoundLattice {
   static constexpr double kMaxDistanceM = 20000.0;
   static constexpr double kMaxRadiusM = 5000.0;
 
-  /// `model` must outlive the lattice and declare U2eMonotone().
+  /// `model` must outlive the lattice and declare Monotone(kU2E).
   U2eBoundLattice(const ReachabilityModel* model, double margin);
 
   /// >= model->ProbReachable(Stage::kU2E, d, r) for every d >= 0, r >= 0.
@@ -189,8 +180,8 @@ class U2eBoundLattice {
 
 /// Structure-of-arrays snapshot of the per-worker state the U2U filter
 /// touches, so the per-task scan is cache-linear instead of striding
-/// Worker structs. `accept_below_sq` / `reject_above_sq` are only filled
-/// when the alpha-threshold kernel is on.
+/// Worker structs. `accept_below_sq` / `reject_above_sq` hold each
+/// worker's AlphaThreshold bounds once U2uCandidateStage::Prepare ran.
 struct WorkerFilterSoA {
   std::vector<double> x;               ///< Noisy location east, meters.
   std::vector<double> y;               ///< Noisy location north, meters.

@@ -51,13 +51,18 @@ class ReachabilityModel {
     }
   }
 
-  /// Whether U2E ProbReachable is non-increasing in the observed distance
-  /// and non-decreasing in the reach radius, up to evaluation noise far
-  /// below KernelOptions::threshold_margin. The certified lazy U2E ranking
-  /// (assign::U2eRankStage::Open) bounds a candidate's score by a lattice
-  /// corner only for models that declare this; every other model is scored
-  /// in full. tests/rank_cursor_test.cc sweeps each declaration.
-  virtual bool U2eMonotone() const { return false; }
+  /// Whether ProbReachable at `stage` is non-increasing in the observed
+  /// distance and non-decreasing in the reach radius, up to evaluation
+  /// noise far below KernelOptions::threshold_margin. Two exact kernels
+  /// lean on it: the U2U alpha filter inverts a declared model only at
+  /// lattice radii and brackets every other radius between two nodes
+  /// (reachability::AlphaThresholdCache), and the certified lazy U2E
+  /// ranking bounds a candidate's score by a lattice corner
+  /// (assign::U2eRankStage::Open). An undeclared model gets no certain
+  /// regions from the threshold filter (every scanned worker is evaluated
+  /// directly) and is scored in full by the ranking.
+  /// tests/rank_cursor_test.cc sweeps each declaration.
+  virtual bool Monotone(Stage /*stage*/) const { return false; }
 
   /// Short identifier used in experiment tables ("binary", "analytical",
   /// "empirical").

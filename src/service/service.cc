@@ -74,14 +74,25 @@ AssignmentService::~AssignmentService() {
 
 uint32_t AssignmentService::RegisterWorker(const assign::Worker& w) {
   SCGUARD_CHECK(!started_);
+  if (!setup_start_.has_value()) setup_start_ = Clock::now();
   workers_.push_back(w);
   return pipeline_.AddWorker(w, rank_rng_);
+}
+
+void AssignmentService::Setup() {
+  static const obs::SpanSite kSetupSite("assign.setup");
+  if (!setup_start_.has_value()) setup_start_ = Clock::now();
+  pipeline_.Prepare();
+  const auto setup_end = Clock::now();
+  result_.metrics.setup_seconds =
+      std::chrono::duration<double>(setup_end - *setup_start_).count();
+  obs::RecordSpan(kSetupSite, *setup_start_, setup_end);
 }
 
 void AssignmentService::Start() {
   SCGUARD_CHECK(!started_ && !stopped_);
   started_ = true;
-  pipeline_.Prepare();
+  Setup();
   consumer_ = std::thread([this] { ConsumerLoop(); });
 }
 
@@ -149,7 +160,7 @@ void AssignmentService::Stop(StopMode mode) {
 void AssignmentService::Replay(const std::vector<ServiceEvent>& log) {
   SCGUARD_CHECK(!started_ && !stopped_);
   stopped_ = true;  // Results become readable; Start is now invalid.
-  pipeline_.Prepare();
+  Setup();
   const auto start = Clock::now();
   for (const ServiceEvent& ev : log) {
     log_.push_back(ev);

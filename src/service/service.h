@@ -2,7 +2,9 @@
 #define SCGUARD_SERVICE_SERVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -114,8 +116,10 @@ class AssignmentService {
   /// worker's random ranking priority. Must precede Start.
   uint32_t RegisterWorker(const assign::Worker& w);
 
-  /// Builds the stage state (threshold prewarm, pruning index, mirror) and
-  /// launches the consumer thread.
+  /// Builds the stage state (certain bands, pruning index, mirror) and
+  /// launches the consumer thread. RunMetrics::setup_seconds and the
+  /// `assign.setup` span cover the first RegisterWorker through this
+  /// build.
   void Start();
 
   /// Producers. Return false when the event is not admitted: the ring is
@@ -157,6 +161,10 @@ class AssignmentService {
   void ScanTask(const ServiceEvent& ev);
   /// The pipeline's end-of-run fold + the ingest counters; idempotent.
   void FinalizeMetrics();
+  /// Prepares the pipeline and records the setup window (the first
+  /// RegisterWorker through Prepare) as RunMetrics::setup_seconds and an
+  /// `assign.setup` span.
+  void Setup();
 
   ServiceConfig config_;
   MpscQueue<ServiceEvent> queue_;
@@ -187,6 +195,8 @@ class AssignmentService {
   std::atomic<bool> draining_{false};
   std::atomic<bool> abandon_{false};
 
+  /// First RegisterWorker (or the Setup call when none came first).
+  std::optional<std::chrono::steady_clock::time_point> setup_start_;
   std::thread consumer_;
   bool started_ = false;
   bool stopped_ = false;

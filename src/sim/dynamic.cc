@@ -86,11 +86,10 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
 
   // The shared protocol stages (DESIGN.md section 10); run-local, like the
   // rest of the simulation state. Reach radii never change across rounds,
-  // so the U2U stage's inverted alpha filter (threshold prewarm at first
-  // Collect) stays valid for the whole run: per-round location refreshes
+  // so the U2U stage's per-worker certain bands (filled at the first
+  // Collect) stay valid for the whole run: per-round location refreshes
   // re-point the noisy coordinates via UpdateWorkerLocation, and round
-  // boundaries only reset availability — the critical-distance inversion
-  // is never recomputed.
+  // boundaries only reset availability — the bands are never recomputed.
   assign::U2uCandidateStage::Config u2u_config;
   u2u_config.model = &model;
   u2u_config.alpha = config.alpha;

@@ -55,7 +55,8 @@ const std::vector<uint64_t>& Histogram::CumulativeCounts() const {
 
 double Histogram::FractionBelow(double x) const {
   if (total_ == 0) return 0.0;
-  if (x < lo_) return 0.0;
+  // Negated so a NaN threshold lands here too, never in the bin cast.
+  if (!(x >= lo_)) return 0.0;
   if (x >= hi_) {
     return static_cast<double>(total_ - overflow_) / static_cast<double>(total_);
   }

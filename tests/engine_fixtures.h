@@ -1,5 +1,6 @@
 // Shared fixtures of the engine-level bit-identity suites: one noisy
-// uniform workload and one MatchResult comparison.
+// uniform workload, the direct-evaluation reference of the U2U filter, and
+// one MatchResult comparison.
 
 #ifndef SCGUARD_TESTS_ENGINE_FIXTURES_H_
 #define SCGUARD_TESTS_ENGINE_FIXTURES_H_
@@ -7,12 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 
+#include "assign/algorithms.h"
 #include "assign/matcher.h"
+#include "assign/scguard_engine.h"
+#include "common/check.h"
 #include "data/workload.h"
 #include "geo/bbox.h"
 #include "privacy/privacy_params.h"
+#include "reachability/model.h"
 #include "stats/rng.h"
 
 namespace scguard::fixtures {
@@ -31,6 +38,43 @@ inline assign::Workload NoisyWorkload(int workers, int tasks, uint64_t seed) {
   assign::Workload w = data::MakeUniformWorkload(region, config, rng);
   data::PerturbWorkload(kDefaultPrivacy, kDefaultPrivacy, rng, w);
   return w;
+}
+
+/// The direct-evaluation reference of the U2U alpha filter: forwards
+/// ProbReachable to `inner` and declares no monotonicity, so the threshold
+/// cache grants it no certain regions and every scanned worker is decided
+/// by one `ProbReachable >= alpha` evaluation — the per-pair filter of the
+/// paper's Algorithm 2, run through the one remaining scan path.
+class DirectEvalModel final : public reachability::ReachabilityModel {
+ public:
+  explicit DirectEvalModel(const reachability::ReachabilityModel* inner)
+      : inner_(inner) {}
+  double ProbReachable(reachability::Stage stage, double observed_distance_m,
+                       double reach_radius_m) const override {
+    return inner_->ProbReachable(stage, observed_distance_m, reach_radius_m);
+  }
+  std::string_view name() const override { return inner_->name(); }
+
+ private:
+  const reachability::ReachabilityModel* inner_;
+};
+
+/// `handle`'s engine with its U2U model wrapped in a DirectEvalModel; the
+/// returned handle keeps every model alive.
+inline assign::MatcherHandle DirectEvalReference(
+    const assign::MatcherHandle& handle) {
+  const auto* engine =
+      dynamic_cast<const assign::ScGuardEngine*>(handle.matcher.get());
+  SCGUARD_CHECK(engine != nullptr);
+  assign::EnginePolicy policy = engine->policy();
+  auto direct = std::make_shared<const DirectEvalModel>(policy.u2u_model);
+  policy.u2u_model = direct.get();
+  assign::MatcherHandle reference;
+  reference.models = handle.models;
+  reference.models.push_back(std::move(direct));
+  reference.matcher =
+      std::make_unique<assign::ScGuardEngine>(std::move(policy));
+  return reference;
 }
 
 /// How much of two runs' RunMetrics must agree beyond their assignments.

@@ -50,11 +50,13 @@ EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
 }
 
 // The invariance matrix: pools {serial, 1, 2, 8} x shard sizes {64, 1024}
-// x pruner {off, grid, rtree} x alpha-thresholds {on, off}, each cell
-// compared bit for bit (including the caller's RNG stream) against the
-// serial run at the default shard size.
+// x pruner {off, grid, rtree} x U2U filter {certain bands, the
+// direct-evaluation reference}, each cell compared bit for bit (including
+// the caller's RNG stream) against the serial run at the default shard
+// size.
 TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
   const reachability::AnalyticalModel model(kDefault);
+  const fixtures::DirectEvalModel direct(&model);
   const Workload workload = NoisyWorkload(300, 300, 20260806);
 
   // Pools are shared across cells; every Run must leave them reusable.
@@ -79,7 +81,7 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
     for (const PrunerCase& pc : pruners) {
       // Baseline: the serial scan.
       EnginePolicy base = BasePolicy(&model);
-      base.kernel.alpha_thresholds = thresholds;
+      if (!thresholds) base.u2u_model = &direct;
       base.pruning_gamma = pc.gamma;
       base.pruning_backend = pc.backend;
       ScGuardEngine baseline(base);
@@ -93,7 +95,7 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
       for (const auto& pool : pools) {
         for (const int shard_size : {64, 1024}) {
           EnginePolicy policy = BasePolicy(&model);
-          policy.kernel.alpha_thresholds = thresholds;
+          if (!thresholds) policy.u2u_model = &direct;
           policy.pruning_gamma = pc.gamma;
           policy.pruning_backend = pc.backend;
           policy.runtime.pool = pool.get();
@@ -186,13 +188,14 @@ void Churn(U2uCandidateStage& stage, const std::vector<uint32_t>& got,
 // shrink as workers get matched.
 TEST(EngineParallelTest, ActiveSetMatchesFullScanAndShrinksWork) {
   const reachability::AnalyticalModel model(kDefault);
+  const fixtures::DirectEvalModel direct(&model);
   const Workload workload = NoisyWorkload(400, 400, 11);
 
   for (const bool thresholds : {true, false}) {
     U2uCandidateStage::Config config;
     config.model = &model;
+    if (!thresholds) config.model = &direct;
     config.alpha = 0.1;
-    config.kernel.alpha_thresholds = thresholds;
     config.runtime.shard_size = 64;
     U2uCandidateStage stage(config);
     std::vector<geo::Point> noisy;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/bbox.h"
@@ -391,6 +393,134 @@ TEST(GridIndexTest, DuplicateIdEmittedOnce) {
     ASSERT_EQ(ids.size(), 2u);
     EXPECT_EQ(ids[0], 7);
     EXPECT_EQ(ids[1], int64_t{1} << 40);
+  }
+}
+
+/// Counts wholesale re-layouts of the member arrays.
+class RebuildCounter final : public GridIndex::SliceChangeListener {
+ public:
+  void OnSliceErase(size_t, size_t, size_t) override {}
+  void OnSliceInsert(size_t, size_t, size_t) override {}
+  void OnSliceUpdate(size_t, size_t, size_t) override {}
+  void OnRebuild() override { ++rebuilds; }
+  int rebuilds = 0;
+};
+
+/// `a` and `b` answer every query identically: ids, the certified cell
+/// walk (slot, member count, certificate, member ids in slice order) and
+/// the certification accounting. Slice offsets may differ.
+void ExpectSameAnswers(const GridIndex& a, const GridIndex& b,
+                       stats::Rng& rng, const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (int q = 0; q < 30; ++q) {
+    const geo::BoundingBox query = RandomBox(rng, 1000.0, 150.0);
+    a.ResetStats();
+    b.ResetStats();
+    EXPECT_EQ(a.QueryIds(query), b.QueryIds(query)) << label << " q" << q;
+    std::vector<GridIndex::CellVisit> va, vb;
+    EXPECT_EQ(a.VisitQueryCells(query, va), b.VisitQueryCells(query, vb))
+        << label;
+    ASSERT_EQ(va.size(), vb.size()) << label << " q" << q;
+    for (size_t k = 0; k < va.size(); ++k) {
+      EXPECT_EQ(va[k].slot, vb[k].slot) << label;
+      EXPECT_EQ(va[k].count, vb[k].count) << label;
+      EXPECT_EQ(va[k].cert, vb[k].cert) << label;
+      for (uint32_t m = 0; m < va[k].count && m < vb[k].count; ++m) {
+        EXPECT_EQ(a.member_id(va[k].begin + m), b.member_id(vb[k].begin + m))
+            << label;
+      }
+    }
+    EXPECT_EQ(a.stats().cells_bulk_accepted, b.stats().cells_bulk_accepted);
+    EXPECT_EQ(a.stats().cells_skipped, b.stats().cells_skipped);
+    EXPECT_EQ(a.stats().cells_boundary, b.stats().cells_boundary);
+    EXPECT_EQ(a.stats().boundary_workers, b.stats().boundary_workers);
+  }
+  for (int cy = 0; cy < a.cells_per_axis(); ++cy) {
+    for (int cx = 0; cx < a.cells_per_axis(); ++cx) {
+      EXPECT_EQ(a.CellMembersForTest(cx, cy), b.CellMembersForTest(cx, cy))
+          << label << " cell " << cx << "," << cy;
+    }
+  }
+}
+
+// The one-pass bulk load is the incremental Insert build, observably: same
+// query ids, same certified cell walk and certificates, same accounting —
+// for ascending input (the engine's registration order) and shuffled input
+// with a duplicated id — and the two stay identical through Remove,
+// Relocate and re-Insert (the pruner's Restore) churn afterwards. Every
+// slice starts with a rebuild's headroom, so the first inserts into a
+// bulk-loaded cell re-lay nothing.
+TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
+  for (const bool shuffled : {false, true}) {
+    const std::string label = shuffled ? "shuffled" : "ascending";
+    stats::Rng rng(shuffled ? 24 : 23);
+    std::vector<PointEntry> entries;
+    for (int64_t i = 0; i < 600; ++i) {
+      entries.push_back(RandomPointEntry(rng, 1000.0, 60.0, i));
+    }
+    if (shuffled) {
+      // A second entry for id 7, far from the first; then a shuffle.
+      entries.push_back({{950.0, 40.0}, 12.0, 7});
+      for (size_t i = entries.size() - 1; i > 0; --i) {
+        std::swap(entries[i], entries[static_cast<size_t>(
+                                  rng.UniformInt(i + 1))]);
+      }
+    }
+    GridIndex bulk(region, 8);
+    GridIndex incremental(region, 8);
+    bulk.BulkLoad(entries.size(), [&](size_t i) {
+      return GridIndex::Entry{entries[i].center, entries[i].radius,
+                              entries[i].id};
+    });
+    for (const PointEntry& e : entries) {
+      incremental.Insert(e.center, e.radius, e.id);
+    }
+    ExpectSameAnswers(bulk, incremental, rng, label + " loaded");
+
+    RebuildCounter counter;
+    bulk.SetSliceChangeListener(&counter);
+    for (int k = 0; k < 4; ++k) {
+      const geo::Point p{500.0 + k, 500.0};
+      bulk.Insert(p, 20.0, 1000 + k);
+      incremental.Insert(p, 20.0, 1000 + k);
+    }
+    EXPECT_EQ(counter.rebuilds, 0) << label;
+    bulk.SetSliceChangeListener(nullptr);
+
+    std::vector<PointEntry> removed;
+    for (int step = 0; step < 300; ++step) {
+      const uint64_t op = rng.UniformInt(3);
+      if (op == 0 && !entries.empty()) {
+        const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
+        EXPECT_EQ(bulk.Remove(entries[k].id),
+                  incremental.Remove(entries[k].id)) << label;
+        removed.push_back(entries[k]);
+      } else if (op == 1 && !entries.empty()) {
+        const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
+        geo::Point next = entries[k].center;
+        if (step % 2 == 0) {
+          next.x += rng.UniformDouble(-10.0, 10.0);
+        } else {
+          next = {rng.UniformDouble(0, 1000.0), rng.UniformDouble(0, 1000.0)};
+        }
+        EXPECT_EQ(bulk.Relocate(entries[k].id, next),
+                  incremental.Relocate(entries[k].id, next)) << label;
+      } else if (!removed.empty()) {
+        const PointEntry e = removed.back();
+        removed.pop_back();
+        if (!bulk.Contains(e.id)) {
+          ASSERT_FALSE(incremental.Contains(e.id)) << label;
+          bulk.Insert(e.center, e.radius, e.id);
+          incremental.Insert(e.center, e.radius, e.id);
+        }
+      }
+      if (step % 50 == 49) {
+        ExpectSameAnswers(bulk, incremental, rng,
+                          label + " step " + std::to_string(step));
+      }
+    }
   }
 }
 

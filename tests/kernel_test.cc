@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_stage.h"
 #include "data/workload.h"
 #include "engine_fixtures.h"
+#include "geo/point.h"
+#include "index/pruning.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
 #include "reachability/empirical_table.h"
 #include "reachability/kernel.h"
+#include "runtime/thread_pool.h"
 #include "stats/rng.h"
 
 namespace scguard::reachability {
@@ -31,9 +38,9 @@ using fixtures::Compare;
 
 // ------------------------------------------- Engine bit-identity contract
 
-// The headline exactness contract: flipping the threshold kernel changes
-// nothing observable — same assignments, same metrics, same RNG stream —
-// across all three reachability models.
+// The headline exactness contract: the certain-band filter decides exactly
+// like direct evaluation — same assignments, same metrics, same RNG stream
+// as the DirectEvalModel reference — across all three reachability models.
 TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
   const Workload w = NoisyWorkload(120, 120, 31);
   stats::Rng build_rng(32);
@@ -65,10 +72,8 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalAcrossModels) {
     AlgorithmParams params;
     params.worker_params = kDefault;
     params.task_params = kDefault;
-    params.kernel.alpha_thresholds = true;
     MatcherHandle on = make(params, empirical);
-    params.kernel.alpha_thresholds = false;
-    MatcherHandle off = make(params, empirical);
+    MatcherHandle off = fixtures::DirectEvalReference(on);
     stats::Rng rng_on(33), rng_off(33);
     const MatchResult a = on.Run(w, rng_on);
     const MatchResult b = off.Run(w, rng_off);
@@ -88,15 +93,13 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
     params.task_params = kDefault;
     params.pruning_gamma = 0.9;
     params.pruning_backend = backend;
-    params.kernel.alpha_thresholds = true;
     MatcherHandle on = MakeProbabilisticModel(params);
-    params.kernel.alpha_thresholds = false;
-    MatcherHandle off = MakeProbabilisticModel(params);
+    MatcherHandle off = fixtures::DirectEvalReference(on);
     stats::Rng rng_on(35), rng_off(35);
     const MatchResult a = on.Run(w, rng_on);
     const MatchResult b = off.Run(w, rng_off);
-    // Thresholds off leaves the grid's mirror path for the gather path,
-    // so only the traffic model differs.
+    // The reference never certifies a mirror cell, so only the traffic
+    // model differs.
     ExpectBitIdentical(a, b, std::string(index::PrunerBackendName(backend)),
                        Compare::kScan);
     EXPECT_EQ(rng_on.UniformDouble(), rng_off.UniformDouble());
@@ -157,8 +160,8 @@ TEST(AlphaThresholdTest, AgreesWithDirectEvalAroundBoundary) {
             << "alpha=" << alpha << " R=" << radius << " d=" << d;
       }
     }
-    // One inversion per distinct radius, memoized.
-    EXPECT_EQ(cache.size(), 3u);
+    // Each on-node radius inverts its one lattice node, memoized.
+    EXPECT_EQ(cache.nodes_bisected(), 3);
   }
 }
 
@@ -195,6 +198,164 @@ TEST(AlphaThresholdTest, EmpiricalInversionMatchesBucketDecisions) {
           EXPECT_EQ(cache.IsCandidate(d, radius), direct)
               << "alpha=" << alpha << " R=" << radius << " d=" << d;
         }
+      }
+    }
+  }
+}
+
+// Lattice decisions at the stage: Collect and Decide equal brute
+// `ProbReachable >= alpha` for every worker, for radii on a lattice node,
+// one ulp either side of one, between nodes, past the lattice and off it
+// entirely — over the brute scan, the gather-pruned scan (linear backend)
+// and the grid's mirror scan, on pools of 1 and 4 threads, for every model
+// kind. Radii a model or backend cannot take are left out per case: the
+// Rice CDF rejects a NaN or +inf radius by CHECK, the planar Laplace
+// quadrature any negative, infinite or NaN one, and the grid index stores
+// only finite expanded radii.
+TEST(AlphaThresholdTest, LatticeDecisionsMatchDirectEvalAcrossPathsAndPools) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = AlphaThresholdCache::kMaxRadiusM;
+  constexpr double kGamma = 0.9;
+  const std::vector<double> finite_radii = {
+      // On a node (the lattice's last node included).
+      1000.0, 2787.0, 3000.0, kMax,
+      // One ulp either side of a node.
+      std::nextafter(2000.0, 0.0), std::nextafter(2000.0, kInf),
+      std::nextafter(1.0, 0.0),
+      // Between nodes, including below the first positive one.
+      2787.9, 1234.56, 0.4, kMax - 0.5,
+      // Past the lattice.
+      std::nextafter(kMax, kInf), kMax + 0.5, 26000.0,
+      // Off the lattice below it.
+      0.0, -5.0};
+  const Workload w = NoisyWorkload(160, 10, 40);
+  const geo::BoundingBox region = w.region;
+
+  stats::Rng build_rng(41);
+  EmpiricalModelConfig empirical_config;
+  empirical_config.region = region;
+  empirical_config.num_samples = 20000;
+  const auto empirical = EmpiricalModel::Build(empirical_config, kDefault,
+                                               build_rng);
+  ASSERT_TRUE(empirical.ok());
+  const BinaryModel binary;
+  const AnalyticalModel paper(kDefault, AnalyticalMode::kPaperNormalApprox);
+  const AnalyticalModel rice(kDefault, AnalyticalMode::kExactRice);
+  const AnalyticalModel matched(kDefault, AnalyticalMode::kMomentMatched);
+  const AnalyticalModel laplace(kDefault, AnalyticalMode::kExactLaplace);
+  struct ModelCase {
+    const char* label;
+    const ReachabilityModel* model;
+    std::vector<double> extra_radii;  // Beyond finite_radii.
+    bool lattice;                     // Inverted at lattice nodes.
+  };
+  const ModelCase models[] = {
+      {"binary", &binary, {kNaN, kInf, -kInf}, false},
+      {"paper-normal", &paper, {kNaN, kInf, -kInf}, true},
+      {"exact-rice", &rice, {-kInf}, true},
+      {"moment-matched", &matched, {-kInf}, true},
+      {"exact-laplace", &laplace, {}, false},
+      {"empirical", &*empirical, {kNaN, kInf, -kInf}, false},
+  };
+
+  runtime::ThreadPool pool1(1);
+  runtime::ThreadPool pool4(4);
+  for (const ModelCase& mc : models) {
+    for (const auto backend : {std::optional<index::PrunerBackend>{},
+                               std::optional(index::PrunerBackend::kLinearScan),
+                               std::optional(index::PrunerBackend::kGrid)}) {
+      // The exact-Laplace quadrature takes no negative radius.
+      std::vector<double> radii;
+      for (const double r : finite_radii) {
+        if (mc.model != &laplace || r >= 0.0) radii.push_back(r);
+      }
+      if (backend != index::PrunerBackend::kGrid) {
+        radii.insert(radii.end(), mc.extra_radii.begin(), mc.extra_radii.end());
+      }
+      std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
+      for (size_t i = 0; i < w.workers.size(); ++i) {
+        regions.push_back({static_cast<int64_t>(i), w.workers[i].noisy_location,
+                           radii[i % radii.size()]});
+      }
+      // The pruner admission every pruned Collect applies first.
+      const index::UncertainRegionPruner admission(
+          regions, kDefault, kDefault, kGamma,
+          index::PrunerBackend::kLinearScan, region);
+      for (runtime::ThreadPool* pool : {&pool1, &pool4}) {
+        const std::string label =
+            std::string(mc.label) + " pruner=" +
+            (backend ? std::string(index::PrunerBackendName(*backend))
+                     : std::string("off")) +
+            " threads=" + std::to_string(pool->num_threads());
+        assign::U2uCandidateStage::Config config;
+        config.model = mc.model;
+        config.alpha = 0.2;
+        config.runtime = {.pool = pool, .shard_size = 16};
+        if (backend) {
+          config.pruning = assign::U2uCandidateStage::Pruning{
+              kGamma, *backend, kDefault, kDefault, region};
+        }
+        assign::U2uCandidateStage stage(config);
+        for (const auto& r : regions) {
+          stage.AddWorker(r.noisy_location, r.reach_radius_m);
+        }
+        for (const assign::Task& task : w.tasks) {
+          const geo::Point t = task.noisy_location;
+          std::vector<bool> direct(regions.size());
+          for (size_t i = 0; i < regions.size(); ++i) {
+            direct[i] = mc.model->ProbReachable(
+                            Stage::kU2U,
+                            geo::Distance(regions[i].noisy_location, t),
+                            regions[i].reach_radius_m) >= config.alpha;
+            EXPECT_EQ(stage.Decide(static_cast<uint32_t>(i), t), direct[i])
+                << label << " worker " << i
+                << " r=" << regions[i].reach_radius_m;
+          }
+          std::vector<uint32_t> expected;
+          if (backend) {
+            for (const int64_t id : admission.Candidates(t)) {
+              if (direct[static_cast<size_t>(id)]) {
+                expected.push_back(static_cast<uint32_t>(id));
+              }
+            }
+          } else {
+            for (uint32_t i = 0; i < regions.size(); ++i) {
+              if (direct[i]) expected.push_back(i);
+            }
+          }
+          EXPECT_EQ(stage.Collect(t), expected) << label;
+        }
+        // Bisected models pay per node touched, never per worker.
+        EXPECT_EQ(stage.threshold_nodes() > 0, mc.lattice) << label;
+        EXPECT_LE(stage.threshold_nodes(), 2 * 12) << label;
+      }
+    }
+
+    // Random tasks rarely land inside a sub-meter band, so walk a 1 cm
+    // ladder across each radius's certain bounds (+-1 m) with the worker
+    // at the origin, where the task's x is its exact distance.
+    std::vector<double> radii;
+    for (const double r : finite_radii) {
+      if (mc.model != &laplace || r >= 0.0) radii.push_back(r);
+    }
+    assign::U2uCandidateStage::Config config;
+    config.model = mc.model;
+    config.alpha = 0.2;
+    assign::U2uCandidateStage stage(config);
+    AlphaThresholdCache bounds(mc.model, Stage::kU2U, config.alpha);
+    for (const double r : radii) stage.AddWorker({0.0, 0.0}, r);
+    for (uint32_t i = 0; i < radii.size(); ++i) {
+      const AlphaThreshold t = bounds.For(radii[i]);
+      const double lo = std::max(0.0, std::min(t.accept_below_m,
+                                               t.reject_above_m) - 1.0);
+      const double hi = std::max(t.accept_below_m, t.reject_above_m) + 1.0;
+      if (!std::isfinite(hi)) continue;
+      for (double d = lo; d <= hi; d += 0.01) {
+        EXPECT_EQ(stage.Decide(i, {d, 0.0}),
+                  mc.model->ProbReachable(Stage::kU2U, d, radii[i]) >=
+                      config.alpha)
+            << mc.label << " r=" << radii[i] << " d=" << d;
       }
     }
   }

@@ -1,5 +1,7 @@
 // The certified lazy U2E ranking (DESIGN.md section 10): the monotonicity
-// every lattice bound rests on, the lattice's edge cases, and bit-identity
+// every lattice bound rests on — the U2E cursor's and the U2U threshold
+// radius lattice's (DESIGN.md section 8) —, the lattice's edge cases, and
+// bit-identity
 // of the cursor with the eager U2eRankStage::Rank — at the stage, and
 // through the whole engine against a reference run that ranks eagerly and walks
 // the ranked vector.
@@ -49,12 +51,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 const double kMonotoneTolerance =
     reachability::KernelOptions{}.threshold_margin / 100.0;
 
+/// Every model that declares Monotone at both stages.
 std::vector<std::unique_ptr<ReachabilityModel>> MonotoneCandidates() {
   std::vector<std::unique_ptr<ReachabilityModel>> models;
   models.push_back(std::make_unique<BinaryModel>());
   for (const AnalyticalMode mode :
        {AnalyticalMode::kPaperNormalApprox, AnalyticalMode::kExactRice,
-        AnalyticalMode::kMomentMatched, AnalyticalMode::kExactLaplace}) {
+        AnalyticalMode::kMomentMatched}) {
     models.push_back(std::make_unique<AnalyticalModel>(kParams, mode));
   }
   return models;
@@ -69,7 +72,7 @@ std::string Label(const ReachabilityModel& model) {
 
 // --------------------------------------------------------- monotonicity
 
-// Every model that declares U2eMonotone() must be non-increasing in the
+// Every model that declares Monotone(kU2E) must be non-increasing in the
 // observed distance and non-decreasing in the reach radius over the whole
 // lattice domain, at <= 5 m resolution and straddling every Poisson-mode
 // switch of the noncentral chi-squared series behind the Rice CDF
@@ -82,7 +85,7 @@ TEST(U2eMonotonicityTest, DeclaredModelsAreMonotoneOverTheLattice) {
   }
   for (const auto& model : MonotoneCandidates()) {
     SCOPED_TRACE(Label(*model));
-    ASSERT_TRUE(model->U2eMonotone());
+    ASSERT_TRUE(model->Monotone(Stage::kU2E));
     const auto p = [&](double d, double r) {
       return model->ProbReachable(Stage::kU2E, d, r);
     };
@@ -104,10 +107,7 @@ TEST(U2eMonotonicityTest, DeclaredModelsAreMonotoneOverTheLattice) {
       }
     }
     const auto* analytical = dynamic_cast<const AnalyticalModel*>(model.get());
-    if (analytical == nullptr ||
-        analytical->mode() == AnalyticalMode::kExactLaplace) {
-      continue;  // No Rice CDF, no Poisson switches.
-    }
+    if (analytical == nullptr) continue;  // No Rice CDF, no switches.
     const double sigma = std::sqrt(analytical->WorkerCoordinateVariance());
     int switches = 0;
     for (int j = 1;; ++j) {
@@ -138,7 +138,78 @@ TEST(U2eMonotonicityTest, EmpiricalTablesAreNotDeclaredMonotone) {
   stats::Rng rng(5);
   auto built = reachability::EmpiricalModel::Build(config, kParams, rng);
   ASSERT_TRUE(built.ok());
-  EXPECT_FALSE(built->U2eMonotone());
+  EXPECT_FALSE(built->Monotone(Stage::kU2E));
+  EXPECT_FALSE(built->Monotone(Stage::kU2U));
+}
+
+// The same declaration at 0.5 m resolution and at both stages: both
+// kernels that trust it — the U2E bound lattice and the U2U threshold
+// radius lattice, whose nodes are 1 m apart — fail silently on a spike
+// between two sweep points, so the sweep is finer than either lattice.
+// Distances span the U2E lattice, radii the U2U threshold lattice.
+TEST(MonotoneDeclarationTest, DeclaredModelsAreMonotoneAtHalfMeter) {
+  constexpr double kStep = 0.5;
+  const double max_d = U2eBoundLattice::kMaxDistanceM;
+  const double max_r = reachability::AlphaThresholdCache::kMaxRadiusM;
+  for (const auto& model : MonotoneCandidates()) {
+    for (const Stage stage : {Stage::kU2U, Stage::kU2E}) {
+      SCOPED_TRACE(Label(*model) + " " +
+                   std::string(reachability::StageName(stage)));
+      ASSERT_TRUE(model->Monotone(stage));
+      const auto p = [&](double d, double r) {
+        return model->ProbReachable(stage, d, r);
+      };
+      for (const double r : {1.0, 800.0, 1417.4, 1986.75, 2664.6, 2787.9,
+                             5000.0, 12000.0}) {
+        double prev = p(0.0, r);
+        for (double d = kStep; d <= max_d; d += kStep) {
+          const double cur = p(d, r);
+          ASSERT_LE(cur, prev + kMonotoneTolerance) << "r=" << r << " d=" << d;
+          prev = cur;
+        }
+      }
+      for (const double d : {0.0, 500.0, 1417.4, 2069.5, 2386.0, 6000.0,
+                             15000.0}) {
+        double prev = p(d, 0.0);
+        for (double r = kStep; r <= max_r; r += kStep) {
+          const double cur = p(d, r);
+          ASSERT_GE(cur, prev - kMonotoneTolerance) << "d=" << d << " r=" << r;
+          prev = cur;
+        }
+      }
+    }
+  }
+}
+
+// Named regression probes: the planar Laplace quadrature behind
+// kExactLaplace has isolated spikes far beyond any margin, in d and in r
+// and at both stages, so the mode must declare neither stage monotone. A
+// threshold inversion that trusted it decided (d = 2069.5, r = 2787.9)
+// wrongly for alpha in [0.389, 0.394].
+TEST(MonotoneDeclarationTest, ExactLaplaceSpikesStayUndeclared) {
+  const AnalyticalModel model(kParams, AnalyticalMode::kExactLaplace);
+  EXPECT_FALSE(model.Monotone(Stage::kU2U));
+  EXPECT_FALSE(model.Monotone(Stage::kU2E));
+  // U2U, rising in d at r = 2787.9: 0.38891 -> 0.39435 -> 0.38879.
+  const double u2u_at = model.ProbReachable(Stage::kU2U, 2069.5, 2787.9);
+  EXPECT_GT(u2u_at, model.ProbReachable(Stage::kU2U, 2069.0, 2787.9) + 1e-3);
+  EXPECT_GT(u2u_at, model.ProbReachable(Stage::kU2U, 2070.0, 2787.9) + 1e-3);
+  // U2U, falling in r at d = 1417.4: -2.2e-3 from r = 1986.75 to 1987.0.
+  EXPECT_GT(model.ProbReachable(Stage::kU2U, 1417.4, 1986.75),
+            model.ProbReachable(Stage::kU2U, 1417.4, 1987.0) + 1e-3);
+  // U2E, rising in d (+3.9e-3) and then falling in r at (2386.0, 2664.6).
+  const double u2e_at = model.ProbReachable(Stage::kU2E, 2386.0, 2664.6);
+  EXPECT_GT(u2e_at, model.ProbReachable(Stage::kU2E, 2385.5, 2664.6) + 1e-3);
+  EXPECT_GT(u2e_at, model.ProbReachable(Stage::kU2E, 2386.0, 2665.0) + 1e-3);
+
+  // The threshold filter evaluates the undeclared mode directly, so the
+  // wrong decision is gone for every alpha across the spike.
+  for (const double alpha : {0.389, 0.39, 0.392, 0.394}) {
+    reachability::AlphaThresholdCache cache(&model, Stage::kU2U, alpha);
+    EXPECT_EQ(cache.IsCandidate(2069.5, 2787.9), u2u_at >= alpha)
+        << "alpha=" << alpha;
+    EXPECT_EQ(cache.nodes_bisected(), 0);
+  }
 }
 
 // -------------------------------------------------------------- lattice

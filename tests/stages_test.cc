@@ -4,8 +4,9 @@
 // ProtocolCoordinator), and (c) a hand-rolled sim/dynamic-style driver that
 // calls the three stages directly must produce identical assignment sets
 // and disclosure counts. Swept over three reachability models, the pruning
-// index on/off, and the threshold kernel on/off; the core parties have no
-// pruning path, so pruned combinations compare (a) against (c) only.
+// index on/off, and the U2U filter's certain bands vs the direct-evaluation
+// reference (fixtures::DirectEvalModel); the core parties have no pruning
+// path, so pruned combinations compare (a) against (c) only.
 
 #include <gtest/gtest.h>
 
@@ -41,23 +42,17 @@ struct PipelineResult {
   int64_t disclosures = 0;
 };
 
-reachability::KernelOptions Kernel(bool on) {
-  reachability::KernelOptions kernel;
-  kernel.alpha_thresholds = on;
-  return kernel;
-}
-
 // (a) The batch engine.
 PipelineResult RunEngine(const assign::Workload& workload,
                          const reachability::ReachabilityModel* model,
                          bool pruner_on, bool kernel_on) {
+  const fixtures::DirectEvalModel direct(model);
   assign::EnginePolicy policy;
-  policy.u2u_model = model;
+  policy.u2u_model = kernel_on ? model : &direct;
   policy.u2e_model = model;
   policy.alpha = kAlpha;
   policy.beta = kBeta;
   policy.rank = assign::RankStrategy::kProbability;
-  policy.kernel = Kernel(kernel_on);
   policy.worker_params = kParams;
   policy.task_params = kParams;
   if (pruner_on) policy.pruning_gamma = kGamma;
@@ -76,7 +71,8 @@ PipelineResult RunEngine(const assign::Workload& workload,
 PipelineResult RunParties(const assign::Workload& workload,
                           const reachability::ReachabilityModel* model,
                           bool kernel_on) {
-  core::TaskingServer server(model, kAlpha, Kernel(kernel_on));
+  const fixtures::DirectEvalModel direct(model);
+  core::TaskingServer server(kernel_on ? model : &direct, kAlpha);
   std::vector<core::WorkerDevice> devices;
   for (const auto& w : workload.workers) {
     devices.emplace_back(w.id, w.location, w.reach_radius_m, kParams);
@@ -101,10 +97,10 @@ PipelineResult RunParties(const assign::Workload& workload,
 PipelineResult RunStageDriver(const assign::Workload& workload,
                               const reachability::ReachabilityModel* model,
                               bool pruner_on, bool kernel_on) {
+  const fixtures::DirectEvalModel direct(model);
   assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = model;
+  u2u_config.model = kernel_on ? model : &direct;
   u2u_config.alpha = kAlpha;
-  u2u_config.kernel = Kernel(kernel_on);
   if (pruner_on) {
     u2u_config.pruning = assign::U2uCandidateStage::Pruning{
         kGamma, index::PrunerBackend::kGrid, kParams, kParams,
