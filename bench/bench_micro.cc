@@ -565,6 +565,60 @@ void BM_U2eRank(benchmark::State& state) {
 }
 BENCHMARK(BM_U2eRank)->Arg(0)->Arg(1);
 
+// One task through U2U and U2E up to its first two contacts on the grid
+// path (200k uniform workers, r ~ U[1000, 3000] m, grid pruning, alpha =
+// 0.1, analytical model): the ascending Collect and Open over the id
+// vector (0) against CollectRuns and Open over the cell runs (1), which
+// bounds whole cells best-first instead of every candidate. Same entries
+// either way (tests/rank_cursor_test.cc); items are tasks. CI gates
+// rate(1) >= 1.5 x rate(0).
+void BM_TaskPipelineGrid(benchmark::State& state) {
+  const bool runs = state.range(0) != 0;
+  const size_t n = 200000;
+  const geo::BoundingBox region = data::BeijingRegion();
+  stats::Rng rng(21);
+  const reachability::AnalyticalModel model(kParams);
+  assign::U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  config.pruning = assign::U2uCandidateStage::Pruning{
+      0.9, index::PrunerBackend::kGrid, kParams, kParams, region};
+  assign::U2uCandidateStage stage(config);
+  stage.ReserveWorkers(n);
+  for (size_t i = 0; i < n; ++i) {
+    stage.AddWorker({rng.UniformDouble(region.min_x, region.max_x),
+                     rng.UniformDouble(region.min_y, region.max_y)},
+                    rng.UniformDouble(1000.0, 3000.0));
+  }
+  stage.Prepare();
+  // (exact, noisy) task locations; the noise only shifts the U2U query.
+  std::vector<std::pair<geo::Point, geo::Point>> tasks;
+  for (int t = 0; t < 64; ++t) {
+    const geo::Point exact{rng.UniformDouble(region.min_x, region.max_x),
+                           rng.UniformDouble(region.min_y, region.max_y)};
+    tasks.push_back({exact,
+                     {exact.x + rng.UniformDouble(-500.0, 500.0),
+                      exact.y + rng.UniformDouble(-500.0, 500.0)}});
+  }
+  assign::U2eRankStage u2e({.model = &model,
+                            .rank = assign::RankStrategy::kProbability,
+                            .kernel = {}});
+  size_t t = 0;
+  for (auto _ : state) {
+    const auto& [exact, noisy] = tasks[t++ % tasks.size()];
+    assign::U2eRankCursor& cursor =
+        runs ? u2e.Open(stage.soa(), stage.CollectRuns(noisy), exact, nullptr)
+             : u2e.Open(stage.soa(), stage.Collect(noisy), exact, nullptr);
+    assign::U2eRankCursor::Entry entry;
+    for (int k = 0; k < 2 && cursor.Next(entry); ++k) {
+      benchmark::DoNotOptimize(entry);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel(runs ? "cell runs" : "id vector");
+}
+BENCHMARK(BM_TaskPipelineGrid)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 /// The direct-evaluation reference of the U2U filter (the tests' fixture
 /// of the same name): forwards ProbReachable and declares no monotonicity,
 /// so the stage gives it no certain regions and evaluates every scanned

@@ -14,10 +14,13 @@
 //   SCGUARD_SERVICE_REPORT_PCT  re-reports per second as % of workers,
 //                               default 10
 //   SCGUARD_SERVICE_REPORTERS   reporter threads, default 2
-//   SCGUARD_SERVICE_ALPHA       U2U threshold, default 0.5 (the service
-//                               point targets throughput; Fig. 10 sweeps
-//                               the utility trade-off)
+//   SCGUARD_SERVICE_ALPHA       U2U threshold, default 0.1 (the
+//                               repository's working point; at 0.5 the
+//                               workload assigns no task, so the bench
+//                               would time an empty pipeline)
 //
+// A point that assigns no task fails the bench (exit 1): its throughput
+// would measure a pipeline that never reaches U2E or E2E.
 // Determinism: assignment *bits* depend only on the admission order the
 // consumer logged (tests/service_test.cc replays the log bit-identically);
 // this bench's numbers are throughput/latency and naturally vary run to
@@ -91,7 +94,7 @@ int Main() {
       ParseDouble(std::getenv("SCGUARD_SERVICE_REPORT_PCT"), 10.0);
   const int num_reporters = static_cast<int>(
       ParseList(std::getenv("SCGUARD_SERVICE_REPORTERS"), "2").front());
-  const double alpha = ParseDouble(std::getenv("SCGUARD_SERVICE_ALPHA"), 0.5);
+  const double alpha = ParseDouble(std::getenv("SCGUARD_SERVICE_ALPHA"), 0.1);
 
   const privacy::PrivacyParams privacy_level{0.7, 800.0};
   const reachability::AnalyticalModel model(privacy_level);
@@ -263,6 +266,13 @@ int Main() {
         (long long)(ingest.tasks_rejected + ingest.reports_rejected),
         (long long)ingest.epochs, svc.drain_seconds());
     (void)submitted;
+    if (m.assigned_tasks == 0) {
+      std::fprintf(stderr,
+                   "%lld workers: no task assigned at alpha=%.2f; the "
+                   "throughput above measured an empty pipeline\n",
+                   (long long)num_workers, alpha);
+      return 1;
+    }
   }
 
   std::printf(

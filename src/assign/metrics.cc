@@ -42,6 +42,7 @@ void RunMetrics::Accumulate(const RunMetrics& other) {
   boundary_workers += other.boundary_workers;
   u2u_gather_bytes += other.u2u_gather_bytes;
   cells_emitted_direct += other.cells_emitted_direct;
+  grid_rebuilds += other.grid_rebuilds;
 }
 
 std::ostream& operator<<(std::ostream& os, const RunMetrics& m) {

@@ -84,6 +84,10 @@ struct RunMetrics {
   /// Cells the mirror path resolved purely by a whole-cell alpha
   /// certificate, with zero per-worker loads (zero off the mirror path).
   int64_t cells_emitted_direct = 0;
+  /// Full re-layouts of the grid backend's member arrays (an Insert,
+  /// Relocate or Restore overflowing a cell's headroom; O(workers) each,
+  /// on the thread applying the mutation). Zero off the grid backend.
+  int64_t grid_rebuilds = 0;
 
   double MeanTravelM() const {
     return accepted_assignments > 0

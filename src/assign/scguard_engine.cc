@@ -39,7 +39,7 @@ MatchResult ScGuardEngine::Run(const Workload& workload, stats::Rng& rng) {
     }
     // U2U accuracy, scored against ground truth (observer-only: no
     // protocol party computes this). Availability is counted before the
-    // task can match anyone; the candidate list stays valid after Execute.
+    // task can match anyone; Execute counts the reachable candidates.
     int64_t truly_reachable_available = 0;
     for (size_t i = 0; i < workload.workers.size(); ++i) {
       if (!u2u.is_matched(static_cast<uint32_t>(i)) &&
@@ -47,13 +47,9 @@ MatchResult ScGuardEngine::Run(const Workload& workload, stats::Rng& rng) {
         ++truly_reachable_available;
       }
     }
-    const TaskOutcome outcome = pipeline.Execute(task, result);
-    int64_t candidates_reachable = 0;
-    for (const uint32_t i : outcome.candidates) {
-      if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
-    }
-    m.AddCandidateAccuracy(candidates_reachable,
-                           static_cast<int64_t>(outcome.candidates.size()),
+    const TaskOutcome outcome =
+        pipeline.Execute(task, result, /*count_reachable=*/true);
+    m.AddCandidateAccuracy(outcome.candidates_reachable, outcome.candidates,
                            truly_reachable_available);
   }
 

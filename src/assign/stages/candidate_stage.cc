@@ -34,12 +34,8 @@ uint32_t U2uCandidateStage::AddWorker(geo::Point noisy_location,
   soa_.reach_radius_m.push_back(reach_radius_m);
   soa_.matched.push_back(0);
   // A registration after Prepare invalidates a built pruning index; it is
-  // rebuilt over the full worker set at the next Collect. The mirror must
-  // let go of the dying grid first.
-  if (config_.pruning.has_value()) {
-    mirror_.ForgetGrid();
-    pruner_.reset();
-  }
+  // rebuilt over the full worker set at the next Collect.
+  if (config_.pruning.has_value()) DropPruner();
   return static_cast<uint32_t>(i);
 }
 
@@ -59,8 +55,7 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
         pruner_->Relocate(static_cast<int64_t>(worker), noisy_location)) {
       return;
     }
-    mirror_.ForgetGrid();
-    pruner_.reset();
+    DropPruner();
   }
 }
 
@@ -70,10 +65,7 @@ void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   // Undo MarkMatched's active-set maintenance: re-insert into the pruning
   // index, or splice the id back into its shard's ascending active list.
   if (pruner_ != nullptr) {
-    if (!pruner_->Restore(static_cast<int64_t>(worker))) {
-      mirror_.ForgetGrid();
-      pruner_.reset();  // Rebuilt over current data at the next Prepare.
-    }
+    if (!pruner_->Restore(static_cast<int64_t>(worker))) DropPruner();
   } else if (prepared_ && !config_.pruning.has_value()) {
     std::vector<uint32_t>& active =
         shard_active_[worker / static_cast<size_t>(config_.runtime.shard_size)];
@@ -103,12 +95,20 @@ void U2uCandidateStage::RebuildShards() {
   }
 }
 
+void U2uCandidateStage::DropPruner() {
+  // The mirror must let go of the dying grid first.
+  mirror_.ForgetGrid();
+  if (pruner_ != nullptr && pruner_->grid() != nullptr) {
+    retired_grid_rebuilds_ += pruner_->grid()->rebuilds();
+  }
+  pruner_.reset();
+}
+
 void U2uCandidateStage::ResetAvailability() {
   std::fill(soa_.matched.begin(), soa_.matched.end(), uint8_t{0});
   if (config_.pruning.has_value()) {
     // Matched workers were removed from the index; rebuild it fresh.
-    mirror_.ForgetGrid();
-    pruner_.reset();
+    DropPruner();
   } else if (prepared_) {
     RebuildShards();
   }
@@ -177,7 +177,7 @@ void U2uCandidateStage::Prepare() {
     }
   }
 
-  candidates_.reserve(n);
+  runs_.ids.reserve(n);
   warm_ = n;
   prepared_ = true;
 }
@@ -219,10 +219,18 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
                                         ShardScratch& sc) const {
   sc.accept.clear();
   sc.band.clear();
+  sc.groups.clear();
   sc.scanned = 0;
   sc.gather_bytes = 0;
   sc.cells_direct = 0;
   const reachability::CellMajorMirror& m = mirror_.rows();
+  // Ids appended to sc.accept since `from` become one listed group.
+  const auto push_list = [&sc](size_t from, uint32_t slot) {
+    const size_t count = sc.accept.size() - from;
+    if (count > 0) {
+      sc.groups.push_back({from, static_cast<uint32_t>(count), slot, false});
+    }
+  };
   for (size_t v = begin; v < end; ++v) {
     const index::GridIndex::CellVisit& visit = visits_[v];
     if (v + 1 < end) {
@@ -240,34 +248,39 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       const CellScoreMirror::CellAlpha alpha =
           mirror_.Certify(visit.slot, task_noisy.x, task_noisy.y);
       if (alpha == CellScoreMirror::CellAlpha::kAllAccept) {
-        const auto from =
-            m.id.begin() + static_cast<std::ptrdiff_t>(visit.begin);
-        sc.accept.insert(sc.accept.end(), from, from + visit.count);
+        // The whole slice is the group: no id is copied. The traffic model
+        // still charges the id run U2E reads if it opens the cell.
+        sc.groups.push_back({visit.begin, visit.count, visit.slot, true});
         sc.gather_bytes += static_cast<int64_t>(visit.count) * 4;
         ++sc.cells_direct;
       } else if (alpha == CellScoreMirror::CellAlpha::kAllReject) {
         ++sc.cells_direct;
       } else {
+        const size_t from = sc.accept.size();
         reachability::ClassifyCertainBandRange(m, visit.begin, visit.count,
                                                task_noisy.x, task_noisy.y,
                                                sc.accept, sc.band);
+        push_list(from, visit.slot);
         sc.gather_bytes += static_cast<int64_t>(visit.count) * 36;
       }
     } else {
+      const size_t from = sc.accept.size();
       const size_t admitted = reachability::ClassifyCertainBandRangeRect(
           m, visit.begin, visit.count, task_noisy.x, task_noisy.y,
           query.min_x, query.min_y, query.max_x, query.max_y, sc.accept,
           sc.band);
+      push_list(from, visit.slot);
       sc.scanned += static_cast<int64_t>(admitted);
       sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
   // The same band resolution as ScanIndices, so the mirror and gather
-  // paths agree bit for bit (and count the same band_evals).
+  // paths agree bit for bit (and count the same band_evals). Survivors
+  // are plain entries: a cell bound would cover a handful of rows.
   ResolveBand(task_noisy, sc);
-  // Chunk output order is irrelevant (the bitmap union restores ascending
-  // order), so survivors just append.
+  const size_t from = sc.accept.size();
   sc.accept.insert(sc.accept.end(), sc.band.begin(), sc.band.end());
+  push_list(from, CandidateRuns::kNoCell);
 }
 
 void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
@@ -312,24 +325,40 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
       });
   SCGUARD_CHECK(scan_status.ok());
 
-  // Union the chunks' accepted ids through a dense bitmap and read it back
-  // in word order: an order-independent set union, so the ascending result
-  // equals the gather path's ascending concatenation no matter how cells
-  // were chunked.
-  mirror_bits_.assign((n + 63) / 64, 0);
-  size_t hits = 0;
+  // Concatenate the chunks' groups in chunk order (pool-independent),
+  // re-basing the listed ones onto the shared id storage.
+  runs_.mirror = &mirror_;
   for (size_t j = 0; j < mirror_chunks_.size(); ++j) {
     const ShardScratch& sc = shards_[j];
-    for (const uint32_t i : sc.accept) {
-      mirror_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+    const size_t base = runs_.ids.size();
+    runs_.ids.insert(runs_.ids.end(), sc.accept.begin(), sc.accept.end());
+    for (CandidateRuns::Group g : sc.groups) {
+      if (!g.in_rows) g.begin += base;
+      runs_.groups.push_back(g);
+      runs_.size += g.count;
     }
-    hits += sc.accept.size();
     stats_.scanned_last += sc.scanned;
     stats_.gather_bytes += sc.gather_bytes;
     stats_.cells_emitted_direct += sc.cells_direct;
   }
   stats_.pruned_last = static_cast<int64_t>(n) - stats_.scanned_last;
-  candidates_.reserve(hits);
+}
+
+const std::vector<uint32_t>& U2uCandidateStage::Collect(
+    geo::Point task_noisy_location) {
+  const CandidateRuns& runs = CollectRuns(task_noisy_location);
+  // The brute and linear-pruner scans already produce the ascending list.
+  if (runs.mirror == nullptr) return runs.ids;
+  // Union the groups through a dense bitmap and read it back in word
+  // order: an order-independent set union, so the ascending result equals
+  // the gather path's ascending concatenation no matter how cells were
+  // chunked.
+  candidates_.clear();
+  mirror_bits_.assign((soa_.size() + 63) / 64, 0);
+  runs.ForEach([this](uint32_t i) {
+    mirror_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+  });
+  candidates_.reserve(runs.size);
   for (size_t w = 0; w < mirror_bits_.size(); ++w) {
     uint64_t bits = mirror_bits_[w];
     while (bits != 0) {
@@ -339,21 +368,32 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
       bits &= bits - 1;
     }
   }
+  return candidates_;
 }
 
-const std::vector<uint32_t>& U2uCandidateStage::Collect(
+const CandidateRuns& U2uCandidateStage::CollectRuns(
     geo::Point task_noisy_location) {
   Prepare();
   const size_t n = soa_.size();
   const EngineRuntime& rt = config_.runtime;
-  candidates_.clear();
+  runs_.Clear();
   stats_.scanned_last = 0;
   stats_.pruned_last = 0;
 
   if (pruner_ != nullptr && pruner_->grid() != nullptr) {
     CollectMirror(task_noisy_location);
-    return candidates_;
+    return runs_;
   }
+  // The brute and linear-pruner scans build one ascending list in place.
+  std::vector<uint32_t>& candidates = runs_.ids;
+  const auto finish_list = [this]() -> const CandidateRuns& {
+    runs_.size = runs_.ids.size();
+    if (runs_.size > 0) {
+      runs_.groups.push_back({0, static_cast<uint32_t>(runs_.size),
+                              CandidateRuns::kNoCell, false});
+    }
+    return runs_;
+  };
 
   if (pruner_ != nullptr) {
     // The index query itself stays serial (sub-linear, and it owns mutable
@@ -400,13 +440,13 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
     // scratch from earlier tasks, so only this task's segments reduce.
     for (const Segment& seg : segments_) {
       const ShardScratch& sc = shards_[seg.shard];
-      candidates_.insert(candidates_.end(), sc.out.begin(), sc.out.end());
+      candidates.insert(candidates.end(), sc.out.begin(), sc.out.end());
       stats_.scanned_last += sc.scanned;
       // Traffic model: each gathered worker touches one scattered cache
       // line per SoA stream (x, y, accept_sq, reject_sq).
       stats_.gather_bytes += sc.scanned * 256;
     }
-    return candidates_;
+    return finish_list();
   }
 
   const auto num_shards = static_cast<int64_t>(shards_.size());
@@ -435,12 +475,12 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
   SCGUARD_CHECK(scan_status.ok());
   // Seed-order reduction: shard order == ascending id order.
   for (const ShardScratch& sc : shards_) {
-    candidates_.insert(candidates_.end(), sc.out.begin(), sc.out.end());
+    candidates.insert(candidates.end(), sc.out.begin(), sc.out.end());
     stats_.scanned_last += sc.scanned;
     // Traffic model: the brute scan streams the four packed doubles.
     stats_.gather_bytes += sc.scanned * 32;
   }
-  return candidates_;
+  return finish_list();
 }
 
 bool U2uCandidateStage::Decide(uint32_t worker,
@@ -480,6 +520,11 @@ int64_t U2uCandidateStage::band_evals() const {
   int64_t sum = 0;
   for (const ShardScratch& sc : shards_) sum += sc.band_evals;
   return sum;
+}
+
+int64_t U2uCandidateStage::grid_rebuilds() const {
+  const index::GridIndex* grid = pruner_ != nullptr ? pruner_->grid() : nullptr;
+  return retired_grid_rebuilds_ + (grid != nullptr ? grid->rebuilds() : 0);
 }
 
 int64_t U2uCandidateStage::compactions() const {

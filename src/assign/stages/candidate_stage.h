@@ -127,10 +127,17 @@ class U2uCandidateStage {
   /// timings.
   void Prepare();
 
-  /// The U2U stage for one task: ascending indices of available workers
-  /// with Pr(reachable | d(w', t')) >= alpha. The returned reference stays
-  /// valid until the next Collect. Decisions are bit-identical for every
-  /// (pool, shard_size, pruning) combination.
+  /// The U2U stage for one task, grouped by grid cell: the available
+  /// workers with Pr(reachable | d(w', t')) >= alpha, as CandidateRuns
+  /// groups concatenated in chunk order (so pool-independent). The grid
+  /// path emits one group per admitting cell plus the band survivors; the
+  /// brute and linear-pruner paths one ascending kNoCell list. Valid until
+  /// the next Collect / CollectRuns or any mutation of the stage.
+  const CandidateRuns& CollectRuns(geo::Point task_noisy_location);
+
+  /// The same set as CollectRuns, as ascending indices. The returned
+  /// reference stays valid until the next Collect / CollectRuns. Decisions
+  /// are bit-identical for every (pool, shard_size, pruning) combination.
   const std::vector<uint32_t>& Collect(geo::Point task_noisy_location);
 
   /// Scalar membership test against one task location, ignoring
@@ -169,6 +176,9 @@ class U2uCandidateStage {
   int64_t band_evals() const;
   /// Radius-lattice nodes the threshold cache inverted, cumulative.
   int64_t threshold_nodes() const { return thresholds_.nodes_bisected(); }
+  /// Full re-layouts of the grid backend's member arrays (each one also
+  /// resyncs the mirror), cumulative over every grid the stage built.
+  int64_t grid_rebuilds() const;
   /// Active-set shard rebuilds, cumulative.
   int64_t compactions() const;
   /// The worker snapshot (noisy coordinates, radii, matched flags); the
@@ -185,6 +195,9 @@ class U2uCandidateStage {
     std::vector<uint32_t> accept;  ///< Certain accepts, ascending.
     std::vector<uint32_t> band;    ///< In-band indices, then survivors.
     std::vector<uint32_t> out;     ///< This shard's candidates, ascending.
+    /// Mirror chunks: this chunk's candidate groups; the ones not in rows
+    /// index `accept`.
+    std::vector<CandidateRuns::Group> groups;
     int64_t scanned = 0;           ///< Workers scored for the current task.
     int64_t band_evals = 0;        ///< Direct model evals, run cumulative.
     int64_t compactions = 0;       ///< Active-set rebuilds, run cumulative.
@@ -203,18 +216,23 @@ class U2uCandidateStage {
   /// evaluation.
   void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
 
-  /// The mirror Collect (grid backend): certified cell walk, chunked range classification
-  /// over contiguous mirror slices, bitmap union back to ascending order.
+  /// The grid backend's CollectRuns: certified cell walk, chunked range
+  /// classification over contiguous mirror slices, chunk groups
+  /// concatenated in chunk order.
   void CollectMirror(geo::Point task_noisy);
 
   /// Classifies the visits [begin, end) of the current walk against the
-  /// task, leaving this chunk's accepted worker ids (unordered across
-  /// cells) in sc.accept and its admitted/traffic accounting in sc. Safe to
+  /// task, leaving this chunk's candidate groups in sc.groups (the listed
+  /// ids in sc.accept) and its admitted/traffic accounting in sc. Safe to
   /// run concurrently on distinct scratches.
   void ScanMirrorChunk(geo::Point task_noisy, const geo::BoundingBox& query,
                        size_t begin, size_t end, ShardScratch& sc) const;
 
   void RebuildShards();
+
+  /// Detaches the mirror and drops the pruning index (rebuilt over current
+  /// data at the next Prepare), keeping its grid rebuild count.
+  void DropPruner();
 
   Config config_;
   reachability::WorkerFilterSoA soa_;
@@ -258,13 +276,15 @@ class U2uCandidateStage {
   };
 
   // Reused per-Collect scratch.
-  std::vector<uint32_t> candidates_;
+  CandidateRuns runs_;
+  std::vector<uint32_t> candidates_;  ///< Collect's ascending grid union.
   std::vector<int64_t> pruner_ids_;
   std::vector<Segment> segments_;
   std::vector<index::GridIndex::CellVisit> visits_;
   std::vector<MirrorChunk> mirror_chunks_;
   std::vector<uint64_t> mirror_bits_;  ///< Accept bitmap, one bit per worker.
   Stats stats_;
+  int64_t retired_grid_rebuilds_ = 0;  ///< Of grids already dropped.
 };
 
 }  // namespace scguard::assign

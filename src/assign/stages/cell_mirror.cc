@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -23,6 +24,17 @@ void ShiftUp(std::vector<T>& v, size_t pos, size_t end) {
   std::move_backward(v.begin() + static_cast<std::ptrdiff_t>(pos),
                      v.begin() + static_cast<std::ptrdiff_t>(end - 1),
                      v.begin() + static_cast<std::ptrdiff_t>(end));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// How far ahead Resync prefetches a row's by-id soa reads.
+constexpr size_t kPrefetchRows = 8;
+
+// The running largest reach radius, with a NaN radius absorbing to +inf:
+// std::max would drop it, and a cell bound must never trust a NaN member.
+double ReachMax(double acc, double r) {
+  return std::isnan(r) ? kInf : std::max(acc, r);
 }
 
 }  // namespace
@@ -54,6 +66,7 @@ void CellScoreMirror::FillRow(size_t pos) {
   SCGUARD_DCHECK(id < soa_->accept_below_sq.size());
   rows_.accept_below_sq[pos] = soa_->accept_below_sq[id];
   rows_.reject_above_sq[pos] = soa_->reject_above_sq[id];
+  rows_.reach_radius_m[pos] = soa_->reach_radius_m[id];
 }
 
 void CellScoreMirror::RecomputeAgg(size_t slot) {
@@ -65,6 +78,7 @@ void CellScoreMirror::RecomputeAgg(size_t slot) {
     a.min_y = a.max_y = rows_.y[begin];
     a.min_accept_sq = rows_.accept_below_sq[begin];
     a.max_reject_sq = rows_.reject_above_sq[begin];
+    a.max_reach_r = ReachMax(-kInf, rows_.reach_radius_m[begin]);
     for (size_t pos = begin + 1; pos < begin + count; ++pos) {
       a.min_x = std::min(a.min_x, rows_.x[pos]);
       a.max_x = std::max(a.max_x, rows_.x[pos]);
@@ -72,6 +86,7 @@ void CellScoreMirror::RecomputeAgg(size_t slot) {
       a.max_y = std::max(a.max_y, rows_.y[pos]);
       a.min_accept_sq = std::min(a.min_accept_sq, rows_.accept_below_sq[pos]);
       a.max_reject_sq = std::max(a.max_reject_sq, rows_.reject_above_sq[pos]);
+      a.max_reach_r = ReachMax(a.max_reach_r, rows_.reach_radius_m[pos]);
     }
   }
   aggs_[slot] = a;
@@ -85,7 +100,19 @@ void CellScoreMirror::Resync() {
     const size_t begin = grid_->cell_begin(slot);
     const size_t count = grid_->cell_count(slot);
     if (count == 0) continue;
-    for (size_t pos = begin; pos < begin + count; ++pos) FillRow(pos);
+    // Slices are id-ascending but cells are not, so FillRow's by-id soa
+    // reads scatter; start them a few rows ahead.
+    const size_t end = begin + count;
+    for (size_t pos = begin; pos < end; ++pos) {
+      if (pos + kPrefetchRows < end) {
+        const auto ahead =
+            static_cast<size_t>(grid_->member_id(pos + kPrefetchRows));
+        __builtin_prefetch(soa_->accept_below_sq.data() + ahead);
+        __builtin_prefetch(soa_->reject_above_sq.data() + ahead);
+        __builtin_prefetch(soa_->reach_radius_m.data() + ahead);
+      }
+      FillRow(pos);
+    }
     RecomputeAgg(slot);
   }
 }
@@ -123,6 +150,7 @@ void CellScoreMirror::OnSliceErase(size_t slot, size_t pos, size_t end) {
   ShiftDown(rows_.expanded_r, pos, end);
   ShiftDown(rows_.accept_below_sq, pos, end);
   ShiftDown(rows_.reject_above_sq, pos, end);
+  ShiftDown(rows_.reach_radius_m, pos, end);
   RecomputeAgg(slot);
 }
 
@@ -134,6 +162,7 @@ void CellScoreMirror::OnSliceInsert(size_t slot, size_t pos, size_t end) {
     ShiftUp(rows_.expanded_r, pos, end);
     ShiftUp(rows_.accept_below_sq, pos, end);
     ShiftUp(rows_.reject_above_sq, pos, end);
+    ShiftUp(rows_.reach_radius_m, pos, end);
   }
   FillRow(pos);
   RecomputeAgg(slot);

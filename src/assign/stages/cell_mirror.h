@@ -2,6 +2,7 @@
 #define SCGUARD_ASSIGN_STAGES_CELL_MIRROR_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "index/grid_index.h"
@@ -70,19 +71,22 @@ class CellScoreMirror final : public index::GridIndex::SliceChangeListener {
   void OnSliceUpdate(size_t slot, size_t pos, size_t end) override;
   void OnRebuild() override;
 
-  /// Per-cell member aggregate (test support): the member x/y bounding box
-  /// and the cell-wide worst-case certain-band bounds.
+  /// Per-cell member aggregate: the member x/y bounding box, the cell-wide
+  /// worst-case certain-band bounds, and the largest member reach radius
+  /// (+inf when any member's radius is NaN, so a bound taken at it is the
+  /// trivial one). The U2E cell bound reads the box and the radius.
   struct CellAgg {
     double min_x = 0.0, max_x = -1.0;  // Empty sentinel: max < min.
     double min_y = 0.0, max_y = -1.0;
     double min_accept_sq = 0.0;
     double max_reject_sq = 0.0;
+    double max_reach_r = 0.0;
   };
-  const CellAgg& CellAggForTest(size_t slot) const { return aggs_[slot]; }
+  const CellAgg& cell_agg(size_t slot) const { return aggs_[slot]; }
 
  private:
   /// Copies grid row `pos` (id/x/y/expanded_r) plus the id's certain bands
-  /// from the soa into mirror row `pos`.
+  /// and reach radius from the soa into mirror row `pos`.
   void FillRow(size_t pos);
   /// Rebuilds cell `slot`'s aggregate from its mirror rows.
   void RecomputeAgg(size_t slot);
@@ -93,6 +97,54 @@ class CellScoreMirror final : public index::GridIndex::SliceChangeListener {
   const reachability::WorkerFilterSoA* soa_ = nullptr;  // Not owned.
   reachability::CellMajorMirror rows_;
   std::vector<CellAgg> aggs_;
+};
+
+/// One task's U2U candidate set grouped by grid cell (DESIGN.md §10), the
+/// form U2U hands to U2E inside TaskPipeline. A certificate-accepted cell is
+/// one run over CellScoreMirror rows with no id copy; a mixed or rectangle-
+/// boundary cell is the list of the ids it admitted; in-band survivors are
+/// plain per-candidate entries with no cell. Groups are disjoint, so the set
+/// is their union and `size` the sum of their counts. Valid until the
+/// producing stage's next Collect / CollectRuns or mutation (MarkMatched,
+/// relocation), which may shift the rows a group names.
+struct CandidateRuns {
+  /// Group::slot of plain per-candidate entries: no cell bound applies.
+  static constexpr uint32_t kNoCell = std::numeric_limits<uint32_t>::max();
+
+  struct Group {
+    size_t begin = 0;          ///< First mirror row, or offset into `ids`.
+    uint32_t count = 0;        ///< Members, >= 1.
+    uint32_t slot = kNoCell;   ///< The members' mirror cell, or kNoCell.
+    bool in_rows = false;      ///< Members are mirror rows, else `ids`.
+  };
+
+  /// The mirror whose rows and cells the groups name; nullptr when every
+  /// group is a kNoCell list (the brute and linear-pruner scans).
+  const CellScoreMirror* mirror = nullptr;
+  std::vector<Group> groups;
+  std::vector<uint32_t> ids;  ///< Storage of the groups not in rows.
+  size_t size = 0;
+
+  void Clear() {
+    mirror = nullptr;
+    groups.clear();
+    ids.clear();
+    size = 0;
+  }
+
+  /// Calls fn(worker id) for every member of `g`, in row / list order.
+  template <typename Fn>
+  void ForEachIn(const Group& g, Fn&& fn) const {
+    const uint32_t* at = g.in_rows ? mirror->rows().id.data() + g.begin
+                                   : ids.data() + g.begin;
+    for (uint32_t k = 0; k < g.count; ++k) fn(at[k]);
+  }
+
+  /// Calls fn(worker id) for every candidate, group by group.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const Group& g : groups) ForEachIn(g, fn);
+  }
 };
 
 }  // namespace scguard::assign

@@ -13,6 +13,34 @@ namespace {
 // disagreement with std::hypot.
 constexpr double kDistanceSlack = 1.0 - 1e-12;
 
+// The lattice bound of worker `i`, as Open(vector) computes it.
+double MemberBound(reachability::U2eBoundLattice& lattice,
+                   const reachability::WorkerFilterSoA& soa, uint32_t i,
+                   geo::Point task) {
+  const double dx = soa.x[i] - task.x;
+  const double dy = soa.y[i] - task.y;
+  return lattice.UpperBound(std::sqrt(dx * dx + dy * dy) * kDistanceSlack,
+                            soa.reach_radius_m[i]);
+}
+
+// A bound on every member of a cell: the lattice bound at the distance to
+// the nearest point of the member box and at the largest radius (+inf for
+// a NaN member, hence the trivial 1.0). Each member's fl(x - task.x) lies
+// between the box corners' (rounding is monotone), so its |dx| is at least
+// dxn; squaring, the sum and sqrt are monotone too, so the slacked corner
+// distance stays below every member's hypot distance, as in MemberBound.
+double CellBound(reachability::U2eBoundLattice& lattice,
+                 const CellScoreMirror::CellAgg& a, geo::Point task) {
+  const double dx_lo = a.min_x - task.x;
+  const double dx_hi = a.max_x - task.x;
+  const double dy_lo = a.min_y - task.y;
+  const double dy_hi = a.max_y - task.y;
+  const double dxn = dx_lo > 0.0 ? dx_lo : (dx_hi < 0.0 ? -dx_hi : 0.0);
+  const double dyn = dy_lo > 0.0 ? dy_lo : (dy_hi < 0.0 ? -dy_hi : 0.0);
+  return lattice.UpperBound(std::sqrt(dxn * dxn + dyn * dyn) * kDistanceSlack,
+                            a.max_reach_r);
+}
+
 // The kRandom / kNearest score of worker `i`.
 double StrategyScore(RankStrategy rank,
                      const reachability::WorkerFilterSoA& soa, size_t i,
@@ -37,11 +65,12 @@ void U2eRankCursor::Start(size_t top, double max_bound) {
   refills_ = 0;
   hot_.clear();
   scored_.clear();
-  if (cold_.empty()) return;
-  hot_.push_back(cold_[top]);
-  cold_[top] = cold_.back();
-  cold_.pop_back();
-  cold_max_ = max_bound;  // Still an upper bound on what is left.
+  if (!cold_.empty()) {
+    hot_.push_back(cold_[top]);
+    cold_[top] = cold_.back();
+    cold_.pop_back();
+    cold_max_ = max_bound;  // Still an upper bound on what is left.
+  }
   Certify();
 }
 
@@ -49,6 +78,17 @@ void U2eRankCursor::Certify() {
   for (;;) {
     const bool any = !scored_.empty();
     const double best = any ? scored_.front().first : 0.0;
+    if (!cells_.empty()) {
+      // Best first across the tiers: open the top cell once its bound
+      // reaches the best scored entry and no candidate's bound exceeds it.
+      const double cell = cells_.front().bound;
+      if ((!any || cell >= best) &&
+          (hot_.empty() || cell >= hot_.front().bound) &&
+          (cold_.empty() || cell >= cold_max_)) {
+        Expand();
+        continue;
+      }
+    }
     if (!hot_.empty() && (!any || hot_.front().bound >= best)) {
       std::pop_heap(hot_.begin(), hot_.end(), BoundLess);
       const Pending p = hot_.back();
@@ -69,6 +109,17 @@ void U2eRankCursor::Certify() {
       return;
     }
   }
+}
+
+void U2eRankCursor::Expand() {
+  std::pop_heap(cells_.begin(), cells_.end(), BoundLess);
+  const CandidateRuns::Group& group = runs_->groups[cells_.back().id];
+  cells_.pop_back();
+  ++cells_expanded_;
+  runs_->ForEachIn(group, [this](uint32_t id) {
+    hot_.push_back({MemberBound(*lattice_, *soa_, id, task_), id});
+    std::push_heap(hot_.begin(), hot_.end(), BoundLess);
+  });
 }
 
 void U2eRankCursor::Refill(double threshold) {
@@ -199,6 +250,7 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
   U2eRankCursor& c = cursor_;
   c.soa_ = &soa;
   c.task_ = exact_task_location;
+  c.cells_.clear();
   const size_t n = candidates.size();
   if (lattice_.has_value()) {
     // The bound needs a distance no larger than the geo::Distance (hypot)
@@ -235,6 +287,53 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
   }
   if (obs::RecorderEnabled()) AuditCandidates(audit_task_id, n);
   c.Start(top, n > 0 ? p_[top] : 0.0);
+  return c;
+}
+
+U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
+                                  const CandidateRuns& runs,
+                                  geo::Point exact_task_location,
+                                  const double* random_rank,
+                                  int64_t audit_task_id) {
+  if (!lattice_.has_value() || runs.mirror == nullptr ||
+      (obs::RecorderEnabled() && obs::AuditFullEnabled())) {
+    // No cell bound to take, or every score is wanted: rank per candidate.
+    // Without a mirror the runs are one list over `ids` already.
+    if (runs.mirror == nullptr) {
+      return Open(soa, runs.ids, exact_task_location, random_rank,
+                  audit_task_id);
+    }
+    flat_.clear();
+    runs.ForEach([this](uint32_t id) { flat_.push_back(id); });
+    return Open(soa, flat_, exact_task_location, random_rank, audit_task_id);
+  }
+  U2eRankCursor& c = cursor_;
+  c.soa_ = &soa;
+  c.task_ = exact_task_location;
+  c.lattice_ = &*lattice_;
+  c.runs_ = &runs;
+  c.cold_.clear();
+  c.cells_.clear();
+  for (size_t k = 0; k < runs.groups.size(); ++k) {
+    const CandidateRuns::Group& g = runs.groups[k];
+    if (g.slot == CandidateRuns::kNoCell) {
+      runs.ForEachIn(g, [&](uint32_t id) {
+        c.cold_.push_back(
+            {MemberBound(*lattice_, soa, id, exact_task_location), id});
+      });
+    } else {
+      c.cells_.push_back({CellBound(*lattice_, runs.mirror->cell_agg(g.slot),
+                                    exact_task_location),
+                          static_cast<uint32_t>(k)});
+    }
+  }
+  std::make_heap(c.cells_.begin(), c.cells_.end(), U2eRankCursor::BoundLess);
+  size_t top = 0;
+  for (size_t k = 1; k < c.cold_.size(); ++k) {
+    if (c.cold_[k].bound > c.cold_[top].bound) top = k;
+  }
+  if (obs::RecorderEnabled()) AuditCandidates(audit_task_id, runs.size);
+  c.Start(top, c.cold_.empty() ? 0.0 : c.cold_[top].bound);
   return c;
 }
 

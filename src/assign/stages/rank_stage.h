@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "assign/matcher.h"
+#include "assign/stages/cell_mirror.h"
 #include "geo/point.h"
 #include "obs/recorder.h"
 #include "reachability/kernel.h"
@@ -71,6 +72,11 @@ void SortRankedCandidates(std::vector<Pair>& ranked, IdFn id_of) {
 /// stay below every score still to be emitted, in an unordered "cold" list
 /// that is never heapified: a task that contacts one or two workers pays
 /// one linear pass to find its hot set instead of ordering every bound.
+/// Opened over CandidateRuns, whole cells wait in a third max-heap under
+/// one bound each (best-first "distance browsing", Hjaltason & Samet,
+/// TODS 1999): a cell's members get per-candidate bounds only once the
+/// cell's bound is the largest pending one and reaches the best scored
+/// entry.
 class U2eRankCursor {
  public:
   using Entry = std::pair<double, size_t>;
@@ -85,6 +91,10 @@ class U2eRankCursor {
     for (const Pending& p : cold_) fn(static_cast<size_t>(p.id));
     for (const Pending& p : hot_) fn(static_cast<size_t>(p.id));
     for (const Entry& e : scored_) fn(e.second);
+    for (const Pending& p : cells_) {
+      runs_->ForEachIn(runs_->groups[p.id],
+                       [&fn](uint32_t id) { fn(static_cast<size_t>(id)); });
+    }
   }
 
  private:
@@ -92,20 +102,25 @@ class U2eRankCursor {
 
   struct Pending {
     double bound;  ///< >= the candidate's exact score; == it when exact_.
-    uint32_t id;
+    uint32_t id;   ///< Worker id; in cells_, the index of a runs_ group.
   };
   static bool BoundLess(const Pending& a, const Pending& b) {
     return a.bound < b.bound;
   }
 
-  /// Starts a task over the candidates in cold_: moves the best-bounded
-  /// one (cold_[top]) to the hot heap and certifies the first entry.
+  /// Starts a task over the candidates in cold_ and the cells in cells_:
+  /// moves the best-bounded candidate (cold_[top]) to the hot heap and
+  /// certifies the first entry.
   void Start(size_t top, double max_bound);
 
-  /// Scores hot candidates, highest bound first, and refills the hot heap
-  /// from the cold list, until no unscored bound reaches the best scored
-  /// entry.
+  /// Scores hot candidates, highest bound first, refills the hot heap from
+  /// the cold list and opens cells, until no unscored bound reaches the
+  /// best scored entry.
   void Certify();
+
+  /// Opens the best-bounded cell: its members enter the hot heap under
+  /// their own lattice bounds.
+  void Expand();
 
   /// Moves every cold candidate whose bound reaches `threshold` (all of
   /// them once kMaxRefills passes have run) to the hot heap.
@@ -117,10 +132,14 @@ class U2eRankCursor {
 
   const reachability::ReachabilityModel* model_ = nullptr;
   const reachability::WorkerFilterSoA* soa_ = nullptr;
+  reachability::U2eBoundLattice* lattice_ = nullptr;  ///< Cells only.
+  const CandidateRuns* runs_ = nullptr;  ///< Owner of cells_' groups.
   geo::Point task_;
   bool exact_ = true;  ///< Bounds are already the exact scores.
   int refills_ = 0;
   int64_t exact_evals_ = 0;
+  int64_t cells_expanded_ = 0;
+  std::vector<Pending> cells_;  ///< Max-heap of unopened cells.
   std::vector<Pending> cold_;  ///< Unordered; every bound <= cold_max_.
   double cold_max_ = 0.0;
   std::vector<Pending> hot_;   ///< Max-heap on bound.
@@ -186,11 +205,30 @@ class U2eRankStage {
                       const double* random_rank,
                       int64_t audit_task_id = obs::kAuditNoTask);
 
+  /// Open over a cell-grouped candidate set (U2uCandidateStage::
+  /// CollectRuns): the same entries as Open over the flattened set, but a
+  /// cell's members are gathered and bounded only when the cell's bound —
+  /// the lattice bound at the distance from the exact task to the nearest
+  /// point of the cell's member box and at the cell's largest reach radius
+  /// — can still win. Plain kNoCell entries are bounded up front. Falls
+  /// back to Open over the flattened set when there is no cell bound to
+  /// take (no Monotone(kU2E) lattice, kRandom / kNearest, no mirror) and
+  /// in full-audit mode. `runs` and the mirror rows it names must stay
+  /// unchanged while the cursor is in use.
+  U2eRankCursor& Open(const reachability::WorkerFilterSoA& soa,
+                      const CandidateRuns& runs,
+                      geo::Point exact_task_location,
+                      const double* random_rank,
+                      int64_t audit_task_id = obs::kAuditNoTask);
+
   /// Exact model evaluations made by Rank, Open and their cursors so far
   /// (lattice node fills excluded).
   int64_t exact_evals() const {
     return batch_evals_ + cursor_.exact_evals_;
   }
+
+  /// Cells the cell-run cursors opened so far.
+  int64_t cells_expanded() const { return cursor_.cells_expanded_; }
 
   /// Batched probability scoring of (observed distance, radius) pairs:
   /// out[i] = Pr(reachable at U2E | d[i], r[i]). The protocol-party adapter
@@ -230,6 +268,7 @@ class U2eRankStage {
   std::vector<double> d_;
   std::vector<double> r_;
   std::vector<double> p_;
+  std::vector<uint32_t> flat_;  ///< Flattened runs of the fallback Open.
 };
 
 }  // namespace scguard::assign

@@ -68,7 +68,8 @@ uint32_t TaskPipeline::AddWorker(const Worker& w, stats::Rng& rank_rng) {
 
 void TaskPipeline::Prepare() { u2u_.Prepare(); }
 
-TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
+TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result,
+                                  bool count_reachable) {
   RunMetrics& m = result.metrics;
   m.num_tasks += 1;
   TaskOutcome outcome;
@@ -76,12 +77,12 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   // ---- Stage 1: U2U (server) ---------------------------------------
   // Server sees only noisy locations and the workers' reach radii.
   const auto u2u_start = Clock::now();
-  const std::vector<uint32_t>& candidates = u2u_.Collect(task.noisy_location);
+  const CandidateRuns& candidates = u2u_.CollectRuns(task.noisy_location);
+  const auto count = static_cast<int64_t>(candidates.size);
   const U2uCandidateStage::Stats& scan = u2u_.stats();
   evaluated_ += scan.scanned_last;
   pruned_ += scan.pruned_last;
-  alpha_rejections_ +=
-      scan.scanned_last - static_cast<int64_t>(candidates.size());
+  alpha_rejections_ += scan.scanned_last - count;
   m.u2u_scanned += scan.scanned_last;
   if (m.num_tasks == 1) m.u2u_scanned_first_task = scan.scanned_last;
   m.u2u_scanned_last_task = scan.scanned_last;
@@ -97,10 +98,15 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
     obs::RecordSpan(kU2uSite, u2u_start, u2u_end);
     kScanWorkers->Observe(static_cast<double>(scan.scanned_last));
   }
-  m.candidates_sum += static_cast<int64_t>(candidates.size());
+  m.candidates_sum += count;
   m.server_to_requester_msgs += 1;
-  outcome.candidates = candidates;
-  if (candidates.empty()) return outcome;  // Task remains unassigned.
+  outcome.candidates = count;
+  if (count_reachable) {
+    candidates.ForEach([&](uint32_t i) {
+      if (workers_[i].CanReach(task.location)) ++outcome.candidates_reachable;
+    });
+  }
+  if (count == 0) return outcome;  // Task remains unassigned.
 
   // ---- Stage 2: U2E (requester) ------------------------------------
   // Requester knows the exact task location and the candidates' noisy
@@ -123,10 +129,11 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   const bool timed = obs::Enabled() || obs::RecorderEnabled();
   Clock::time_point e2e_start;
   if (timed) e2e_start = Clock::now();
+  accepted_.clear();
   const auto offer = [&](size_t i) {
     const Worker& w = workers_[i];
     if (!w.CanReach(task.location)) return false;
-    u2u_.MarkMatched(static_cast<uint32_t>(i));
+    accepted_.push_back(static_cast<uint32_t>(i));
     const double travel = geo::Distance(w.location, task.location);
     result.assignments.push_back({task.id, w.id, travel});
     m.accepted_assignments += 1;
@@ -163,6 +170,13 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result) {
   } else {
     contact = e2e_.Run(ranking, offer, can_reach, m, task.id, admit_filter);
   }
+  // The groups name mirror rows and are valid only until the stage
+  // mutates, so acceptances are marked matched once the walk is over (an
+  // erase shifts only the rows of the accepted worker's own cell, whose
+  // group the cursor has opened, but the contract does not promise that).
+  // Nothing in the walk reads availability: the cursor never re-emits an
+  // id, and can_reach reads only workers_.
+  for (const uint32_t i : accepted_) u2u_.MarkMatched(i);
   outcome.cancelled = contact.cancelled;
   if (contact.cancelled) ++beta_cancels_;
   if (timed) obs::RecordSpan(kE2eSite, e2e_start, Clock::now());
@@ -183,6 +197,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
   // the certification counters above.
   m.u2u_gather_bytes = u2u_.stats().gather_bytes;
   m.cells_emitted_direct = u2u_.stats().cells_emitted_direct;
+  m.grid_rebuilds = u2u_.grid_rebuilds();
 
   // One atomic flush per counter per run (resolved per run, not per
   // update); no-ops while disabled.
@@ -192,6 +207,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"assignments", m.accepted_assignments},
       {"candidates", m.candidates_sum},
       {"u2e_evals", u2e_.exact_evals()},
+      {"u2e_cells_expanded", u2e_.cells_expanded()},
       {"workers_evaluated", evaluated_},
       {"workers_pruned", pruned_},
       {"alpha_rejections", alpha_rejections_},
@@ -207,6 +223,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"boundary_workers", m.boundary_workers},
       {"u2u_gather_bytes", m.u2u_gather_bytes},
       {"cells_emitted_direct", m.cells_emitted_direct},
+      {"grid_rebuilds", m.grid_rebuilds},
   };
   auto& registry = obs::MetricsRegistry::Global();
   for (const auto& [name, count] : counts) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -84,8 +83,11 @@ struct TaskOutcome {
   int64_t worker_id = -1;  ///< First accepting worker; -1 when unassigned.
   double travel_m = 0.0;   ///< That worker's true travel distance.
   bool cancelled = false;  ///< The beta threshold tripped.
-  /// The U2U candidate set, ascending; valid until the next Execute.
-  std::span<const uint32_t> candidates;
+  /// Size of the U2U candidate set.
+  int64_t candidates = 0;
+  /// Candidates whose worker can reach the task (ground truth, an
+  /// observer-only count); filled only when Execute is asked for it.
+  int64_t candidates_reachable = 0;
 };
 
 /// The SCGuard per-task protocol (paper Fig. 2 / Table I), the one body
@@ -122,11 +124,15 @@ class TaskPipeline {
   /// task's U2U timing measures only the scan.
   void Prepare();
 
-  /// Runs one task through U2U Collect -> U2E Open -> E2E contact over the
-  /// lazy ranking, appending accepted pairs to `result.assignments` and
-  /// folding the task into `result.metrics`. Bit-identical to ranking
-  /// eagerly with U2eRankStage::Rank (tests/rank_cursor_test.cc).
-  TaskOutcome Execute(const Task& task, MatchResult& result);
+  /// Runs one task through U2U CollectRuns -> U2E Open -> E2E contact over
+  /// the lazy ranking, appending accepted pairs to `result.assignments` and
+  /// folding the task into `result.metrics`. Bit-identical to collecting
+  /// the ascending list and ranking it eagerly with U2eRankStage::Rank
+  /// (tests/rank_cursor_test.cc). Accepting workers are marked matched
+  /// after the contact walk, so the candidate groups stay put during it.
+  /// `count_reachable` fills TaskOutcome::candidates_reachable.
+  TaskOutcome Execute(const Task& task, MatchResult& result,
+                      bool count_reachable = false);
 
   /// End-of-run fold into `m`: worker count, grid-certification and
   /// scoring-traffic totals, then one flush per scguard.engine.* counter.
@@ -144,6 +150,8 @@ class TaskPipeline {
   std::vector<double> random_rank_;
   // Full-audit drain of the ranking, reused across tasks.
   std::vector<std::pair<double, size_t>> ranked_;
+  // This task's accepting workers, marked matched once E2E returns.
+  std::vector<uint32_t> accepted_;
 
   // Counter-only accounting, flushed once by Finish.
   int64_t evaluated_ = 0;         // Workers the U2U filter actually scored.

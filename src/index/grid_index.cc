@@ -115,6 +115,7 @@ void GridIndex::Rebuild() {
   xs_.swap(new_xs);
   ys_.swap(new_ys);
   rs_.swap(new_rs);
+  ++rebuilds_;
   if (listener_ != nullptr) listener_->OnRebuild();
 }
 

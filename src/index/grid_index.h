@@ -189,6 +189,12 @@ class GridIndex {
   const QueryStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = QueryStats{}; }
 
+  /// Full re-layouts of the member arrays so far: each runs when an
+  /// Insert (directly, or through Relocate or a re-insert) finds its
+  /// cell's slice full, costs O(entries), and fires the listener's
+  /// OnRebuild. BulkLoad's one layout pass is not counted.
+  int64_t rebuilds() const { return rebuilds_; }
+
   /// Classification of cell (cx, cy) against `query` exactly as Query would
   /// decide it (test support; empty cells report kSkipped).
   CellCert ClassifyCellForTest(int cx, int cy,
@@ -283,6 +289,7 @@ class GridIndex {
   int64_t min_id_ = 0;
   int64_t max_id_ = -1;
   size_t live_ = 0;
+  int64_t rebuilds_ = 0;
   SliceChangeListener* listener_ = nullptr;  // Not owned.
 
   std::vector<double> radius_scratch_;  // Relocate's per-entry radii.

@@ -252,8 +252,11 @@ void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
 /// through `indices`. `id` maps each row back to the engine worker index;
 /// `expanded_r` is the pruner's expanded rectangle radius, carried so
 /// boundary cells can fuse the rectangle admission test with the band
-/// classification. Rows outside the owning index's live slices are headroom
-/// with unspecified contents. Owned and synced by assign::CellScoreMirror.
+/// classification; `reach_radius_m` is the worker's own reach radius,
+/// carried so a cell's largest radius (the U2E cell bound's) is recomputed
+/// from contiguous rows. Rows outside the owning index's live slices are
+/// headroom with unspecified contents. Owned and synced by
+/// assign::CellScoreMirror.
 struct CellMajorMirror {
   std::vector<uint32_t> id;
   std::vector<double> x;
@@ -261,6 +264,7 @@ struct CellMajorMirror {
   std::vector<double> expanded_r;
   std::vector<double> accept_below_sq;
   std::vector<double> reject_above_sq;
+  std::vector<double> reach_radius_m;
 
   void Resize(size_t n) {
     id.resize(n);
@@ -269,6 +273,7 @@ struct CellMajorMirror {
     expanded_r.resize(n);
     accept_below_sq.resize(n);
     reject_above_sq.resize(n);
+    reach_radius_m.resize(n);
   }
   size_t size() const { return id.size(); }
 };

@@ -33,6 +33,7 @@ struct ServiceObs {
   obs::Counter* reports_rejected;
   obs::Counter* tasks_invalid;
   obs::Counter* reports_invalid;
+  obs::Counter* workers_invalid;
   obs::Counter* epochs;
   obs::Gauge* queue_depth;
   obs::Gauge* epoch_lag;
@@ -47,6 +48,7 @@ struct ServiceObs {
         registry.GetCounter("scguard.service.reports_rejected"),
         registry.GetCounter("scguard.service.tasks_invalid"),
         registry.GetCounter("scguard.service.reports_invalid"),
+        registry.GetCounter("scguard.service.workers_invalid"),
         registry.GetCounter("scguard.service.epochs"),
         registry.GetGauge("scguard.service.ingest_queue_depth"),
         registry.GetGauge("scguard.service.epoch_lag"),
@@ -75,6 +77,14 @@ AssignmentService::~AssignmentService() {
 uint32_t AssignmentService::RegisterWorker(const assign::Worker& w) {
   SCGUARD_CHECK(!started_);
   if (!setup_start_.has_value()) setup_start_ = Clock::now();
+  // The pruning index cannot place a non-finite point or rectangle, and a
+  // worker who reaches nothing is no candidate: refuse before any state
+  // (or the random-rank stream) sees the registration.
+  if (!Finite(w.location) || !Finite(w.noisy_location) ||
+      !(w.reach_radius_m > 0.0 && std::isfinite(w.reach_radius_m))) {
+    workers_invalid_.fetch_add(1, std::memory_order_relaxed);
+    return kInvalidWorker;
+  }
   workers_.push_back(w);
   return pipeline_.AddWorker(w, rank_rng_);
 }
@@ -183,6 +193,7 @@ IngestStats AssignmentService::ingest_stats() const {
   s.reports_rejected = reports_rejected_.load(std::memory_order_relaxed);
   s.tasks_invalid = tasks_invalid_.load(std::memory_order_relaxed);
   s.reports_invalid = reports_invalid_.load(std::memory_order_relaxed);
+  s.workers_invalid = workers_invalid_.load(std::memory_order_relaxed);
   s.epochs = static_cast<int64_t>(epoch_.load(std::memory_order_acquire));
   return s;
 }
@@ -307,6 +318,8 @@ void AssignmentService::FinalizeMetrics() {
   so.tasks_invalid->Increment(tasks_invalid_.load(std::memory_order_relaxed));
   so.reports_invalid->Increment(
       reports_invalid_.load(std::memory_order_relaxed));
+  so.workers_invalid->Increment(
+      workers_invalid_.load(std::memory_order_relaxed));
   so.epochs->Increment(epochs_published_);
 }
 

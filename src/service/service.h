@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -50,6 +51,7 @@ struct IngestStats {
   int64_t reports_rejected = 0;
   int64_t tasks_invalid = 0;     ///< Refused: non-finite coordinate.
   int64_t reports_invalid = 0;   ///< Refused: unknown worker / non-finite.
+  int64_t workers_invalid = 0;   ///< Registrations refused (RegisterWorker).
   int64_t epochs = 0;            ///< Snapshot publications so far.
 };
 
@@ -112,8 +114,16 @@ class AssignmentService {
   AssignmentService(const AssignmentService&) = delete;
   AssignmentService& operator=(const AssignmentService&) = delete;
 
-  /// Registers a worker (dense ids, registration order). Draws the
-  /// worker's random ranking priority. Must precede Start.
+  /// RegisterWorker's answer for a refused registration.
+  static constexpr uint32_t kInvalidWorker =
+      std::numeric_limits<uint32_t>::max();
+
+  /// Registers a worker (dense ids, registration order) and draws its
+  /// random ranking priority. Must precede Start. A worker with a
+  /// non-finite exact or noisy location, or a reach radius that is NaN,
+  /// infinite or <= 0, is refused: it gets no id and no priority draw, the
+  /// call returns kInvalidWorker, and IngestStats::workers_invalid counts
+  /// it.
   uint32_t RegisterWorker(const assign::Worker& w);
 
   /// Builds the stage state (certain bands, pruning index, mirror) and
@@ -191,6 +201,7 @@ class AssignmentService {
   std::atomic<int64_t> reports_rejected_{0};
   std::atomic<int64_t> tasks_invalid_{0};
   std::atomic<int64_t> reports_invalid_{0};
+  std::atomic<int64_t> workers_invalid_{0};
   std::atomic<int64_t> events_applied_{0};
   std::atomic<bool> draining_{false};
   std::atomic<bool> abandon_{false};

@@ -1,6 +1,6 @@
 // Shared fixtures of the engine-level bit-identity suites: one noisy
-// uniform workload, the direct-evaluation reference of the U2U filter, and
-// one MatchResult comparison.
+// uniform workload, the direct-evaluation reference of the U2U filter, one
+// MatchResult comparison, and the eager-ranking reference run.
 
 #ifndef SCGUARD_TESTS_ENGINE_FIXTURES_H_
 #define SCGUARD_TESTS_ENGINE_FIXTURES_H_
@@ -11,13 +11,18 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "assign/algorithms.h"
 #include "assign/matcher.h"
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_stage.h"
+#include "assign/stages/contact_stage.h"
+#include "assign/stages/rank_stage.h"
 #include "common/check.h"
 #include "data/workload.h"
 #include "geo/bbox.h"
+#include "geo/point.h"
 #include "privacy/privacy_params.h"
 #include "reachability/model.h"
 #include "stats/rng.h"
@@ -124,6 +129,81 @@ inline void ExpectBitIdentical(const assign::MatchResult& a,
   EXPECT_EQ(x.boundary_workers, y.boundary_workers) << label;
   EXPECT_EQ(x.u2u_gather_bytes, y.u2u_gather_bytes) << label;
   EXPECT_EQ(x.cells_emitted_direct, y.cells_emitted_direct) << label;
+}
+
+/// The pipeline body with the ascending Collect, eager Rank and the vector
+/// Run, marking each acceptance matched at once: the reference the
+/// cursor-driven engine must reproduce bit for bit. Honors the policy's
+/// pruning index (over `workload.region`) but always scans serially.
+inline assign::MatchResult RunEagerReference(
+    const assign::EnginePolicy& policy, const assign::Workload& workload,
+    stats::Rng& rng) {
+  assign::MatchResult result;
+  assign::RunMetrics& m = result.metrics;
+  assign::U2uCandidateStage::Config u2u_config;
+  u2u_config.model = policy.u2u_model;
+  u2u_config.alpha = policy.alpha;
+  u2u_config.kernel = policy.kernel;
+  if (policy.pruning_gamma.has_value()) {
+    u2u_config.pruning = assign::U2uCandidateStage::Pruning{
+        *policy.pruning_gamma, policy.pruning_backend, policy.worker_params,
+        policy.task_params, workload.region};
+  }
+  assign::U2uCandidateStage u2u(std::move(u2u_config));
+  std::vector<double> random_rank;
+  for (const assign::Worker& w : workload.workers) {
+    random_rank.push_back(rng.UniformDouble());
+    u2u.AddWorker(w.noisy_location, w.reach_radius_m);
+  }
+  u2u.Prepare();
+  assign::U2eRankStage u2e({.model = policy.u2e_model, .rank = policy.rank,
+                            .kernel = policy.kernel});
+  const assign::E2eContactStage e2e(
+      {.rank = policy.rank, .beta = policy.beta,
+       .beta_mode = policy.beta_mode, .redundancy_k = policy.redundancy_k});
+  std::vector<std::pair<double, size_t>> ranked;
+  for (const assign::Task& task : workload.tasks) {
+    m.num_tasks += 1;
+    int64_t truly_reachable_available = 0;
+    for (size_t i = 0; i < workload.workers.size(); ++i) {
+      if (!u2u.is_matched(static_cast<uint32_t>(i)) &&
+          workload.workers[i].CanReach(task.location)) {
+        ++truly_reachable_available;
+      }
+    }
+    const std::vector<uint32_t>& candidates = u2u.Collect(task.noisy_location);
+    m.candidates_sum += static_cast<int64_t>(candidates.size());
+    m.server_to_requester_msgs += 1;
+    int64_t candidates_reachable = 0;
+    for (const uint32_t i : candidates) {
+      if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
+    }
+    const auto candidate_count = static_cast<int64_t>(candidates.size());
+    if (!candidates.empty()) {
+      u2e.Rank(u2u.soa(), candidates, task.location, random_rank.data(),
+               ranked);
+      e2e.Run(
+          ranked,
+          [&](size_t i) {
+            const assign::Worker& w = workload.workers[i];
+            if (!w.CanReach(task.location)) return false;
+            u2u.MarkMatched(static_cast<uint32_t>(i));
+            const double travel = geo::Distance(w.location, task.location);
+            result.assignments.push_back({task.id, w.id, travel});
+            m.accepted_assignments += 1;
+            m.travel_sum_m += travel;
+            return true;
+          },
+          [&](size_t i) { return workload.workers[i].CanReach(task.location); },
+          m);
+    }
+    if (policy.compute_accuracy_metrics) {
+      m.AddCandidateAccuracy(candidates_reachable, candidate_count,
+                             truly_reachable_available);
+    }
+  }
+  m.num_workers = static_cast<int64_t>(workload.workers.size());
+  return result;
 }
 
 }  // namespace scguard::fixtures

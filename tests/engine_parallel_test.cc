@@ -117,6 +117,49 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
   }
 }
 
+// The cell-run U2E cursor on the grid path, across pools of 1 and 4 and
+// shard sizes 64 and 4096, with redundancy 1 and 3 (the deferred
+// MarkMatched): every cell equals the eager reference (ascending Collect,
+// eager Rank, vector contact walk) bit for bit, and the serial run's scan
+// and certification counters.
+TEST(EngineParallelTest, CellRunCursorMatchesEagerAcrossPoolsAndShards) {
+  const reachability::AnalyticalModel model(kDefault);
+  const Workload workload = NoisyWorkload(3000, 120, 20261018);
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  pools.push_back(std::make_unique<runtime::ThreadPool>(1));
+  pools.push_back(std::make_unique<runtime::ThreadPool>(4));
+  for (const int k : {1, 3}) {
+    EnginePolicy base = BasePolicy(&model);
+    base.pruning_gamma = 0.9;
+    base.redundancy_k = k;
+    stats::Rng reference_rng(9);
+    const MatchResult reference =
+        fixtures::RunEagerReference(base, workload, reference_rng);
+    ASSERT_GT(reference.metrics.assigned_tasks, 0);
+    const double expected_next_draw = reference_rng.UniformDouble();
+    stats::Rng serial_rng(9);
+    const MatchResult serial = ScGuardEngine(base).Run(workload, serial_rng);
+    ExpectBitIdentical(serial, reference, "serial k=" + std::to_string(k),
+                       Compare::kOutcome);
+    for (const auto& pool : pools) {
+      for (const int shard_size : {64, 4096}) {
+        EnginePolicy policy = base;
+        policy.runtime.pool = pool.get();
+        policy.runtime.shard_size = shard_size;
+        stats::Rng rng(9);
+        const MatchResult result = ScGuardEngine(policy).Run(workload, rng);
+        const std::string label =
+            "k=" + std::to_string(k) +
+            " threads=" + std::to_string(pool->num_threads()) +
+            " shard=" + std::to_string(shard_size);
+        ExpectBitIdentical(result, reference, label, Compare::kOutcome);
+        ExpectBitIdentical(result, serial, label);
+        EXPECT_EQ(rng.UniformDouble(), expected_next_draw) << label;
+      }
+    }
+  }
+}
+
 // Nested use: Run invoked from inside a pool worker (as ExperimentRunner's
 // seed fan-out does) must fall back to a serial scan, not deadlock, and
 // still produce the identical result.

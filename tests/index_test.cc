@@ -524,6 +524,44 @@ TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
   }
 }
 
+// GridIndex::rebuilds() counts full re-layouts: a bulk load's layout pass
+// is not one, filling a cell's headroom causes none, and the first insert
+// past it causes exactly one (the O(n) step an apply loop can hit).
+TEST(GridIndexTest, RebuildCountIsZeroAfterBulkLoadAndOneAfterOverfill) {
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
+  stats::Rng rng(31);
+  std::vector<PointEntry> entries;
+  for (int64_t i = 0; i < 200; ++i) {
+    entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, i));
+  }
+  GridIndex grid(region, 4);
+  grid.BulkLoad(entries.size(), [&](size_t i) {
+    return GridIndex::Entry{entries[i].center, entries[i].radius,
+                            entries[i].id};
+  });
+  EXPECT_EQ(grid.rebuilds(), 0);
+  RebuildCounter counter;
+  grid.SetSliceChangeListener(&counter);
+  // Cell (0, 0) holds `count` members in a slice of count + max(4,
+  // count / 2) rows.
+  const auto count = static_cast<int64_t>(grid.CellMembersForTest(0, 0).size());
+  const int64_t headroom = std::max<int64_t>(4, count / 2);
+  int64_t next_id = 1000;
+  for (int64_t k = 0; k < headroom; ++k) {
+    grid.Insert({10.0 + static_cast<double>(k), 10.0}, 5.0, next_id++);
+  }
+  EXPECT_EQ(grid.rebuilds(), 0);
+  grid.Insert({5.0, 5.0}, 5.0, next_id++);
+  EXPECT_EQ(grid.rebuilds(), 1);
+  EXPECT_EQ(counter.rebuilds, 1);
+  // The rebuild left fresh headroom everywhere; removals never rebuild.
+  grid.Insert({6.0, 6.0}, 5.0, next_id++);
+  grid.Remove(0);
+  EXPECT_EQ(grid.rebuilds(), 1);
+  grid.SetSliceChangeListener(nullptr);
+}
+
 // ---------------------------------------------------------------- Pruner
 
 std::vector<UncertainRegionPruner::WorkerRegion> MakeRegions(int n,

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -197,6 +198,12 @@ CellScoreMirror::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
   agg.min_y = agg.max_y = m.y[begin];
   agg.min_accept_sq = m.accept_below_sq[begin];
   agg.max_reject_sq = m.reject_above_sq[begin];
+  agg.max_reach_r = -std::numeric_limits<double>::infinity();
+  for (size_t k = begin; k < begin + count; ++k) {
+    agg.max_reach_r = std::isnan(m.reach_radius_m[k])
+                          ? std::numeric_limits<double>::infinity()
+                          : std::fmax(agg.max_reach_r, m.reach_radius_m[k]);
+  }
   for (size_t k = begin + 1; k < begin + count; ++k) {
     agg.min_x = std::fmin(agg.min_x, m.x[k]);
     agg.max_x = std::fmax(agg.max_x, m.x[k]);
@@ -228,9 +235,10 @@ void ExpectMirrorInSync(const index::GridIndex& grid,
       EXPECT_EQ(rows.expanded_r[pos], grid.member_r(pos)) << label;
       EXPECT_EQ(rows.accept_below_sq[pos], soa.accept_below_sq[id]) << label;
       EXPECT_EQ(rows.reject_above_sq[pos], soa.reject_above_sq[id]) << label;
+      EXPECT_EQ(rows.reach_radius_m[pos], soa.reach_radius_m[id]) << label;
     }
     const CellScoreMirror::CellAgg expected = ReferenceAgg(rows, begin, count);
-    const CellScoreMirror::CellAgg& got = mirror.CellAggForTest(slot);
+    const CellScoreMirror::CellAgg& got = mirror.cell_agg(slot);
     if (count == 0) {
       EXPECT_LT(got.max_x, got.min_x) << label << " slot=" << slot;
       continue;
@@ -241,6 +249,7 @@ void ExpectMirrorInSync(const index::GridIndex& grid,
     EXPECT_EQ(got.max_y, expected.max_y) << label << " slot=" << slot;
     EXPECT_EQ(got.min_accept_sq, expected.min_accept_sq) << label;
     EXPECT_EQ(got.max_reject_sq, expected.max_reject_sq) << label;
+    EXPECT_EQ(got.max_reach_r, expected.max_reach_r) << label;
   }
 }
 

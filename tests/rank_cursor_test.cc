@@ -14,21 +14,26 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "assign/scguard_engine.h"
 #include "assign/stages/candidate_stage.h"
+#include "assign/stages/cell_mirror.h"
 #include "assign/stages/contact_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "engine_fixtures.h"
+#include "index/grid_index.h"
+#include "index/pruning.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
 #include "reachability/analytical_model.h"
 #include "reachability/binary_model.h"
 #include "reachability/empirical_model.h"
 #include "reachability/kernel.h"
+#include "runtime/thread_pool.h"
 #include "stats/rng.h"
 
 namespace scguard {
@@ -439,72 +444,6 @@ TEST(U2eRankCursorTest, CancelledTaskDismissesTrippedAndUnemitted) {
 
 // ----------------------------------------------- engine-level identity
 
-// The pipeline body with eager Rank and the vector Run: the reference the
-// cursor-driven engine must reproduce bit for bit.
-assign::MatchResult RunEagerReference(const assign::EnginePolicy& policy,
-                                   const assign::Workload& workload,
-                                   stats::Rng& rng) {
-  assign::MatchResult result;
-  assign::RunMetrics& m = result.metrics;
-  assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = policy.u2u_model;
-  u2u_config.alpha = policy.alpha;
-  u2u_config.kernel = policy.kernel;
-  assign::U2uCandidateStage u2u(std::move(u2u_config));
-  std::vector<double> random_rank;
-  for (const assign::Worker& w : workload.workers) {
-    random_rank.push_back(rng.UniformDouble());
-    u2u.AddWorker(w.noisy_location, w.reach_radius_m);
-  }
-  u2u.Prepare();
-  assign::U2eRankStage u2e({.model = policy.u2e_model, .rank = policy.rank,
-                            .kernel = policy.kernel});
-  const assign::E2eContactStage e2e(
-      {.rank = policy.rank, .beta = policy.beta,
-       .beta_mode = policy.beta_mode, .redundancy_k = policy.redundancy_k});
-  Ranked ranked;
-  for (const assign::Task& task : workload.tasks) {
-    m.num_tasks += 1;
-    int64_t truly_reachable_available = 0;
-    for (size_t i = 0; i < workload.workers.size(); ++i) {
-      if (!u2u.is_matched(static_cast<uint32_t>(i)) &&
-          workload.workers[i].CanReach(task.location)) {
-        ++truly_reachable_available;
-      }
-    }
-    const std::vector<uint32_t>& candidates = u2u.Collect(task.noisy_location);
-    m.candidates_sum += static_cast<int64_t>(candidates.size());
-    m.server_to_requester_msgs += 1;
-    int64_t candidates_reachable = 0;
-    for (const uint32_t i : candidates) {
-      if (workload.workers[i].CanReach(task.location)) ++candidates_reachable;
-    }
-    const auto candidate_count = static_cast<int64_t>(candidates.size());
-    if (!candidates.empty()) {
-      u2e.Rank(u2u.soa(), candidates, task.location, random_rank.data(),
-               ranked);
-      e2e.Run(
-          ranked,
-          [&](size_t i) {
-            const assign::Worker& w = workload.workers[i];
-            if (!w.CanReach(task.location)) return false;
-            u2u.MarkMatched(static_cast<uint32_t>(i));
-            const double travel = geo::Distance(w.location, task.location);
-            result.assignments.push_back({task.id, w.id, travel});
-            m.accepted_assignments += 1;
-            m.travel_sum_m += travel;
-            return true;
-          },
-          [&](size_t i) { return workload.workers[i].CanReach(task.location); },
-          m);
-    }
-    m.AddCandidateAccuracy(candidates_reachable, candidate_count,
-                           truly_reachable_available);
-  }
-  m.num_workers = static_cast<int64_t>(workload.workers.size());
-  return result;
-}
-
 class CursorEngineTest : public ::testing::TestWithParam<int> {
  protected:
   static void SetUpTestSuite() {
@@ -548,6 +487,52 @@ class CursorEngineTest : public ::testing::TestWithParam<int> {
     return policy;
   }
 
+  /// The engine against the eager reference over every strategy, beta
+  /// threshold and mode, and redundancy 1 and 3 — beta cancels and
+  /// unassigned tasks (false dismissals) included — with the U2U scan
+  /// brute (no gamma) or through the grid pruner's cell runs.
+  static void ExpectEngineMatchesEagerReference(const ReachabilityModel* model,
+                                                std::optional<double> gamma) {
+    for (const RankStrategy rank :
+         {RankStrategy::kProbability, RankStrategy::kRandom,
+          RankStrategy::kNearest}) {
+      for (const double beta : {0.0, 0.25, 0.9}) {
+        for (const BetaMode mode :
+             {BetaMode::kEveryContact, BetaMode::kFirstContactOnly}) {
+          for (const int k : {1, 3}) {
+            const std::string label =
+                std::string(model->name()) + "/" +
+                std::string(assign::RankStrategyName(rank)) +
+                "/beta=" + std::to_string(beta) +
+                (mode == BetaMode::kEveryContact ? "/every" : "/first") +
+                "/k=" + std::to_string(k) + (gamma ? "/grid" : "/brute");
+            assign::EnginePolicy policy = Policy(model);
+            policy.rank = rank;
+            policy.beta = beta;
+            policy.beta_mode = mode;
+            policy.redundancy_k = k;
+            policy.pruning_gamma = gamma;
+            stats::Rng engine_rng(77);
+            const assign::MatchResult engine =
+                assign::ScGuardEngine(policy).Run(*workload_, engine_rng);
+            stats::Rng reference_rng(77);
+            const assign::MatchResult reference =
+                fixtures::RunEagerReference(policy, *workload_, reference_rng);
+            fixtures::ExpectBitIdentical(engine, reference, label,
+                                         fixtures::Compare::kOutcome);
+            EXPECT_EQ(engine_rng(), reference_rng()) << label;
+            if (rank == RankStrategy::kProbability && beta == 0.25) {
+              EXPECT_GT(engine.metrics.assigned_tasks, 0) << label;
+            }
+            if (rank == RankStrategy::kProbability && beta == 0.9) {
+              EXPECT_GT(engine.metrics.false_dismissals, 0) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+
   static const assign::Workload* workload_;
   static const BinaryModel* binary_;
   static const AnalyticalModel* analytical_;
@@ -560,41 +545,13 @@ const AnalyticalModel* CursorEngineTest::analytical_ = nullptr;
 const reachability::EmpiricalModel* CursorEngineTest::empirical_ = nullptr;
 
 TEST_P(CursorEngineTest, EngineMatchesEagerReference) {
-  const ReachabilityModel* model = Model(GetParam());
-  for (const RankStrategy rank :
-       {RankStrategy::kProbability, RankStrategy::kRandom,
-        RankStrategy::kNearest}) {
-    for (const double beta : {0.0, 0.25, 0.9}) {
-      for (const BetaMode mode :
-           {BetaMode::kEveryContact, BetaMode::kFirstContactOnly}) {
-        for (const int k : {1, 3}) {
-          const std::string label =
-              std::string(model->name()) + "/" +
-              std::string(assign::RankStrategyName(rank)) +
-              "/beta=" + std::to_string(beta) +
-              (mode == BetaMode::kEveryContact ? "/every" : "/first") +
-              "/k=" + std::to_string(k);
-          assign::EnginePolicy policy = Policy(model);
-          policy.rank = rank;
-          policy.beta = beta;
-          policy.beta_mode = mode;
-          policy.redundancy_k = k;
-          stats::Rng engine_rng(77);
-          const assign::MatchResult engine =
-              assign::ScGuardEngine(policy).Run(*workload_, engine_rng);
-          stats::Rng reference_rng(77);
-          const assign::MatchResult reference =
-              RunEagerReference(policy, *workload_, reference_rng);
-          fixtures::ExpectBitIdentical(engine, reference, label,
-                                       fixtures::Compare::kOutcome);
-          EXPECT_EQ(engine_rng(), reference_rng()) << label;
-          if (rank == RankStrategy::kProbability && beta == 0.25) {
-            EXPECT_GT(engine.metrics.assigned_tasks, 0) << label;
-          }
-        }
-      }
-    }
-  }
+  ExpectEngineMatchesEagerReference(Model(GetParam()), std::nullopt);
+}
+
+// The same over the grid pruner: U2E ranks the cell runs best-first (or, for
+// the empirical model, which declares no monotonicity, their flattening).
+TEST_P(CursorEngineTest, GridEngineMatchesEagerReference) {
+  ExpectEngineMatchesEagerReference(Model(GetParam()), 0.9);
 }
 
 std::string ModelName(const ::testing::TestParamInfo<int>& param) {
@@ -636,6 +593,335 @@ TEST_F(CursorEngineTest, U2eEvalsCounterShowsThePruning) {
     }
   }
   obs::SetConfig(obs::ObsConfig{});
+}
+
+// Full-audit mode drains every score, so U2E ranks the flattened runs;
+// the outcome is the eager reference's all the same.
+TEST_F(CursorEngineTest, FullAuditDrainMatchesEagerReferenceOnTheGrid) {
+  obs::SetConfig({.enabled = true, .recorder = true, .audit_full = true});
+  for (const int k : {1, 3}) {
+    assign::EnginePolicy policy = Policy(Model(1));
+    policy.beta = 0.25;
+    policy.redundancy_k = k;
+    policy.pruning_gamma = 0.9;
+    stats::Rng engine_rng(78);
+    const assign::MatchResult engine =
+        assign::ScGuardEngine(policy).Run(*workload_, engine_rng);
+    stats::Rng reference_rng(78);
+    const assign::MatchResult reference =
+        fixtures::RunEagerReference(policy, *workload_, reference_rng);
+    fixtures::ExpectBitIdentical(engine, reference,
+                                 "full audit k=" + std::to_string(k),
+                                 fixtures::Compare::kOutcome);
+  }
+  obs::SetConfig(obs::ObsConfig{});
+}
+
+// scguard.engine.u2e_cells_expanded counts the cells the cursor opened: a
+// few per task on the grid path, none on the brute path (no cells).
+TEST_F(CursorEngineTest, CellsExpandedCounterCountsOpenedCells) {
+  obs::SetConfig({.enabled = true});
+  obs::Counter* cells = obs::MetricsRegistry::Global().GetCounter(
+      "scguard.engine.u2e_cells_expanded");
+  for (const bool grid : {false, true}) {
+    const int64_t before = cells->Value();
+    assign::EnginePolicy policy = Policy(Model(1));
+    policy.beta = 0.25;
+    if (grid) policy.pruning_gamma = 0.9;
+    stats::Rng rng(77);
+    const assign::MatchResult run =
+        assign::ScGuardEngine(policy).Run(*workload_, rng);
+    const int64_t opened = cells->Value() - before;
+    if (grid) {
+      EXPECT_GT(opened, 0);
+      EXPECT_LT(opened, 40 * 8);  // A handful per task, of ~250 cells.
+    } else {
+      EXPECT_EQ(opened, 0);
+    }
+    EXPECT_GT(run.metrics.assigned_tasks, 0);
+  }
+  obs::SetConfig(obs::ObsConfig{});
+}
+
+// ------------------------------------------------ cell-run candidate sets
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// How one run's candidate groups split up, summed over tasks.
+struct RunShape {
+  int64_t row_groups = 0;    ///< Certificate-accepted cells.
+  int64_t list_groups = 0;   ///< Mixed and rectangle-boundary cells.
+  int64_t plain_groups = 0;  ///< Band survivors.
+};
+
+/// Checks the structure of `runs` and that every live mirror row shadows
+/// the soa's noisy location bit for bit; returns the members in group
+/// order.
+std::vector<uint32_t> CheckedMembers(const assign::CandidateRuns& runs,
+                                     const reachability::WorkerFilterSoA& soa,
+                                     RunShape& shape) {
+  std::vector<uint32_t> members;
+  for (const assign::CandidateRuns::Group& g : runs.groups) {
+    EXPECT_GE(g.count, 1u);
+    if (g.in_rows) {
+      EXPECT_NE(g.slot, assign::CandidateRuns::kNoCell);
+      ++shape.row_groups;
+    } else if (g.slot == assign::CandidateRuns::kNoCell) {
+      ++shape.plain_groups;
+    } else {
+      ++shape.list_groups;
+    }
+    runs.ForEachIn(g, [&](uint32_t id) { members.push_back(id); });
+  }
+  EXPECT_EQ(members.size(), runs.size);
+  if (runs.mirror != nullptr) {
+    const index::GridIndex& grid = *runs.mirror->grid();
+    const reachability::CellMajorMirror& rows = runs.mirror->rows();
+    for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
+      const size_t begin = grid.cell_begin(slot);
+      for (size_t pos = begin; pos < begin + grid.cell_count(slot); ++pos) {
+        const uint32_t id = rows.id[pos];
+        EXPECT_TRUE(SameBits(rows.x[pos], soa.x[id])) << "id " << id;
+        EXPECT_TRUE(SameBits(rows.y[pos], soa.y[id])) << "id " << id;
+      }
+    }
+  }
+  return members;
+}
+
+// The cursor over CollectRuns against the eager Rank over the ascending
+// Collect, on the grid path, task after task under churn: acceptances
+// (MarkMatched), a whole cell matched empty, relocations within and across
+// cells, and reactivations (MarkAvailable). Entries and scores must agree
+// bit for bit, and ForEachRemaining must leave exactly the eager tail. The
+// runs' flattening equals Collect's list, and the runs themselves (group
+// order included) do not depend on the pool.
+TEST(CellRunCursorTest, GridStageMatchesEagerRankUnderChurn) {
+  const assign::Workload workload = fixtures::NoisyWorkload(4000, 90, 41);
+  const BinaryModel binary;  // All-tie scores.
+  const AnalyticalModel analytical(kParams);
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  pools.push_back(std::make_unique<runtime::ThreadPool>(1));
+  pools.push_back(std::make_unique<runtime::ThreadPool>(4));
+
+  for (const ReachabilityModel* model :
+       {static_cast<const ReachabilityModel*>(&analytical),
+        static_cast<const ReachabilityModel*>(&binary)}) {
+    for (const int shard_size : {64, 4096}) {
+      std::vector<std::vector<uint32_t>> first_pool_runs;
+      for (const auto& pool : pools) {
+        const std::string label = std::string(model->name()) +
+                                  " threads=" +
+                                  std::to_string(pool->num_threads()) +
+                                  " shard=" + std::to_string(shard_size);
+        assign::U2uCandidateStage::Config config;
+        config.model = model;
+        config.alpha = 0.1;
+        config.runtime = {.pool = pool.get(), .shard_size = shard_size};
+        config.pruning = assign::U2uCandidateStage::Pruning{
+            0.9, index::PrunerBackend::kGrid, kParams, kParams,
+            workload.region};
+        assign::U2uCandidateStage stage(config);
+        for (const assign::Worker& w : workload.workers) {
+          stage.AddWorker(w.noisy_location, w.reach_radius_m);
+        }
+        assign::U2eRankStage eager({.model = model, .kernel = {}});
+        assign::U2eRankStage lazy({.model = model, .kernel = {}});
+        stats::Rng rng(5);
+        std::vector<uint32_t> matched;
+        std::vector<std::vector<uint32_t>> pool_runs;
+        RunShape shape;
+        int64_t cell_groups = 0;
+        bool emptied = false;
+        for (size_t t = 0; t < workload.tasks.size(); ++t) {
+          const std::string at = label + " task=" + std::to_string(t);
+          const geo::Point noisy = workload.tasks[t].noisy_location;
+          const geo::Point exact = workload.tasks[t].location;
+          const RunShape before = shape;
+          std::vector<uint32_t> members =
+              CheckedMembers(stage.CollectRuns(noisy), stage.soa(), shape);
+          cell_groups += shape.row_groups - before.row_groups +
+                         shape.list_groups - before.list_groups;
+          pool_runs.push_back(members);
+          std::sort(members.begin(), members.end());
+          const std::vector<uint32_t> list = stage.Collect(noisy);
+          ASSERT_EQ(members, list) << at;
+
+          Ranked want;
+          eager.Rank(stage.soa(), list, exact, nullptr, want);
+          const assign::CandidateRuns& runs = stage.CollectRuns(noisy);
+          if (t % 4 == 0) {
+            const Ranked all =
+                Drain(lazy.Open(stage.soa(), runs, exact, nullptr));
+            ASSERT_EQ(all.size(), want.size()) << at;
+            for (size_t k = 0; k < want.size(); ++k) {
+              EXPECT_EQ(all[k].second, want[k].second) << at << " @" << k;
+              EXPECT_TRUE(SameBits(all[k].first, want[k].first))
+                  << at << " @" << k;
+            }
+          }
+          assign::U2eRankCursor& cursor =
+              lazy.Open(stage.soa(), runs, exact, nullptr);
+          const size_t take = std::min<size_t>(want.size(), 3);
+          for (size_t k = 0; k < take; ++k) {
+            assign::U2eRankCursor::Entry e;
+            ASSERT_TRUE(cursor.Next(e)) << at;
+            EXPECT_EQ(e.second, want[k].second) << at << " @" << k;
+            EXPECT_TRUE(SameBits(e.first, want[k].first)) << at << " @" << k;
+          }
+          std::vector<size_t> rest;
+          cursor.ForEachRemaining([&](size_t id) { rest.push_back(id); });
+          std::sort(rest.begin(), rest.end());
+          std::vector<size_t> tail;
+          for (size_t k = take; k < want.size(); ++k) {
+            tail.push_back(want[k].second);
+          }
+          std::sort(tail.begin(), tail.end());
+          EXPECT_EQ(rest, tail) << at;
+
+          // Churn. Accept the top one to three ranked workers.
+          const uint64_t accept = 1 + rng.UniformInt(3);
+          for (size_t k = 0; k < want.size() && k < accept; ++k) {
+            const auto id = static_cast<uint32_t>(want[k].second);
+            stage.MarkMatched(id);
+            matched.push_back(id);
+          }
+          // Once, match every member of a cell this task opened rows of.
+          if (!emptied) {
+            for (const assign::CandidateRuns::Group& g : runs.groups) {
+              if (!g.in_rows) continue;
+              std::vector<uint32_t> cell;
+              runs.ForEachIn(g, [&](uint32_t id) { cell.push_back(id); });
+              const index::GridIndex& grid = *runs.mirror->grid();
+              if (grid.cell_count(g.slot) != cell.size()) continue;
+              const uint32_t slot = g.slot;
+              for (const uint32_t id : cell) {
+                stage.MarkMatched(id);
+                matched.push_back(id);
+              }
+              EXPECT_EQ(grid.cell_count(slot), 0u) << at;
+              emptied = true;
+              break;
+            }
+          }
+          // Relocate: small moves mostly stay in their cell, random ones
+          // cross cells.
+          for (int r = 0; r < 6; ++r) {
+            const auto w =
+                static_cast<uint32_t>(rng.UniformInt(workload.workers.size()));
+            geo::Point p{stage.soa().x[w], stage.soa().y[w]};
+            if (r % 2 == 0) {
+              p.x += rng.UniformDouble(-5.0, 5.0);
+              p.y += rng.UniformDouble(-5.0, 5.0);
+            } else {
+              p = {rng.UniformDouble(0.0, 20000.0),
+                   rng.UniformDouble(0.0, 20000.0)};
+            }
+            stage.UpdateWorkerLocation(w, p);
+          }
+          if (!matched.empty() && rng.UniformDouble() < 0.4) {
+            stage.MarkAvailable(matched.front());
+            matched.erase(matched.begin());
+          }
+        }
+        EXPECT_TRUE(emptied) << label;
+        EXPECT_GT(shape.row_groups, 0) << label;
+        EXPECT_GT(shape.list_groups, 0) << label;
+        if (model == &analytical) {
+          EXPECT_GT(shape.plain_groups, 0) << label;
+          // Best-first: most cells are never opened.
+          EXPECT_LT(lazy.cells_expanded(), cell_groups / 2) << label;
+        }
+        if (first_pool_runs.empty()) {
+          first_pool_runs = pool_runs;
+        } else {
+          EXPECT_EQ(pool_runs, first_pool_runs) << label;
+        }
+      }
+    }
+  }
+}
+
+/// A monotone-declared model under which a NaN radius reaches everything
+/// (score 1) and any other radius scores r / (r + d), positive everywhere:
+/// a cell bound that dropped a NaN member's radius would stay below the
+/// nearer members' scores and rank the NaN member after them.
+class NaNReachesModel final : public ReachabilityModel {
+ public:
+  double ProbReachable(Stage, double d, double r) const override {
+    if (std::isnan(r)) return 1.0;
+    return r > 0.0 ? r / (r + d) : 0.0;
+  }
+  bool Monotone(Stage) const override { return true; }
+  std::string_view name() const override { return "nan-reaches"; }
+};
+
+// The cell-level NaNRadiusGetsTheTrivialBound: a cell holding a NaN-radius
+// member has max_reach_r = +inf, hence the trivial bound 1.0, so the cursor
+// opens it before trusting any lower bound.
+TEST(CellRunCursorTest, NaNRadiusCellGetsTheTrivialBound) {
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {4000, 4000});
+  reachability::WorkerFilterSoA soa;
+  const size_t n = 80;
+  soa.Resize(n);
+  soa.accept_below_sq.assign(n, -1.0);
+  soa.reject_above_sq.assign(n, 0.0);
+  stats::Rng rng(19);
+  for (size_t i = 0; i < n; ++i) {
+    soa.x[i] = rng.UniformDouble(0.0, 4000.0);
+    soa.y[i] = rng.UniformDouble(0.0, 4000.0);
+    soa.reach_radius_m[i] = i % 7 == 3 ? kNaN : rng.UniformDouble(50.0, 300.0);
+  }
+  index::GridIndex grid(region, 4);
+  grid.BulkLoad(n, [&](size_t i) {
+    // The index holds a finite rectangle radius whatever the soa says.
+    return index::GridIndex::Entry{{soa.x[i], soa.y[i]}, 500.0,
+                                   static_cast<int64_t>(i)};
+  });
+  assign::CellScoreMirror mirror;
+  mirror.Attach(&grid, &soa);
+  assign::CandidateRuns runs;
+  runs.mirror = &mirror;
+  std::vector<uint32_t> flat;
+  int nan_cells = 0;
+  for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
+    const uint32_t count = grid.cell_count(slot);
+    if (count == 0) continue;
+    runs.groups.push_back({grid.cell_begin(slot), count,
+                           static_cast<uint32_t>(slot), true});
+    runs.size += count;
+    bool has_nan = false;
+    runs.ForEachIn(runs.groups.back(), [&](uint32_t id) {
+      flat.push_back(id);
+      has_nan = has_nan || std::isnan(soa.reach_radius_m[id]);
+    });
+    if (has_nan) {
+      ++nan_cells;
+      EXPECT_EQ(mirror.cell_agg(slot).max_reach_r, kInf) << slot;
+    } else {
+      EXPECT_LT(mirror.cell_agg(slot).max_reach_r, 300.0) << slot;
+    }
+  }
+  ASSERT_GT(nan_cells, 0);
+  const NaNReachesModel model;
+  for (const geo::Point task : {geo::Point{100, 100}, geo::Point{2000, 2000},
+                                geo::Point{3900, 200}}) {
+    assign::U2eRankStage eager({.model = &model, .kernel = {}});
+    assign::U2eRankStage lazy({.model = &model, .kernel = {}});
+    Ranked want;
+    eager.Rank(soa, flat, task, nullptr, want);
+    ASSERT_EQ(want.front().first, 1.0);
+    const Ranked got = Drain(lazy.Open(soa, runs, task, nullptr));
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].second, want[k].second) << "entry " << k;
+      EXPECT_TRUE(SameBits(got[k].first, want[k].first)) << "entry " << k;
+    }
+  }
+  mirror.ForgetGrid();
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -449,6 +450,123 @@ TEST(ServiceTest, ReportReactivatesMatchedWorker) {
     EXPECT_EQ(svc.completions()[1].worker_id, reactivate ? 0 : -1)
         << "reactivate=" << reactivate;
   }
+}
+
+/// The workload's workers with a refused registration before every fifth
+/// one: each kind of bad location and bad radius in turn.
+std::vector<assign::Worker> WithRefusals(
+    const std::vector<assign::Worker>& workers) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<assign::Worker> out;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    if (i % 5 == 0) {
+      assign::Worker bad = workers[i];
+      switch (i / 5 % 8) {
+        case 0: bad.location.x = kNaN; break;
+        case 1: bad.noisy_location.y = kInf; break;
+        case 2: bad.noisy_location.x = -kInf; break;
+        case 3: bad.reach_radius_m = kNaN; break;
+        case 4: bad.reach_radius_m = kInf; break;
+        case 5: bad.reach_radius_m = -kInf; break;
+        case 6: bad.reach_radius_m = 0.0; break;
+        default: bad.reach_radius_m = -250.0; break;
+      }
+      out.push_back(bad);
+    }
+    out.push_back(workers[i]);
+  }
+  return out;
+}
+
+TEST(ServiceTest, InvalidRegistrationsAreRefusedAndCounted) {
+  // Non-finite locations and NaN, infinite or non-positive radii never
+  // reach the stage (the grid CHECK-aborted on a non-finite rectangle):
+  // they get kInvalidWorker, no id, no rank draw, and a counted refusal.
+  const assign::Workload workload = NoisyWorkload(120, 80, 7006);
+  const reachability::AnalyticalModel model(kDefault);
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::SetConfig(obs::ObsConfig{.enabled = true});
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  AssignmentService svc(BaseConfig(&model, workload.region));
+  uint32_t next_id = 0;
+  int64_t refused = 0;
+  for (const assign::Worker& w : WithRefusals(workload.workers)) {
+    const bool valid = std::isfinite(w.location.x) &&
+                       std::isfinite(w.noisy_location.x) &&
+                       std::isfinite(w.noisy_location.y) &&
+                       std::isfinite(w.reach_radius_m) && w.reach_radius_m > 0;
+    const uint32_t id = svc.RegisterWorker(w);
+    if (valid) {
+      EXPECT_EQ(id, next_id++);
+    } else {
+      EXPECT_EQ(id, AssignmentService::kInvalidWorker);
+      ++refused;
+    }
+  }
+  ASSERT_EQ(refused, 24);
+  EXPECT_EQ(svc.ingest_stats().workers_invalid, refused);
+  // The refused ids do not exist: a report for the first one past the
+  // valid range is refused as unknown.
+  EXPECT_FALSE(svc.ReportLocation(next_id, workload.workers[0].location,
+                                  workload.workers[0].noisy_location));
+  svc.Start();
+  for (const auto& t : workload.tasks) ASSERT_TRUE(svc.SubmitTask(t));
+  svc.Stop(AssignmentService::StopMode::kDrain);
+  const obs::MetricsSnapshot after = registry.Snapshot();
+  obs::SetConfig(obs::ObsConfig{.enabled = false});
+  const auto it = before.counters.find("scguard.service.workers_invalid");
+  EXPECT_EQ(after.counters.at("scguard.service.workers_invalid") -
+                (it == before.counters.end() ? 0 : it->second),
+            refused);
+  EXPECT_EQ(svc.metrics().num_workers, 120);
+
+  // Refusals draw no priority, so the run equals one over the valid
+  // workers alone.
+  AssignmentService clean(BaseConfig(&model, workload.region));
+  for (const auto& w : workload.workers) clean.RegisterWorker(w);
+  clean.Start();
+  for (const auto& t : workload.tasks) ASSERT_TRUE(clean.SubmitTask(t));
+  clean.Stop(AssignmentService::StopMode::kDrain);
+  ASSERT_GT(clean.metrics().assigned_tasks, 0);
+  ExpectSameResults(svc, clean, "with refusals vs valid workers only");
+}
+
+TEST(ServiceTest, ReplayMatchesLiveWhenRegistrationsWereRefused) {
+  // Live ≡ replay holds when the registration sequence had refusals: the
+  // replaying service repeats the same registrations (refusals included)
+  // and ends on the same ids, priorities and results.
+  const assign::Workload workload = NoisyWorkload(300, 200, 7007);
+  const reachability::AnalyticalModel model(kDefault);
+  ServiceConfig config = BaseConfig(&model, workload.region);
+  config.redundancy_k = 2;
+  const std::vector<assign::Worker> registrations =
+      WithRefusals(workload.workers);
+
+  AssignmentService live(config);
+  for (const auto& w : registrations) live.RegisterWorker(w);
+  live.Start();
+  stats::Rng rng(8);
+  const auto noise = privacy::MakeMechanismOrDie(kDefault);
+  for (size_t k = 0; k < workload.tasks.size(); ++k) {
+    ASSERT_TRUE(live.SubmitTask(workload.tasks[k]));
+    const auto w =
+        static_cast<uint32_t>(rng.UniformInt(workload.workers.size()));
+    geo::Point p = workload.workers[w].location;
+    p.x += rng.Gaussian(0.0, 400.0);
+    p.y += rng.Gaussian(0.0, 400.0);
+    ASSERT_TRUE(live.ReportLocation(w, p, noise->Perturb(p, rng)));
+  }
+  live.Stop(AssignmentService::StopMode::kDrain);
+  ASSERT_EQ(live.completions().size(), workload.tasks.size());
+  ASSERT_GT(live.metrics().assigned_tasks, 0);
+
+  AssignmentService replay(config);
+  for (const auto& w : registrations) replay.RegisterWorker(w);
+  replay.Replay(live.admission_log());
+  ExpectSameResults(live, replay, "live vs replay with refusals");
+  EXPECT_EQ(replay.ingest_stats().workers_invalid,
+            live.ingest_stats().workers_invalid);
 }
 
 }  // namespace
