@@ -571,7 +571,8 @@ BENCHMARK(BM_U2eRank)->Arg(0)->Arg(1);
 // vector (0) against CollectRuns and Open over the cell runs (1), which
 // bounds whole cells best-first instead of every candidate. Same entries
 // either way (tests/rank_cursor_test.cc); items are tasks. CI gates
-// rate(1) >= 1.5 x rate(0).
+// rate(1) >= 1.5 x rate(0), and rows_per_task < boundary_rows_per_task on
+// (1): the walk must settle most rectangle-boundary rows by certificate.
 void BM_TaskPipelineGrid(benchmark::State& state) {
   const bool runs = state.range(0) != 0;
   const size_t n = 200000;
@@ -603,6 +604,8 @@ void BM_TaskPipelineGrid(benchmark::State& state) {
   assign::U2eRankStage u2e({.model = &model,
                             .rank = assign::RankStrategy::kProbability,
                             .kernel = {}});
+  const int64_t rows_before = stage.stats().rows_classified;
+  const int64_t boundary_before = stage.grid_query_stats()->boundary_workers;
   size_t t = 0;
   for (auto _ : state) {
     const auto& [exact, noisy] = tasks[t++ % tasks.size()];
@@ -616,6 +619,16 @@ void BM_TaskPipelineGrid(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(runs ? "cell runs" : "id vector");
+  // Mirror rows classified one by one, against the rows of the walk's
+  // rectangle-boundary cells (which the alpha certificate mostly settles
+  // without a read).
+  state.counters["rows_per_task"] = benchmark::Counter(
+      static_cast<double>(stage.stats().rows_classified - rows_before),
+      benchmark::Counter::kAvgIterations);
+  state.counters["boundary_rows_per_task"] = benchmark::Counter(
+      static_cast<double>(stage.grid_query_stats()->boundary_workers -
+                          boundary_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_TaskPipelineGrid)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

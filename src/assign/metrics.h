@@ -60,6 +60,9 @@ struct RunMetrics {
   /// Workers actually scored by the U2U filter, summed over tasks. With
   /// active-set compaction this shrinks as workers get matched; the
   /// first/last-task pair exposes the decay (scale bench, DESIGN.md §9).
+  /// On the grid backend's mirror path a worker counts only when its
+  /// rectangle admits the task and its cell was not rejected whole by the
+  /// cell alpha certificate, whose rows are never read (DESIGN.md §13).
   /// First/last are per-run snapshots, not accumulated across seeds.
   int64_t u2u_scanned = 0;
   int64_t u2u_scanned_first_task = 0;

@@ -223,6 +223,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
   sc.scanned = 0;
   sc.gather_bytes = 0;
   sc.cells_direct = 0;
+  sc.rows_classified = 0;
   const reachability::CellMajorMirror& m = mirror_.rows();
   // Ids appended to sc.accept since `from` become one listed group.
   const auto push_list = [&sc](size_t from, uint32_t slot) {
@@ -241,19 +242,24 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       __builtin_prefetch(m.y.data() + nx);
       __builtin_prefetch(m.accept_below_sq.data() + nx);
     }
+    // Alpha first: a candidate must pass both the rectangle and alpha, so
+    // the cell-level alpha certificate runs before any row is read.
+    const CellScoreMirror::CellAlpha alpha =
+        mirror_.Certify(visit.slot, task_noisy.x, task_noisy.y);
+    if (alpha == CellScoreMirror::CellAlpha::kAllReject) {
+      // No member can reach alpha, whatever the rectangle says: the cell
+      // is finished without a row read, and its workers are not scanned.
+      ++sc.cells_direct;
+      continue;
+    }
     if (visit.cert == index::GridIndex::CellCert::kBulkAccepted) {
-      // Every member is rectangle-admitted; the cell-level alpha
-      // certificate can settle the whole slice without touching a row.
+      // Every member is rectangle-admitted.
       sc.scanned += static_cast<int64_t>(visit.count);
-      const CellScoreMirror::CellAlpha alpha =
-          mirror_.Certify(visit.slot, task_noisy.x, task_noisy.y);
       if (alpha == CellScoreMirror::CellAlpha::kAllAccept) {
         // The whole slice is the group: no id is copied. The traffic model
         // still charges the id run U2E reads if it opens the cell.
         sc.groups.push_back({visit.begin, visit.count, visit.slot, true});
         sc.gather_bytes += static_cast<int64_t>(visit.count) * 4;
-        ++sc.cells_direct;
-      } else if (alpha == CellScoreMirror::CellAlpha::kAllReject) {
         ++sc.cells_direct;
       } else {
         const size_t from = sc.accept.size();
@@ -261,6 +267,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
                                                task_noisy.x, task_noisy.y,
                                                sc.accept, sc.band);
         push_list(from, visit.slot);
+        sc.rows_classified += static_cast<int64_t>(visit.count);
         sc.gather_bytes += static_cast<int64_t>(visit.count) * 36;
       }
     } else {
@@ -271,6 +278,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
           sc.band);
       push_list(from, visit.slot);
       sc.scanned += static_cast<int64_t>(admitted);
+      sc.rows_classified += static_cast<int64_t>(visit.count);
       sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
@@ -340,6 +348,7 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
     stats_.scanned_last += sc.scanned;
     stats_.gather_bytes += sc.gather_bytes;
     stats_.cells_emitted_direct += sc.cells_direct;
+    stats_.rows_classified += sc.rows_classified;
   }
   stats_.pruned_last = static_cast<int64_t>(n) - stats_.scanned_last;
 }

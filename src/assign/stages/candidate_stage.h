@@ -86,8 +86,14 @@ class U2uCandidateStage {
   /// Per-Collect scan accounting, surfaced so orchestrators can feed
   /// RunMetrics and obs counters without reaching into the scan.
   struct Stats {
-    int64_t scanned_last = 0;  ///< Workers scored by the last Collect.
-    int64_t pruned_last = 0;   ///< Workers the index skipped last Collect.
+    /// Workers scored by the last Collect. On the grid (mirror) path: the
+    /// rectangle-admitted workers of cells the whole-cell alpha certificate
+    /// did not reject — a rejected cell's rows are never read, so its
+    /// workers count as pruned (DESIGN.md section 13).
+    int64_t scanned_last = 0;
+    /// Workers the pruned scan skipped last Collect: size() minus
+    /// scanned_last (0 for the brute scan).
+    int64_t pruned_last = 0;
     /// Modeled scoring-side memory traffic, cumulative over the stage's
     /// life (a traffic model, not a hardware counter — see EXPERIMENTS.md):
     /// gathered workers cost one scattered cache line per SoA stream (4 x
@@ -97,8 +103,12 @@ class U2uCandidateStage {
     /// run (4 B per id, 0 for whole-cell rejects).
     int64_t gather_bytes = 0;
     /// Cells resolved purely by a whole-cell alpha certificate (accept or
-    /// reject) with zero per-worker loads, cumulative.
+    /// reject) with zero per-worker loads, cumulative. Rectangle-boundary
+    /// cells settled by a reject count too.
     int64_t cells_emitted_direct = 0;
+    /// Mirror rows the range kernels classified one by one (the mixed
+    /// bulk cells and the boundary cells not rejected whole), cumulative.
+    int64_t rows_classified = 0;
   };
 
   explicit U2uCandidateStage(Config config);
@@ -203,6 +213,7 @@ class U2uCandidateStage {
     int64_t compactions = 0;       ///< Active-set rebuilds, run cumulative.
     int64_t gather_bytes = 0;      ///< Mirror-chunk traffic, current task.
     int64_t cells_direct = 0;      ///< Certificate-direct cells, this task.
+    int64_t rows_classified = 0;   ///< Range-kernel rows, this task.
   };
 
   /// Scores `count` workers (an ascending index list with no matched

@@ -93,6 +93,9 @@ void CellScoreMirror::RecomputeAgg(size_t slot) {
 }
 
 void CellScoreMirror::Resync() {
+  // The index reserves room for slices moved to the tail before its next
+  // re-layout; match it so OnSliceMove appends without reallocating.
+  rows_.Reserve(grid_->member_capacity());
   rows_.Resize(grid_->member_rows());
   aggs_.assign(grid_->num_cell_slots(), CellAgg{});
   const size_t slots = grid_->num_cell_slots();
@@ -175,6 +178,24 @@ void CellScoreMirror::OnSliceUpdate(size_t slot, size_t pos, size_t end) {
   (void)end;
   FillRow(pos);
   RecomputeAgg(slot);
+}
+
+void CellScoreMirror::OnSliceMove(size_t slot, size_t from, size_t to,
+                                  uint32_t count) {
+  // The members are unchanged, so is the cell's aggregate.
+  (void)slot;
+  rows_.Resize(grid_->member_rows());
+  const auto copy = [&](auto& column) {
+    std::copy_n(column.begin() + static_cast<std::ptrdiff_t>(from), count,
+                column.begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  copy(rows_.id);
+  copy(rows_.x);
+  copy(rows_.y);
+  copy(rows_.expanded_r);
+  copy(rows_.accept_below_sq);
+  copy(rows_.reject_above_sq);
+  copy(rows_.reach_radius_m);
 }
 
 void CellScoreMirror::OnRebuild() { Resync(); }

@@ -15,8 +15,9 @@ namespace scguard::assign {
 /// same CSR cell slices, same headroom, same ascending in-slice id order —
 /// plus a per-cell aggregate that certifies whole cells against the alpha
 /// filter. It registers as the index's SliceChangeListener, so the index's
-/// in-slice erases (MarkMatched removals), inserts, and rebuilds keep the
-/// mirror in sync in O(cell) per mutation without re-reading the index.
+/// in-slice erases (MarkMatched removals), inserts and slice moves keep the
+/// mirror in sync in O(cell) per mutation without re-reading the index;
+/// only the index's amortized re-layouts resync it whole.
 ///
 /// Contract with the stage:
 ///  * Attach after the per-worker certain bands are filled (the mirror
@@ -69,6 +70,8 @@ class CellScoreMirror final : public index::GridIndex::SliceChangeListener {
   void OnSliceErase(size_t slot, size_t pos, size_t end) override;
   void OnSliceInsert(size_t slot, size_t pos, size_t end) override;
   void OnSliceUpdate(size_t slot, size_t pos, size_t end) override;
+  void OnSliceMove(size_t slot, size_t from, size_t to,
+                   uint32_t count) override;
   void OnRebuild() override;
 
   /// Per-cell member aggregate: the member x/y bounding box, the cell-wide

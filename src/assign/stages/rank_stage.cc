@@ -13,14 +13,20 @@ namespace {
 // disagreement with std::hypot.
 constexpr double kDistanceSlack = 1.0 - 1e-12;
 
-// The lattice bound of worker `i`, as Open(vector) computes it.
+// The lattice bound of a worker at (x, y) with reach radius r, as
+// Open(vector) computes it.
+double RowBound(reachability::U2eBoundLattice& lattice, double x, double y,
+                double r, geo::Point task) {
+  const double dx = x - task.x;
+  const double dy = y - task.y;
+  return lattice.UpperBound(std::sqrt(dx * dx + dy * dy) * kDistanceSlack, r);
+}
+
+// RowBound of worker `i`, read by id from the SoA.
 double MemberBound(reachability::U2eBoundLattice& lattice,
                    const reachability::WorkerFilterSoA& soa, uint32_t i,
                    geo::Point task) {
-  const double dx = soa.x[i] - task.x;
-  const double dy = soa.y[i] - task.y;
-  return lattice.UpperBound(std::sqrt(dx * dx + dy * dy) * kDistanceSlack,
-                            soa.reach_radius_m[i]);
+  return RowBound(lattice, soa.x[i], soa.y[i], soa.reach_radius_m[i], task);
 }
 
 // A bound on every member of a cell: the lattice bound at the distance to
@@ -116,10 +122,21 @@ void U2eRankCursor::Expand() {
   const CandidateRuns::Group& group = runs_->groups[cells_.back().id];
   cells_.pop_back();
   ++cells_expanded_;
-  runs_->ForEachIn(group, [this](uint32_t id) {
-    hot_.push_back({MemberBound(*lattice_, *soa_, id, task_), id});
-    std::push_heap(hot_.begin(), hot_.end(), BoundLess);
-  });
+  if (group.in_rows) {
+    // A certified cell's members are contiguous mirror rows, whose columns
+    // equal the SoA's bit for bit: the same bounds without a by-id gather.
+    const reachability::CellMajorMirror& m = runs_->mirror->rows();
+    for (size_t pos = group.begin; pos < group.begin + group.count; ++pos) {
+      hot_.push_back({RowBound(*lattice_, m.x[pos], m.y[pos],
+                               m.reach_radius_m[pos], task_),
+                      m.id[pos]});
+    }
+  } else {
+    runs_->ForEachIn(group, [this](uint32_t id) {
+      hot_.push_back({MemberBound(*lattice_, *soa_, id, task_), id});
+    });
+  }
+  std::make_heap(hot_.begin(), hot_.end(), BoundLess);
 }
 
 void U2eRankCursor::Refill(double threshold) {

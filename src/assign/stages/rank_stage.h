@@ -119,7 +119,9 @@ class U2eRankCursor {
   void Certify();
 
   /// Opens the best-bounded cell: its members enter the hot heap under
-  /// their own lattice bounds.
+  /// their own lattice bounds, read straight from the mirror rows for a
+  /// certificate-accepted cell and by id from the SoA for a listed one,
+  /// then the heap is rebuilt once.
   void Expand();
 
   /// Moves every cold candidate whose bound reaches `threshold` (all of

@@ -216,6 +216,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"false_hits", m.false_hits},
       {"false_dismissals", m.false_dismissals},
       {"u2u_band_evals", u2u_.band_evals()},
+      {"u2u_rows_classified", u2u_.stats().rows_classified},
       {"u2u_threshold_nodes", u2u_.threshold_nodes()},
       {"active_compactions", u2u_.compactions()},
       {"cells_bulk_accepted", m.cells_bulk_accepted},

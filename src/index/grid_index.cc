@@ -19,6 +19,25 @@ uint32_t SliceCapacityFor(uint32_t count) {
   return count + std::max<uint32_t>(4, count / 2);
 }
 
+/// Sizes the member columns for a fresh layout of `total` rows. Past the
+/// layout they reserve a sixteenth more for the slices that move to the
+/// tail before the next re-layout, so a move usually appends without
+/// reallocating — a reallocation would copy every column, the O(n) stall
+/// moves exist to avoid. Unwritten capacity is never touched.
+void LayOutColumns(size_t total, std::vector<int64_t>& ids,
+                   std::vector<double>& xs, std::vector<double>& ys,
+                   std::vector<double>& rs) {
+  const size_t capacity = total + total / 16;
+  ids.reserve(capacity);
+  xs.reserve(capacity);
+  ys.reserve(capacity);
+  rs.reserve(capacity);
+  ids.resize(total);
+  xs.resize(total);
+  ys.resize(total);
+  rs.resize(total);
+}
+
 }  // namespace
 
 void GridIndex::Agg::Reset() {
@@ -97,8 +116,9 @@ void GridIndex::Rebuild() {
   for (const CellRef& c : cells_ref_) {
     total += SliceCapacityFor(c.count);
   }
-  std::vector<int64_t> new_ids(total);
-  std::vector<double> new_xs(total), new_ys(total), new_rs(total);
+  std::vector<int64_t> new_ids;
+  std::vector<double> new_xs, new_ys, new_rs;
+  LayOutColumns(total, new_ids, new_xs, new_ys, new_rs);
   size_t at = 0;
   for (CellRef& c : cells_ref_) {
     const auto src = static_cast<std::ptrdiff_t>(c.begin);
@@ -115,8 +135,29 @@ void GridIndex::Rebuild() {
   xs_.swap(new_xs);
   ys_.swap(new_ys);
   rs_.swap(new_rs);
+  dead_rows_ = 0;
   ++rebuilds_;
   if (listener_ != nullptr) listener_->OnRebuild();
+}
+
+void GridIndex::MoveSliceToTail(size_t slot) {
+  CellRef& c = cells_ref_[slot];
+  const size_t from = c.begin;
+  const size_t to = ids_.size();
+  const uint32_t cap = SliceCapacityFor(c.count);
+  const auto move_column = [&](auto& column) {
+    column.resize(to + cap);
+    std::copy_n(column.begin() + static_cast<std::ptrdiff_t>(from), c.count,
+                column.begin() + static_cast<std::ptrdiff_t>(to));
+  };
+  move_column(ids_);
+  move_column(xs_);
+  move_column(ys_);
+  move_column(rs_);
+  dead_rows_ += c.cap;
+  c.begin = to;
+  c.cap = cap;
+  if (listener_ != nullptr) listener_->OnSliceMove(slot, from, to, c.count);
 }
 
 void GridIndex::BulkLoad(size_t n,
@@ -138,10 +179,7 @@ void GridIndex::BulkLoad(size_t n,
     c.count = 0;
     total += c.cap;
   }
-  ids_.resize(total);
-  xs_.resize(total);
-  ys_.resize(total);
-  rs_.resize(total);
+  LayOutColumns(total, ids_, xs_, ys_, rs_);
   cells_of_id_.reserve(n);
   bool ascending = true;
   for (size_t i = 0; i < n; ++i) {
@@ -201,7 +239,16 @@ void GridIndex::Insert(geo::Point center, double expanded_radius_m,
   SCGUARD_CHECK(expanded_radius_m >= 0.0 &&
                 std::isfinite(expanded_radius_m));
   const size_t slot = CellSlotFor(center);
-  if (cells_ref_[slot].count == cells_ref_[slot].cap) Rebuild();
+  if (cells_ref_[slot].count == cells_ref_[slot].cap) {
+    // A full slice moves to the tail in O(cell). Its old rows stay dead
+    // until they would outnumber the live entries; then one re-layout
+    // reclaims them all, so the copying is amortized O(1) per insert.
+    if (dead_rows_ + cells_ref_[slot].cap > live_) {
+      Rebuild();
+    } else {
+      MoveSliceToTail(slot);
+    }
+  }
   CellRef& c = cells_ref_[slot];
   // Ascending insert; callers registering ids in order hit the append path.
   const size_t end = c.begin + c.count;

@@ -61,6 +61,12 @@ class GridIndex {
     /// (same-cell Relocate: new center, same id and radius, no shifting).
     /// Re-read the row through the member accessors.
     virtual void OnSliceUpdate(size_t slot, size_t pos, size_t end) = 0;
+    /// Cell `slot`'s slice was full: its `count` members were copied from
+    /// rows [from, from + count) to [to, to + count) at the grown tail of
+    /// the member arrays (member_rows() grew; the old rows are dead). An
+    /// insert into the moved slice follows as OnSliceInsert.
+    virtual void OnSliceMove(size_t slot, size_t from, size_t to,
+                             uint32_t count) = 0;
     /// The flat member arrays were re-laid wholesale (slice offsets and
     /// capacities changed); the view must rebuild from the accessors.
     virtual void OnRebuild() = 0;
@@ -99,7 +105,7 @@ class GridIndex {
   /// ascending within every cell whatever the input order, so queries,
   /// certificates and later Remove / Relocate / Insert answer exactly as
   /// after Inserting the same entries one by one — without that path's
-  /// O(n) Rebuild each time a cell fills. `entry_at(i)` is called twice
+  /// slice moves each time a cell fills. `entry_at(i)` is called twice
   /// per entry and must return the same entry both times.
   void BulkLoad(size_t n, const std::function<Entry(size_t)>& entry_at);
 
@@ -152,6 +158,9 @@ class GridIndex {
   // headroom whose contents are unspecified.
   size_t num_cell_slots() const { return cells_ref_.size(); }
   size_t member_rows() const { return ids_.size(); }
+  /// Rows the member arrays hold without reallocating (slice moves append
+  /// at the tail until they reach it).
+  size_t member_capacity() const { return ids_.capacity(); }
   size_t cell_begin(size_t slot) const { return cells_ref_[slot].begin; }
   uint32_t cell_count(size_t slot) const { return cells_ref_[slot].count; }
   int64_t member_id(size_t pos) const { return ids_[pos]; }
@@ -189,10 +198,14 @@ class GridIndex {
   const QueryStats& stats() const { return stats_; }
   void ResetStats() const { stats_ = QueryStats{}; }
 
-  /// Full re-layouts of the member arrays so far: each runs when an
-  /// Insert (directly, or through Relocate or a re-insert) finds its
-  /// cell's slice full, costs O(entries), and fires the listener's
-  /// OnRebuild. BulkLoad's one layout pass is not counted.
+  /// Full re-layouts of the member arrays so far. An Insert (directly, or
+  /// through Relocate or a re-insert) that finds its cell's slice full
+  /// moves just that slice to the tail of the member arrays with fresh
+  /// headroom, in O(cell) (listener OnSliceMove); the rows it leaves are
+  /// dead. Only when the dead rows would outnumber the live entries does
+  /// the Insert re-lay everything instead — O(entries), listener
+  /// OnRebuild, and counted here — so the copying is amortized O(1) per
+  /// insert. BulkLoad's one layout pass is not counted.
   int64_t rebuilds() const { return rebuilds_; }
 
   /// Classification of cell (cx, cy) against `query` exactly as Query would
@@ -206,10 +219,11 @@ class GridIndex {
  private:
   /// Where one cell's members live inside the flat member arrays: the
   /// ascending-id slice [begin, begin + count), with `cap - count` spare
-  /// slots at the end of the slice so post-build inserts rarely force a
-  /// rebuild. Cell slices are laid out in row-major cell order, so a query
+  /// slots at the end of the slice so post-build inserts rarely move it.
+  /// A layout places cell slices in row-major cell order, so a query
   /// sweeping a row reads the member arrays near-sequentially instead of
-  /// chasing one heap vector per cell.
+  /// chasing one heap vector per cell; slices moved to the tail since
+  /// then break that order until the next Rebuild.
   struct CellRef {
     size_t begin = 0;
     uint32_t count = 0;
@@ -253,9 +267,12 @@ class GridIndex {
   size_t CellSlotFor(geo::Point p) const;
   CellCert Classify(const Agg& agg, const geo::BoundingBox& query) const;
   void RecomputeAggregates(size_t slot);
-  /// Re-lays the flat member arrays with fresh per-cell headroom
-  /// (amortized: triggered only when a cell's slice is full). O(entries).
+  /// Re-lays the flat member arrays in row-major cell order with fresh
+  /// per-cell headroom and no dead rows. O(entries).
   void Rebuild();
+  /// Copies cell `slot`'s full slice to the tail of the member arrays with
+  /// SliceCapacityFor headroom; its old rows become dead. O(cell).
+  void MoveSliceToTail(size_t slot);
   /// Restores ascending id order inside cell `slot`'s slice (a stable sort
   /// carrying x/y/r along); BulkLoad's fix-up for out-of-order input.
   void SortSlice(size_t slot);
@@ -289,6 +306,9 @@ class GridIndex {
   int64_t min_id_ = 0;
   int64_t max_id_ = -1;
   size_t live_ = 0;
+  // Rows of slices moved to the tail since the last layout: unreachable
+  // until Rebuild reclaims them.
+  size_t dead_rows_ = 0;
   int64_t rebuilds_ = 0;
   SliceChangeListener* listener_ = nullptr;  // Not owned.
 

@@ -275,6 +275,15 @@ struct CellMajorMirror {
     reject_above_sq.resize(n);
     reach_radius_m.resize(n);
   }
+  void Reserve(size_t n) {
+    id.reserve(n);
+    x.reserve(n);
+    y.reserve(n);
+    expanded_r.reserve(n);
+    accept_below_sq.reserve(n);
+    reject_above_sq.reserve(n);
+    reach_radius_m.reserve(n);
+  }
   size_t size() const { return id.size(); }
 };
 

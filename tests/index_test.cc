@@ -396,14 +396,68 @@ TEST(GridIndexTest, DuplicateIdEmittedOnce) {
   }
 }
 
-/// Counts wholesale re-layouts of the member arrays.
+/// Counts wholesale re-layouts and slice moves of the member arrays.
 class RebuildCounter final : public GridIndex::SliceChangeListener {
  public:
   void OnSliceErase(size_t, size_t, size_t) override {}
   void OnSliceInsert(size_t, size_t, size_t) override {}
   void OnSliceUpdate(size_t, size_t, size_t) override {}
+  void OnSliceMove(size_t, size_t, size_t, uint32_t) override { ++moves; }
   void OnRebuild() override { ++rebuilds; }
   int rebuilds = 0;
+  int moves = 0;
+};
+
+/// A derived view that keeps a copy of the member id column through the
+/// listener callbacks alone, as the scoring mirror does (re-reading only
+/// on a rebuild), and counts the slice moves and rebuilds it saw.
+class IdShadow final : public GridIndex::SliceChangeListener {
+ public:
+  explicit IdShadow(const GridIndex* grid) : grid_(grid) { Resync(); }
+  void OnSliceErase(size_t, size_t pos, size_t end) override {
+    std::move(ids.begin() + static_cast<std::ptrdiff_t>(pos + 1),
+              ids.begin() + static_cast<std::ptrdiff_t>(end + 1),
+              ids.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+  void OnSliceInsert(size_t, size_t pos, size_t end) override {
+    std::move_backward(ids.begin() + static_cast<std::ptrdiff_t>(pos),
+                       ids.begin() + static_cast<std::ptrdiff_t>(end - 1),
+                       ids.begin() + static_cast<std::ptrdiff_t>(end));
+    ids[pos] = grid_->member_id(pos);
+  }
+  void OnSliceUpdate(size_t, size_t, size_t) override {}
+  void OnSliceMove(size_t, size_t from, size_t to, uint32_t count) override {
+    ++moves;
+    ids.resize(grid_->member_rows());
+    std::copy_n(ids.begin() + static_cast<std::ptrdiff_t>(from), count,
+                ids.begin() + static_cast<std::ptrdiff_t>(to));
+  }
+  void OnRebuild() override {
+    ++rebuilds;
+    Resync();
+  }
+  void Resync() {
+    ids.resize(grid_->member_rows());
+    for (size_t pos = 0; pos < ids.size(); ++pos) {
+      ids[pos] = grid_->member_id(pos);
+    }
+  }
+  /// Every live slice row equals the index's.
+  void ExpectInSync(const std::string& label) const {
+    ASSERT_EQ(ids.size(), grid_->member_rows()) << label;
+    for (size_t slot = 0; slot < grid_->num_cell_slots(); ++slot) {
+      const size_t begin = grid_->cell_begin(slot);
+      for (size_t pos = begin; pos < begin + grid_->cell_count(slot); ++pos) {
+        ASSERT_EQ(ids[pos], grid_->member_id(pos)) << label << " slot " << slot;
+      }
+    }
+  }
+  std::vector<int64_t> ids;
+  int moves = 0;
+  int rebuilds = 0;
+
+ private:
+  const GridIndex* grid_;
 };
 
 /// `a` and `b` answer every query identically: ids, the certified cell
@@ -448,8 +502,8 @@ void ExpectSameAnswers(const GridIndex& a, const GridIndex& b,
 // for ascending input (the engine's registration order) and shuffled input
 // with a duplicated id — and the two stay identical through Remove,
 // Relocate and re-Insert (the pruner's Restore) churn afterwards. Every
-// slice starts with a rebuild's headroom, so the first inserts into a
-// bulk-loaded cell re-lay nothing.
+// slice starts with a fresh layout's headroom, so the first inserts into
+// a bulk-loaded cell move and re-lay nothing.
 TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
@@ -487,6 +541,7 @@ TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
       incremental.Insert(p, 20.0, 1000 + k);
     }
     EXPECT_EQ(counter.rebuilds, 0) << label;
+    EXPECT_EQ(counter.moves, 0) << label;
     bulk.SetSliceChangeListener(nullptr);
 
     std::vector<PointEntry> removed;
@@ -524,16 +579,42 @@ TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
   }
 }
 
-// GridIndex::rebuilds() counts full re-layouts: a bulk load's layout pass
-// is not one, filling a cell's headroom causes none, and the first insert
-// past it causes exactly one (the O(n) step an apply loop can hit).
-TEST(GridIndexTest, RebuildCountIsZeroAfterBulkLoadAndOneAfterOverfill) {
+// An Insert into a full slice moves only that slice to the tail of the
+// member arrays (O(cell), listener OnSliceMove) instead of re-laying the
+// index. GridIndex::rebuilds() counts the re-layouts that remain: a bulk
+// load's layout pass is not one, and the first re-layout comes exactly
+// when the dead rows the moves left would outnumber the live entries.
+TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
+  {
+    // One cell, worked by hand. 8 loaded entries get a 12-row slice; the
+    // 13th insert finds it full with 12 live entries, so moving it would
+    // leave 12 dead rows: equal to the live count, not past it, so it
+    // moves (to an 18-row slice). The 19th finds 12 + 18 > 18 and re-lays
+    // the index: one 27-row slice, no dead rows.
+    GridIndex one(region, 1);
+    one.BulkLoad(8, [](size_t i) {
+      return GridIndex::Entry{{100.0 + static_cast<double>(i), 100.0}, 5.0,
+                              static_cast<int64_t>(i)};
+    });
+    IdShadow shadow(&one);
+    one.SetSliceChangeListener(&shadow);
+    for (int64_t id = 8; id < 19; ++id) {
+      one.Insert({500.0, 500.0}, 5.0, id);
+      const std::string label = "one cell, insert " + std::to_string(id);
+      EXPECT_EQ(shadow.moves, id >= 12 ? 1 : 0) << label;
+      EXPECT_EQ(one.rebuilds(), id >= 18 ? 1 : 0) << label;
+      EXPECT_EQ(one.member_rows(), id < 12 ? 12u : (id < 18 ? 30u : 27u))
+          << label;
+      shadow.ExpectInSync(label);
+    }
+    one.SetSliceChangeListener(nullptr);
+  }
   stats::Rng rng(31);
   std::vector<PointEntry> entries;
   for (int64_t i = 0; i < 200; ++i) {
-    entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, i));
+    entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, 2 * i));
   }
   GridIndex grid(region, 4);
   grid.BulkLoad(entries.size(), [&](size_t i) {
@@ -541,24 +622,95 @@ TEST(GridIndexTest, RebuildCountIsZeroAfterBulkLoadAndOneAfterOverfill) {
                             entries[i].id};
   });
   EXPECT_EQ(grid.rebuilds(), 0);
-  RebuildCounter counter;
-  grid.SetSliceChangeListener(&counter);
+  IdShadow shadow(&grid);
+  grid.SetSliceChangeListener(&shadow);
   // Cell (0, 0) holds `count` members in a slice of count + max(4,
-  // count / 2) rows.
-  const auto count = static_cast<int64_t>(grid.CellMembersForTest(0, 0).size());
-  const int64_t headroom = std::max<int64_t>(4, count / 2);
-  int64_t next_id = 1000;
-  for (int64_t k = 0; k < headroom; ++k) {
-    grid.Insert({10.0 + static_cast<double>(k), 10.0}, 5.0, next_id++);
+  // count / 2) rows; the hand-computed model below tracks that capacity,
+  // the dead rows and the live entries.
+  const auto capacity_for = [](int64_t count) {
+    return count + std::max<int64_t>(4, count / 2);
+  };
+  int64_t count = static_cast<int64_t>(grid.CellMembersForTest(0, 0).size());
+  int64_t cap = capacity_for(count);
+  int64_t live = static_cast<int64_t>(entries.size());
+  int64_t dead = 0;
+  int expected_moves = 0;
+  int64_t next_id = 1;  // Odd ids interleave with the loaded even ones.
+
+  // Overfill cell (0, 0) until the dead rows pass the live entries. Every
+  // full slice before that moves; the insert that would push the dead rows
+  // past the live count re-lays the index once instead.
+  bool rebuilt = false;
+  size_t relaid_rows = 0;
+  for (int k = 0; !rebuilt; ++k) {
+    ASSERT_LT(k, 10000);
+    bool moved = false;
+    if (count == cap) {
+      if (dead + cap > live) {
+        rebuilt = true;
+        // The re-layout will reclaim every dead row: the arrays will hold
+        // exactly a fresh layout's slices.
+        for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
+          relaid_rows +=
+              static_cast<size_t>(capacity_for(grid.cell_count(slot)));
+        }
+      } else {
+        dead += cap;
+        cap = capacity_for(count);
+        moved = true;
+        ++expected_moves;
+      }
+    }
+    const size_t rows_before = grid.member_rows();
+    // Descending positions inside the cell, ids between loaded ones: the
+    // insert lands mid-slice, so the move must carry the order along.
+    grid.Insert({240.0 - 0.01 * k, 10.0}, 5.0, next_id);
+    next_id += 2;
+    ++count;
+    ++live;
+    const std::string label = "insert " + std::to_string(k);
+    ASSERT_EQ(shadow.moves, expected_moves) << label;
+    ASSERT_EQ(grid.rebuilds(), rebuilt ? 1 : 0) << label;
+    ASSERT_EQ(shadow.rebuilds, rebuilt ? 1 : 0) << label;
+    if (!rebuilt) {
+      // A move grows the arrays by the slice's new capacity, nothing else.
+      EXPECT_EQ(grid.member_rows() - rows_before,
+                moved ? static_cast<size_t>(cap) : 0u)
+          << label;
+    }
+    const std::vector<int64_t> members = grid.CellMembersForTest(0, 0);
+    ASSERT_EQ(static_cast<int64_t>(members.size()), count) << label;
+    ASSERT_TRUE(std::is_sorted(members.begin(), members.end())) << label;
+    shadow.ExpectInSync(label);
   }
-  EXPECT_EQ(grid.rebuilds(), 0);
-  grid.Insert({5.0, 5.0}, 5.0, next_id++);
-  EXPECT_EQ(grid.rebuilds(), 1);
-  EXPECT_EQ(counter.rebuilds, 1);
-  // The rebuild left fresh headroom everywhere; removals never rebuild.
-  grid.Insert({6.0, 6.0}, 5.0, next_id++);
+  EXPECT_GE(expected_moves, 2);
+  EXPECT_EQ(grid.member_rows(), relaid_rows);
+
+  // Removals never move or re-lay anything.
+  const int moves = shadow.moves;
   grid.Remove(0);
+  grid.Remove(1);
   EXPECT_EQ(grid.rebuilds(), 1);
+  EXPECT_EQ(shadow.moves, moves);
+  shadow.ExpectInSync("after removals");
+
+  // The moved and re-laid index answers like one bulk-loaded over the same
+  // entries.
+  std::vector<PointEntry> final_entries;
+  for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
+    for (size_t pos = grid.cell_begin(slot);
+         pos < grid.cell_begin(slot) + grid.cell_count(slot); ++pos) {
+      final_entries.push_back({{grid.member_x(pos), grid.member_y(pos)},
+                               grid.member_r(pos),
+                               grid.member_id(pos)});
+    }
+  }
+  GridIndex fresh(region, 4);
+  fresh.BulkLoad(final_entries.size(), [&](size_t i) {
+    return GridIndex::Entry{final_entries[i].center, final_entries[i].radius,
+                            final_entries[i].id};
+  });
+  ExpectSameAnswers(grid, fresh, rng, "after overfill");
   grid.SetSliceChangeListener(nullptr);
 }
 

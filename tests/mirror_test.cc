@@ -113,11 +113,14 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
         linear_next_draw = expected_next_draw;
       } else if (pc.gamma.has_value() &&
                  pc.backend == index::PrunerBackend::kGrid) {
-        // Mirror vs gather over the same rectangles: identical decisions;
-        // only the traffic model of the counters differs.
+        // Mirror vs gather over the same rectangles: identical decisions.
+        // The mirror never reads the rows of a cell its alpha certificate
+        // rejects, so it scans a subset of the gather path's workers.
         ExpectBitIdentical(linear, expected,
                            std::string(mc.name) + " grid vs linear",
-                           Compare::kScan);
+                           Compare::kOutcome);
+        EXPECT_LE(expected.metrics.u2u_scanned, linear.metrics.u2u_scanned)
+            << mc.name;
         EXPECT_EQ(linear_next_draw, expected_next_draw);
         EXPECT_GT(expected.metrics.cells_emitted_direct +
                       expected.metrics.u2u_gather_bytes,
@@ -149,9 +152,9 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
 }
 
 // A dense grid-pruned run must actually exercise the certificate-direct
-// path (cells emitted with zero per-worker loads), and the mirror's traffic
-// must come in under the gather model's for the same scanned workers (the
-// linear backend's gather over the same rectangles).
+// path (cells emitted with zero per-worker loads), scan strictly fewer
+// workers than the linear backend's gather over the same rectangles, and
+// its traffic must come in under the gather model's.
 TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   const reachability::AnalyticalModel model(kDefault);
   const Workload workload = NoisyWorkload(2000, 2000, 20260810);
@@ -175,7 +178,10 @@ TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   stats::Rng rng_off(3);
   const MatchResult r_on = engine_on.Run(workload, rng_on);
   const MatchResult r_off = engine_off.Run(workload, rng_off);
-  ExpectBitIdentical(r_on, r_off, "dense grid", Compare::kScan);
+  // Alpha-rejected cells drop out of the mirror's scan: the runs may scan
+  // different sets, but decide identically.
+  ExpectBitIdentical(r_on, r_off, "dense grid", Compare::kOutcome);
+  EXPECT_LT(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned);
 
   EXPECT_GT(r_on.metrics.cells_emitted_direct, 0);
   EXPECT_EQ(r_off.metrics.cells_emitted_direct, 0);
@@ -285,7 +291,7 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
 
   // Interleaved removals (MarkMatched) and re-adds, checking sync at every
   // step; the erase path shifts slice tails down, the insert path shifts
-  // them up (or triggers a rebuild when a slice fills).
+  // them up (or moves the slice to the tail when it fills).
   std::vector<uint32_t> removed;
   for (int step = 0; step < 120; ++step) {
     const bool remove = removed.size() < 60 &&
@@ -316,10 +322,15 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
                        "relocate step " + std::to_string(step));
   }
 
-  // Forced rebuild: pile inserts into one cell until its slice headroom
-  // runs out, which re-lays the whole member array (OnRebuild -> resync).
+  // Overfill: pile inserts into one cell. Each full slice moves to the
+  // tail of the member arrays (OnSliceMove), checked row by row after every
+  // insert, until the dead rows the moves leave outnumber the live entries
+  // and one re-layout reclaims them (OnRebuild -> resync).
+  const int64_t rebuilds_before = grid.rebuilds();
   const size_t rows_before = grid.member_rows();
-  for (size_t i = n; i < n + 64; ++i) {
+  size_t i = n;
+  for (; grid.rebuilds() == rebuilds_before; ++i) {
+    ASSERT_LT(i, n + 2000);
     soa.Resize(i + 1);
     soa.accept_below_sq.resize(i + 1, 1.0);
     soa.reject_above_sq.resize(i + 1, 2.0);
@@ -329,9 +340,14 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
     soa.accept_below_sq[i] = 1.0e6;
     soa.reject_above_sq[i] = 4.0e6;
     grid.Insert({soa.x[i], soa.y[i]}, 900.0, static_cast<int64_t>(i));
+    if (i == n + 64) {
+      EXPECT_GT(grid.member_rows(), rows_before);  // The slice moved.
+      EXPECT_EQ(grid.rebuilds(), rebuilds_before);
+    }
+    ExpectMirrorInSync(grid, mirror, soa, "overfill " + std::to_string(i));
   }
-  EXPECT_GT(grid.member_rows(), rows_before);  // At least one rebuild.
-  ExpectMirrorInSync(grid, mirror, soa, "after forced rebuild");
+  EXPECT_GT(i, n + 64);
+  EXPECT_EQ(grid.rebuilds(), rebuilds_before + 1);
 
   // Certificates after all that churn: a whole-cell verdict must agree
   // with the per-member trichotomy it replaces.
@@ -364,67 +380,184 @@ TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
 
 // Stage-level churn: a grid (mirror) stage and a linear-backend (gather)
 // stage driven through the same AddWorker / Collect / MarkMatched /
-// UpdateWorkerLocation sequence must emit identical candidate lists and
-// scan accounting throughout.
+// UpdateWorkerLocation sequence must emit identical candidate lists
+// throughout, with the mirror scanning a subset of the gather path's
+// workers (it never reads a cell its alpha certificate rejects). Swept over
+// gamma, SIMD dispatch and pools. At gamma = 0.3 the rectangles are tight
+// enough that they dismiss alpha-admissible workers, and rectangle-boundary
+// cells that survive the certificate hold candidates, so both halves of
+// the fused boundary test decide something (at 0.9 every candidate lies in
+// a bulk cell).
 TEST(MirrorStageChurnTest, MirrorMatchesLinearBackendThroughChurn) {
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
 
+  for (const double gamma : {0.3, 0.9}) {
+    int64_t boundary_candidates = 0;  // In kBoundary cells, over the sweep.
+    int64_t rect_dismissed = 0;       // Alpha-admissible, rectangle-pruned.
+    for (const auto simd :
+         {reachability::ClassifySimd::kScalar,
+          reachability::ClassifySimd::kAvx2}) {
+      for (const int threads : {1, 4}) {
+        runtime::ThreadPool pool(threads);
+        U2uCandidateStage::Config config;
+        config.model = &model;
+        config.alpha = 0.1;
+        config.runtime.pool = &pool;
+        config.runtime.shard_size = 64;  // Several chunks per task.
+        config.pruning = U2uCandidateStage::Pruning{
+            gamma, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+        U2uCandidateStage::Config config_off = config;
+        config_off.pruning->backend = index::PrunerBackend::kLinearScan;
+        // The query rectangle the grid walk certifies cells against.
+        const index::UncertainRegionPruner boxes({}, kDefault, kDefault,
+                                                 gamma,
+                                                 index::PrunerBackend::kLinearScan,
+                                                 region);
+
+        U2uCandidateStage on(config);
+        U2uCandidateStage off(config_off);
+        reachability::SetClassifySimd(simd);
+        const std::string run =
+            "gamma=" + std::to_string(gamma) + " simd=" +
+            (reachability::ActiveClassifySimd() ==
+                     reachability::ClassifySimd::kAvx2
+                 ? "avx2"
+                 : "scalar") +
+            " threads=" + std::to_string(threads);
+
+        stats::Rng rng(23);
+        const size_t n = 500;
+        for (size_t i = 0; i < n; ++i) {
+          const geo::Point loc{rng.UniformDouble(0.0, 20000.0),
+                               rng.UniformDouble(0.0, 20000.0)};
+          const double r = rng.UniformDouble(800.0, 2500.0);
+          on.AddWorker(loc, r);
+          off.AddWorker(loc, r);
+        }
+
+        for (int step = 0; step < 60; ++step) {
+          const geo::Point task{rng.UniformDouble(0.0, 20000.0),
+                                rng.UniformDouble(0.0, 20000.0)};
+          const std::string label = run + " step " + std::to_string(step);
+          {
+            const CandidateRuns& runs = on.CollectRuns(task);
+            const index::GridIndex* grid = runs.mirror->grid();
+            const geo::BoundingBox query = boxes.TaskQueryBox(task);
+            const auto cells = static_cast<size_t>(grid->cells_per_axis());
+            for (const CandidateRuns::Group& g : runs.groups) {
+              if (g.slot == CandidateRuns::kNoCell || g.in_rows) continue;
+              const auto cert = grid->ClassifyCellForTest(
+                  static_cast<int>(g.slot % cells),
+                  static_cast<int>(g.slot / cells), query);
+              if (cert == index::GridIndex::CellCert::kBoundary) {
+                boundary_candidates += g.count;
+              }
+            }
+          }
+          const std::vector<uint32_t> got_on = on.Collect(task);
+          const std::vector<uint32_t> got_off = off.Collect(task);
+          EXPECT_EQ(got_on, got_off) << label;
+          EXPECT_EQ(on.stats().scanned_last + on.stats().pruned_last,
+                    off.stats().scanned_last + off.stats().pruned_last)
+              << label;
+          EXPECT_LE(on.stats().scanned_last, off.stats().scanned_last)
+              << label;
+          int64_t admissible = 0;
+          for (uint32_t i = 0; i < n; ++i) {
+            if (!off.is_matched(i) && off.Decide(i, task)) ++admissible;
+          }
+          rect_dismissed +=
+              admissible - static_cast<int64_t>(got_off.size());
+
+          if (!got_on.empty()) {
+            // Match the best candidate, as the engine would.
+            on.MarkMatched(got_on.front());
+            off.MarkMatched(got_on.front());
+          }
+          if (step % 7 == 3) {
+            const auto mover = static_cast<uint32_t>(
+                rng.UniformDouble() * static_cast<double>(n));
+            const geo::Point moved{rng.UniformDouble(0.0, 20000.0),
+                                   rng.UniformDouble(0.0, 20000.0)};
+            on.UpdateWorkerLocation(mover, moved);
+            off.UpdateWorkerLocation(mover, moved);
+          }
+          if (step == 40) {
+            on.ResetAvailability();
+            off.ResetAvailability();
+          }
+        }
+        reachability::ResetClassifySimd();
+        EXPECT_EQ(on.band_evals(), off.band_evals()) << run;
+        EXPECT_GT(on.stats().cells_emitted_direct + on.stats().gather_bytes, 0)
+            << run;
+      }
+    }
+    if (gamma < 0.5) {
+      EXPECT_GT(boundary_candidates, 0) << "gamma=" << gamma;
+      EXPECT_GT(rect_dismissed, 0) << "gamma=" << gamma;
+    }
+  }
+}
+
+// The alpha-first walk on four hand-placed cells (binary model, so a
+// worker is alpha-admissible iff it lies within its 1000 m radius of the
+// task; the confidence rectangles are millimetres, so a worker's rectangle
+// admits the task iff both |dx| and |dy| are at most 1000 m). Cells are
+// ~1000 m wide and the task sits at the centre of cell (8, 8):
+//   A, cell (8, 8): 3 workers within 10 m — bulk, certified accept;
+//   B, cell (9, 9): 3 workers, all rectangle-admitted, 2 within 1000 m —
+//      bulk, mixed;
+//   C, cell (9, 7): 2 of 3 workers rectangle-admitted, none within 1000 m —
+//      boundary, certified reject;
+//   D, cell (7, 9): 2 of 3 workers rectangle-admitted, 1 within 1000 m —
+//      boundary, mixed;
+// plus one worker in cell (10, 8), visited but skipped (its rectangle
+// misses the task by 1100 m). The mirror scans A + B + the admitted part
+// of D = 3 + 3 + 2 = 8 workers (the gather path also scans C's 2 admitted
+// ones: 10), classifies the 6 rows of B and D one by one, settles A and C
+// by certificate, and both paths emit the same 6 candidates.
+TEST(MirrorStageTest, AlphaFirstWalkScansOnlyCellsTheCertificateKeeps) {
+  const reachability::BinaryModel model;
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {14000, 14000});
+  const PrivacyParams sharp{1000.0, 1.0};  // Millimetre rectangles.
   U2uCandidateStage::Config config;
   config.model = &model;
-  config.alpha = 0.1;
+  config.alpha = 0.5;
   config.pruning = U2uCandidateStage::Pruning{
-      0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+      0.9, index::PrunerBackend::kGrid, sharp, sharp, region};
   U2uCandidateStage::Config config_off = config;
   config_off.pruning->backend = index::PrunerBackend::kLinearScan;
-
   U2uCandidateStage on(config);
   U2uCandidateStage off(config_off);
-
-  stats::Rng rng(23);
-  const size_t n = 500;
-  std::vector<geo::Point> locs(n);
-  for (size_t i = 0; i < n; ++i) {
-    locs[i] = {rng.UniformDouble(0.0, 20000.0),
-               rng.UniformDouble(0.0, 20000.0)};
-    const double r = rng.UniformDouble(800.0, 2500.0);
-    on.AddWorker(locs[i], r);
-    off.AddWorker(locs[i], r);
+  const geo::Point workers[] = {
+      {7495, 7495}, {7505, 7500}, {7500, 7505},  // A
+      {8200, 8200}, {8150, 8250}, {8400, 8400},  // B
+      {8400, 6600}, {8450, 6550}, {8700, 6600},  // C
+      {6600, 8400}, {6700, 8050}, {6300, 8400},  // D
+      {9600, 7500},                              // Skipped.
+  };
+  for (const geo::Point& w : workers) {
+    on.AddWorker(w, 1000.0);
+    off.AddWorker(w, 1000.0);
   }
-
-  for (int step = 0; step < 60; ++step) {
-    const geo::Point task{rng.UniformDouble(0.0, 20000.0),
-                          rng.UniformDouble(0.0, 20000.0)};
-    const std::vector<uint32_t> got_on = on.Collect(task);
-    const std::vector<uint32_t> got_off = off.Collect(task);
-    const std::string label = "step " + std::to_string(step);
-    EXPECT_EQ(got_on, got_off) << label;
-    EXPECT_EQ(on.stats().scanned_last + on.stats().pruned_last,
-              off.stats().scanned_last + off.stats().pruned_last)
-        << label;
-    EXPECT_EQ(on.stats().scanned_last, off.stats().scanned_last) << label;
-
-    if (!got_on.empty()) {
-      // Match the best candidate, as the engine would.
-      on.MarkMatched(got_on.front());
-      off.MarkMatched(got_on.front());
-    }
-    if (step % 7 == 3) {
-      const auto mover =
-          static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-      const geo::Point moved{rng.UniformDouble(0.0, 20000.0),
-                             rng.UniformDouble(0.0, 20000.0)};
-      on.UpdateWorkerLocation(mover, moved);
-      off.UpdateWorkerLocation(mover, moved);
-    }
-    if (step == 40) {
-      on.ResetAvailability();
-      off.ResetAvailability();
-    }
-  }
-  EXPECT_EQ(on.band_evals(), off.band_evals());
-  EXPECT_GT(on.stats().cells_emitted_direct + on.stats().gather_bytes, 0);
+  const geo::Point task{7500, 7500};
+  const std::vector<uint32_t> expected = {0, 1, 2, 3, 4, 10};
+  EXPECT_EQ(on.Collect(task), expected);
+  EXPECT_EQ(off.Collect(task), expected);
+  EXPECT_EQ(on.stats().scanned_last, 8);
+  EXPECT_EQ(off.stats().scanned_last, 10);
+  EXPECT_EQ(on.stats().pruned_last, 5);
+  EXPECT_EQ(on.stats().rows_classified, 6);
+  EXPECT_EQ(on.stats().cells_emitted_direct, 2);
+  const index::GridIndex::QueryStats& gs = *on.grid_query_stats();
+  EXPECT_EQ(gs.cells_bulk_accepted, 2);
+  EXPECT_EQ(gs.cells_boundary, 2);
+  EXPECT_EQ(gs.boundary_workers, 6);
+  EXPECT_EQ(gs.cells_skipped, 1);
 }
 
 TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {
