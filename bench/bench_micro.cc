@@ -119,11 +119,9 @@ void BM_PrunerCandidates(benchmark::State& state) {
   state.SetLabel(std::string(index::PrunerBackendName(backend)));
 }
 BENCHMARK(BM_PrunerCandidates)
-    ->Args({0, 5000})    // Linear scan.
-    ->Args({1, 5000})    // Grid.
-    ->Args({2, 5000})    // R-tree.
-    ->Args({1, 100000})  // Grid at engine scale.
-    ->Args({2, 100000});  // R-tree at engine scale.
+    ->Args({0, 5000})     // Linear scan.
+    ->Args({1, 5000})     // Grid.
+    ->Args({1, 100000});  // Grid at engine scale.
 
 // One worker re-report against a prepared, grid-pruned stage: the service's
 // apply-phase hot path. Before GridIndex::Relocate this dropped the whole

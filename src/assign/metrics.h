@@ -72,7 +72,7 @@ struct RunMetrics {
   /// the run's queries (DESIGN.md §11): cells whose whole id array was
   /// bulk-appended, non-empty cells skipped without touching entries, and
   /// workers that fell through to the per-member rectangle test. All zero
-  /// without pruning or for non-grid backends; together they explain *why*
+  /// without pruning or for the linear backend; together they explain *why*
   /// pruning won or lost, not just that it did.
   int64_t cells_bulk_accepted = 0;
   int64_t cells_skipped = 0;

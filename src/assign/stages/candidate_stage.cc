@@ -44,18 +44,13 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.x[worker] = noisy_location.x;
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
-  // so the worker's bands stay valid. A pruning index anchors its
-  // rectangle at the old location: the grid and linear backends relocate
-  // the entry in place (O(cell) with the mirror kept in sync through the
-  // slice listener — the mutation the service loop amortizes, DESIGN.md
-  // §14); only backends without native relocation drop the index for a
-  // lazy rebuild at the next Prepare.
-  if (config_.pruning.has_value()) {
-    if (pruner_ != nullptr &&
-        pruner_->Relocate(static_cast<int64_t>(worker), noisy_location)) {
-      return;
-    }
-    DropPruner();
+  // so the worker's bands stay valid. A built pruning index anchors its
+  // rectangle at the old location and relocates the entry in place
+  // (O(cell) with the mirror kept in sync through the slice listener — the
+  // mutation the service loop amortizes, DESIGN.md §14); an index not yet
+  // built reads the new location when Prepare builds it.
+  if (pruner_ != nullptr) {
+    pruner_->Relocate(static_cast<int64_t>(worker), noisy_location);
   }
 }
 
@@ -65,7 +60,7 @@ void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   // Undo MarkMatched's active-set maintenance: re-insert into the pruning
   // index, or splice the id back into its shard's ascending active list.
   if (pruner_ != nullptr) {
-    if (!pruner_->Restore(static_cast<int64_t>(worker))) DropPruner();
+    pruner_->Restore(static_cast<int64_t>(worker));
   } else if (prepared_ && !config_.pruning.has_value()) {
     std::vector<uint32_t>& active =
         shard_active_[worker / static_cast<size_t>(config_.runtime.shard_size)];

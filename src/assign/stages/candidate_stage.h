@@ -176,8 +176,8 @@ class U2uCandidateStage {
 
   const Stats& stats() const { return stats_; }
   /// Cell-certification counters of a grid-backed pruning index, cumulative
-  /// over the pruner's life (nullptr without pruning or for non-grid
-  /// backends). Orchestrators feed these into RunMetrics / obs counters.
+  /// over the pruner's life (nullptr without pruning or for the linear
+  /// backend). Orchestrators feed these into RunMetrics / obs counters.
   const index::GridIndex::QueryStats* grid_query_stats() const {
     return pruner_ != nullptr ? pruner_->grid_query_stats() : nullptr;
   }
@@ -255,8 +255,8 @@ class U2uCandidateStage {
   CellScoreMirror mirror_;
   /// Workers [0, warm_) have certain bands and shard slots.
   size_t warm_ = 0;
-  /// Set once Prepare ran; a later AddWorker/UpdateWorkerLocation drops a
-  /// configured pruner so it is rebuilt over current data.
+  /// Set once Prepare ran; a later AddWorker drops a configured pruner so
+  /// it is rebuilt over current data.
   bool prepared_ = false;
 
   // Sharded full-scan state (DESIGN.md section 9): fixed-size shards whose

@@ -34,9 +34,9 @@ namespace scguard::index {
 /// otherwise each cell emits an ascending run and a k-way merge combines
 /// them.
 ///
-/// Simpler and often faster than the R-tree for the city-scale, roughly
-/// uniform extents SCGuard deals with; both satisfy the same query contract
-/// so the U2U pruner can use either (ablated in bench_ablation_pruning).
+/// Sized for the city-scale, roughly uniform extents SCGuard deals with; it
+/// answers the same query contract as the U2U pruner's linear MBR scan
+/// (compared in bench_ablation_pruning).
 class GridIndex {
  public:
   /// Observer of in-place mutations of the flat member arrays, so a derived

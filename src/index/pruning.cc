@@ -44,32 +44,20 @@ UncertainRegionPruner::UncertainRegionPruner(
   grid_region.Extend(geo::Point{region.min_x - max_extent, region.min_y - max_extent});
   grid_region.Extend(geo::Point{region.max_x + max_extent, region.max_y + max_extent});
 
-  if (backend_ == PrunerBackend::kGrid) {
-    // Density-adaptive resolution (a perf-only knob: certification is exact
-    // at any resolution): target ~64 entries per cell so boundary-cell
-    // member tests stay short at a million workers without flooding small
-    // workloads with empty cells.
-    const int cells_per_axis = std::clamp(
-        static_cast<int>(std::ceil(
-            std::sqrt(static_cast<double>(workers_.size()) / 64.0))),
-        16, 512);
-    grid_ = std::make_unique<GridIndex>(grid_region, cells_per_axis);
-    grid_->BulkLoad(workers_.size(), [this](size_t i) {
-      const WorkerRegion& w = workers_[i];
-      return GridIndex::Entry{w.noisy_location, r_r_worker_ + w.reach_radius_m,
-                              w.worker_id};
-    });
-  } else {
-    rtree_ = std::make_unique<RTree>();
-    std::vector<RTree::Entry> entries;
-    entries.reserve(workers_.size());
-    for (const auto& w : workers_) {
-      entries.push_back({geo::BoundingBox::FromCircle(
-                             w.noisy_location, r_r_worker_ + w.reach_radius_m),
-                         w.worker_id});
-    }
-    rtree_->BulkLoad(std::move(entries));
-  }
+  // Density-adaptive resolution (a perf-only knob: certification is exact
+  // at any resolution): target ~64 entries per cell so boundary-cell
+  // member tests stay short at a million workers without flooding small
+  // workloads with empty cells.
+  const int cells_per_axis = std::clamp(
+      static_cast<int>(std::ceil(
+          std::sqrt(static_cast<double>(workers_.size()) / 64.0))),
+      16, 512);
+  grid_ = std::make_unique<GridIndex>(grid_region, cells_per_axis);
+  grid_->BulkLoad(workers_.size(), [this](size_t i) {
+    const WorkerRegion& w = workers_[i];
+    return GridIndex::Entry{w.noisy_location, r_r_worker_ + w.reach_radius_m,
+                            w.worker_id};
+  });
 }
 
 std::vector<int64_t> UncertainRegionPruner::Candidates(
@@ -83,28 +71,22 @@ void UncertainRegionPruner::Candidates(geo::Point task_noisy_location,
                                        std::vector<int64_t>& out) const {
   out.clear();
   const geo::BoundingBox task_box = TaskQueryBox(task_noisy_location);
-  switch (backend_) {
-    case PrunerBackend::kLinearScan:
-      // Emits in insertion order; when construction passed ids in ascending
-      // order (as the engine does) the sort below is a no-op pass.
-      for (const auto& w : workers_) {
-        const geo::BoundingBox worker_box = geo::BoundingBox::FromCircle(
-            w.noisy_location, r_r_worker_ + w.reach_radius_m);
-        if (worker_box.Intersects(task_box)) out.push_back(w.worker_id);
-      }
-      break;
-    case PrunerBackend::kGrid:
-      // Removal is native (GridIndex::Remove compacts the cell), the
-      // k-way merge emits ascending ids, and nothing here consumes
-      // `removed_`: the grid path pays no per-result hash probe and no
-      // per-query sort. The debug check keeps a future backend regression
-      // loud in tests instead of silently resurfacing the sort cost.
-      grid_->Query(task_box, out);
-      SCGUARD_DCHECK(std::is_sorted(out.begin(), out.end()));
-      return;
-    case PrunerBackend::kRTree:
-      rtree_->QueryIds(task_box, out);
-      break;
+  if (backend_ == PrunerBackend::kGrid) {
+    // Removal is native (GridIndex::Remove compacts the cell), the k-way
+    // merge emits ascending ids, and nothing here consumes `removed_`: the
+    // grid path pays no per-result hash probe and no per-query sort. The
+    // debug check keeps a future regression loud in tests instead of
+    // silently resurfacing the sort cost.
+    grid_->Query(task_box, out);
+    SCGUARD_DCHECK(std::is_sorted(out.begin(), out.end()));
+    return;
+  }
+  // Linear scan: emits in insertion order; when construction passed ids in
+  // ascending order (as the engine does) the sort below is a no-op pass.
+  for (const auto& w : workers_) {
+    const geo::BoundingBox worker_box = geo::BoundingBox::FromCircle(
+        w.noisy_location, r_r_worker_ + w.reach_radius_m);
+    if (worker_box.Intersects(task_box)) out.push_back(w.worker_id);
   }
   if (!removed_.empty()) {
     out.erase(std::remove_if(out.begin(), out.end(),
@@ -139,38 +121,31 @@ UncertainRegionPruner::WorkerRegion* UncertainRegionPruner::FindWorker(
   return nullptr;
 }
 
-bool UncertainRegionPruner::Relocate(int64_t worker_id,
+void UncertainRegionPruner::Relocate(int64_t worker_id,
                                      geo::Point new_noisy_location) {
   WorkerRegion* w = FindWorker(worker_id);
-  if (w == nullptr) return false;
+  if (w == nullptr) return;
+  // The linear backend's Candidates scans the updated record directly.
   w->noisy_location = new_noisy_location;
-  switch (backend_) {
-    case PrunerBackend::kLinearScan:
-      return true;  // Candidates scans the updated region directly.
-    case PrunerBackend::kGrid:
-      // 0 entries moved means the worker is currently Removed (matched);
-      // the record update above makes a later Restore insert at the new
-      // location, which is all a removed worker needs.
-      grid_->Relocate(worker_id, new_noisy_location);
-      return true;
-    case PrunerBackend::kRTree:
-      return false;  // Bulk-loaded; the caller rebuilds.
+  // 0 entries moved means the worker is currently Removed (matched); the
+  // record update above makes a later Restore insert at the new location,
+  // which is all a removed worker needs.
+  if (backend_ == PrunerBackend::kGrid) {
+    grid_->Relocate(worker_id, new_noisy_location);
   }
-  return false;
 }
 
-bool UncertainRegionPruner::Restore(int64_t worker_id) {
-  WorkerRegion* w = FindWorker(worker_id);
-  if (w == nullptr) return false;
+void UncertainRegionPruner::Restore(int64_t worker_id) {
+  const WorkerRegion* w = FindWorker(worker_id);
+  if (w == nullptr) return;
   if (backend_ == PrunerBackend::kGrid) {
     if (!grid_->Contains(worker_id)) {
       grid_->Insert(w->noisy_location, r_r_worker_ + w->reach_radius_m,
                     worker_id);
     }
-    return true;
+    return;
   }
   removed_.erase(worker_id);
-  return true;
 }
 
 }  // namespace scguard::index

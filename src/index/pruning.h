@@ -3,19 +3,19 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "geo/bbox.h"
 #include "geo/point.h"
 #include "index/grid_index.h"
-#include "index/rtree.h"
 #include "privacy/privacy_params.h"
 
 namespace scguard::index {
 
 /// Index backend used by the U2U pruner.
-enum class PrunerBackend { kLinearScan, kGrid, kRTree };
+enum class PrunerBackend { kLinearScan, kGrid };
 
 constexpr std::string_view PrunerBackendName(PrunerBackend b) {
   switch (b) {
@@ -23,8 +23,6 @@ constexpr std::string_view PrunerBackendName(PrunerBackend b) {
       return "linear";
     case PrunerBackend::kGrid:
       return "grid";
-    case PrunerBackend::kRTree:
-      return "rtree";
   }
   return "?";
 }
@@ -71,23 +69,21 @@ class UncertainRegionPruner {
   /// returning matched workers — DESIGN.md section 9). Idempotent; removing
   /// an unknown id is a no-op. The grid backend compacts the entry out of
   /// its cell (and refreshes that cell's certification aggregates); the
-  /// linear and R-tree backends filter at query time.
+  /// linear backend filters at query time.
   void Remove(int64_t worker_id);
 
   /// Re-centers a worker's expanded disk at a new noisy location (dynamic
   /// re-reporting; the reach radius stays fixed). The grid backend moves
   /// the entry incrementally (GridIndex::Relocate — O(cell) for the common
   /// same-cell move); the linear backend updates the stored region, which
-  /// Candidates scans directly. Returns false for the R-tree backend
-  /// (bulk-loaded, no native relocation) and for unknown ids — callers
-  /// fall back to a full index rebuild. A worker currently Removed keeps
-  /// its new location for a later Restore.
-  bool Relocate(int64_t worker_id, geo::Point new_noisy_location);
+  /// Candidates scans directly. An unknown id is a no-op. A worker
+  /// currently Removed keeps its new location for a later Restore.
+  void Relocate(int64_t worker_id, geo::Point new_noisy_location);
 
   /// Reverses a Remove: the worker rejoins future Candidates results at
   /// its current recorded location (reactivation when a matched worker
-  /// re-reports). Idempotent; returns false for unknown ids.
-  bool Restore(int64_t worker_id);
+  /// re-reports). Idempotent; an unknown id is a no-op.
+  void Restore(int64_t worker_id);
 
   /// The query rectangle Candidates builds for a task observation
   /// (`FromCircle(task, task_confidence_radius_m)`), exposed so the
@@ -97,8 +93,8 @@ class UncertainRegionPruner {
     return geo::BoundingBox::FromCircle(task_noisy_location, r_r_task_);
   }
 
-  /// The grid backend's index (nullptr for other backends); the cell-major
-  /// scoring mirror attaches to it. Stays owned by the pruner.
+  /// The grid backend's index (nullptr for the linear backend); the
+  /// cell-major scoring mirror attaches to it. Stays owned by the pruner.
   GridIndex* grid() const { return grid_.get(); }
 
   /// Confidence radius applied to worker observations.
@@ -108,7 +104,7 @@ class UncertainRegionPruner {
   PrunerBackend backend() const { return backend_; }
 
   /// Cumulative cell-certification counters of the grid backend's queries
-  /// (DESIGN.md §11); nullptr for the other backends.
+  /// (DESIGN.md §11); nullptr for the linear backend.
   const GridIndex::QueryStats* grid_query_stats() const {
     return grid_ != nullptr ? &grid_->stats() : nullptr;
   }
@@ -124,9 +120,8 @@ class UncertainRegionPruner {
   double r_r_task_;
   PrunerBackend backend_;
   std::unique_ptr<GridIndex> grid_;
-  std::unique_ptr<RTree> rtree_;
-  // Removed ids for the backends without native removal (linear, R-tree);
-  // empty unless Remove was called, so untouched pruners pay nothing.
+  // Removed ids for the linear backend (no native removal); empty unless
+  // Remove was called, so untouched pruners pay nothing.
   std::unordered_set<int64_t> removed_;
 };
 

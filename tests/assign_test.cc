@@ -344,8 +344,8 @@ TEST(EngineTest, PruningPreservesResultsAtHighGamma) {
   params.task_params = kDefault;
   MatcherHandle plain = MakeProbabilisticModel(params);
   params.pruning_gamma = 0.99;
-  for (auto backend : {index::PrunerBackend::kGrid, index::PrunerBackend::kRTree,
-                       index::PrunerBackend::kLinearScan}) {
+  for (auto backend :
+       {index::PrunerBackend::kGrid, index::PrunerBackend::kLinearScan}) {
     params.pruning_backend = backend;
     MatcherHandle pruned = MakeProbabilisticModel(params);
     stats::Rng rng_a(21), rng_b(21);

@@ -50,7 +50,7 @@ EnginePolicy BasePolicy(const reachability::AnalyticalModel* model) {
 }
 
 // The invariance matrix: pools {serial, 1, 2, 8} x shard sizes {64, 1024}
-// x pruner {off, grid, rtree} x U2U filter {certain bands, the
+// x pruner {off, grid, linear} x U2U filter {certain bands, the
 // direct-evaluation reference}, each cell compared bit for bit (including
 // the caller's RNG stream) against the serial run at the default shard
 // size.
@@ -74,7 +74,7 @@ TEST(EngineParallelTest, ThreadShardPrunerThresholdInvariance) {
   const PrunerCase pruners[] = {
       {"off", std::nullopt, index::PrunerBackend::kGrid},
       {"grid", 0.9, index::PrunerBackend::kGrid},
-      {"rtree", 0.9, index::PrunerBackend::kRTree},
+      {"linear", 0.9, index::PrunerBackend::kLinearScan},
   };
 
   for (const bool thresholds : {true, false}) {
@@ -284,8 +284,7 @@ TEST(EngineParallelTest, ActiveSetMatchesFullScanUnderPruner) {
   const Workload workload = NoisyWorkload(300, 300, 17);
 
   for (const auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
+       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid}) {
     U2uCandidateStage::Config config;
     config.model = &model;
     config.alpha = 0.1;
@@ -325,6 +324,91 @@ TEST(EngineParallelTest, ActiveSetMatchesFullScanUnderPruner) {
     }
     EXPECT_FALSE(matched.empty());
   }
+}
+
+// A re-report or a reactivation must not rebuild the index (DESIGN.md
+// section 14). Under the grid backend, UpdateWorkerLocation and
+// MarkAvailable keep the built index: it is still there right after the
+// call, with no Collect in between, and its cumulative cell counters never
+// fall (a rebuilt index would count from zero again). Every sampled Collect
+// still equals a stage freshly built over the same locations and matched
+// set. A registration after Prepare does change the indexed set, so it
+// drops the index until the next Collect rebuilds it.
+TEST(EngineParallelTest, GridIndexSurvivesRelocateAndReactivate) {
+  const reachability::AnalyticalModel model(kDefault);
+  const Workload workload = NoisyWorkload(300, 300, 29);
+  const geo::BoundingBox& region = workload.region;
+  U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  config.pruning = U2uCandidateStage::Pruning{
+      0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+  U2uCandidateStage stage(config);
+  std::vector<geo::Point> noisy;
+  for (const Worker& w : workload.workers) {
+    stage.AddWorker(w.noisy_location, w.reach_radius_m);
+    noisy.push_back(w.noisy_location);
+  }
+  stage.Prepare();
+  ASSERT_NE(stage.grid_query_stats(), nullptr);
+
+  index::GridIndex::QueryStats last;
+  const auto expect_index_kept = [&](const std::string& label) {
+    const index::GridIndex::QueryStats* gs = stage.grid_query_stats();
+    ASSERT_NE(gs, nullptr) << label;
+    EXPECT_GE(gs->cells_bulk_accepted, last.cells_bulk_accepted) << label;
+    EXPECT_GE(gs->cells_skipped, last.cells_skipped) << label;
+    EXPECT_GE(gs->cells_boundary, last.cells_boundary) << label;
+    EXPECT_GE(gs->boundary_workers, last.boundary_workers) << label;
+    last = *gs;
+  };
+
+  stats::Rng rng(31);
+  std::vector<uint32_t> matched;
+  int reactivations = 0;
+  for (size_t t = 0; t < 150; ++t) {
+    const geo::Point task = workload.tasks[t].noisy_location;
+    const std::string label = "task=" + std::to_string(t);
+    const std::vector<uint32_t> got = stage.Collect(task);
+    expect_index_kept(label + " collect");
+    if (t % 5 == 0) {
+      U2uCandidateStage fresh(config);
+      for (size_t i = 0; i < noisy.size(); ++i) {
+        fresh.AddWorker(noisy[i], workload.workers[i].reach_radius_m);
+      }
+      for (const uint32_t i : matched) fresh.MarkMatched(i);
+      EXPECT_EQ(got, fresh.Collect(task)) << label;
+      EXPECT_EQ(stage.stats().scanned_last, fresh.stats().scanned_last)
+          << label;
+    }
+    if (!got.empty()) {
+      stage.MarkMatched(got.front());
+      matched.push_back(got.front());
+    }
+    const auto mover = static_cast<uint32_t>(rng.UniformInt(noisy.size()));
+    noisy[mover] = {rng.UniformDouble(region.min_x, region.max_x),
+                    rng.UniformDouble(region.min_y, region.max_y)};
+    stage.UpdateWorkerLocation(mover, noisy[mover]);
+    expect_index_kept(label + " relocate");
+    if (t % 3 == 1 && !matched.empty()) {
+      const auto k = static_cast<size_t>(rng.UniformInt(matched.size()));
+      stage.MarkAvailable(matched[k]);
+      matched.erase(matched.begin() + static_cast<std::ptrdiff_t>(k));
+      ++reactivations;
+      expect_index_kept(label + " reactivate");
+    }
+  }
+  // The churn really ran against a counting index.
+  EXPECT_GT(reactivations, 0);
+  EXPECT_FALSE(matched.empty());
+  EXPECT_GT(last.cells_bulk_accepted + last.cells_boundary, 0);
+
+  // A registration after Prepare changes the indexed set: the index is
+  // dropped at once and rebuilt by the next Collect.
+  stage.AddWorker(region.Center(), 1500.0);
+  EXPECT_EQ(stage.grid_query_stats(), nullptr);
+  stage.Collect(workload.tasks[0].noisy_location);
+  EXPECT_NE(stage.grid_query_stats(), nullptr);
 }
 
 TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
@@ -390,8 +474,7 @@ TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
       geo::BoundingBox::FromCorners({0, 0}, {2000, 2000});
 
   for (const auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
+       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid}) {
     index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
                                         /*gamma=*/0.9, backend, region);
     const geo::Point probe{500.0, 500.0};

@@ -8,7 +8,6 @@
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
-#include "index/rtree.h"
 #include "stats/rng.h"
 
 namespace scguard::index {
@@ -17,100 +16,6 @@ namespace {
 geo::BoundingBox RandomBox(stats::Rng& rng, double extent, double max_size) {
   const geo::Point c{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
   return geo::BoundingBox::FromCircle(c, rng.UniformDouble(1.0, max_size));
-}
-
-std::vector<int64_t> BruteForce(const std::vector<RTree::Entry>& entries,
-                                const geo::BoundingBox& query) {
-  std::vector<int64_t> out;
-  for (const auto& e : entries) {
-    if (e.box.Intersects(query)) out.push_back(e.id);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-TEST(RTreeTest, EmptyTree) {
-  RTree tree;
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Height(), 0);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_TRUE(tree.QueryIds(geo::BoundingBox::FromCorners({0, 0}, {1, 1})).empty());
-}
-
-TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert(geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 7);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Height(), 1);
-  const auto hits = tree.QueryIds(geo::BoundingBox::FromCorners({0.5, 0.5}, {2, 2}));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 7);
-  EXPECT_TRUE(tree.QueryIds(geo::BoundingBox::FromCorners({5, 5}, {6, 6})).empty());
-}
-
-TEST(RTreeTest, InsertMatchesBruteForce) {
-  stats::Rng rng(1);
-  RTree tree(8);
-  std::vector<RTree::Entry> entries;
-  for (int64_t i = 0; i < 500; ++i) {
-    const geo::BoundingBox box = RandomBox(rng, 1000.0, 30.0);
-    entries.push_back({box, i});
-    tree.Insert(box, i);
-  }
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 500u);
-  EXPECT_GT(tree.Height(), 1);
-  for (int q = 0; q < 50; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 1000.0, 100.0);
-    auto got = tree.QueryIds(query);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForce(entries, query)) << "query " << q;
-  }
-}
-
-TEST(RTreeTest, BulkLoadMatchesBruteForce) {
-  stats::Rng rng(2);
-  std::vector<RTree::Entry> entries;
-  for (int64_t i = 0; i < 2000; ++i) {
-    entries.push_back({RandomBox(rng, 5000.0, 40.0), i});
-  }
-  RTree tree(16);
-  tree.BulkLoad(entries);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.size(), 2000u);
-  for (int q = 0; q < 50; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 5000.0, 200.0);
-    auto got = tree.QueryIds(query);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForce(entries, query)) << "query " << q;
-  }
-}
-
-TEST(RTreeTest, BulkLoadEmptyAndTiny) {
-  RTree tree;
-  tree.BulkLoad({});
-  EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.CheckInvariants());
-  tree.BulkLoad({{geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 1}});
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_TRUE(tree.CheckInvariants());
-}
-
-TEST(RTreeTest, DuplicateBoxesAllReported) {
-  RTree tree(4);
-  const geo::BoundingBox box = geo::BoundingBox::FromCorners({0, 0}, {1, 1});
-  for (int64_t i = 0; i < 20; ++i) tree.Insert(box, i);
-  EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_EQ(tree.QueryIds(box).size(), 20u);
-}
-
-TEST(RTreeTest, QueryCallbackReceivesEntries) {
-  RTree tree;
-  tree.Insert(geo::BoundingBox::FromCorners({0, 0}, {1, 1}), 3);
-  int64_t seen_id = -1;
-  tree.Query(geo::BoundingBox::FromCorners({0, 0}, {2, 2}),
-             [&seen_id](const RTree::Entry& e) { seen_id = e.id; });
-  EXPECT_EQ(seen_id, 3);
 }
 
 // ------------------------------------------------------------- GridIndex
@@ -739,18 +644,13 @@ TEST(PrunerTest, BackendsAgree) {
                                      PrunerBackend::kLinearScan, region);
   const UncertainRegionPruner grid(regions, params, params, 0.9,
                                    PrunerBackend::kGrid, region);
-  const UncertainRegionPruner rtree(regions, params, params, 0.9,
-                                    PrunerBackend::kRTree, region);
   for (int q = 0; q < 30; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     auto a = linear.Candidates(task);
     auto b = grid.Candidates(task);
-    auto c = rtree.Candidates(task);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
-    std::sort(c.begin(), c.end());
     EXPECT_EQ(a, b);
-    EXPECT_EQ(a, c);
   }
 }
 
@@ -804,7 +704,7 @@ TEST(PrunerTest, FarTaskPrunesMostWorkers) {
                                                                 {extent, extent});
   const privacy::PrivacyParams params{1.0, 200.0};  // Little noise.
   const UncertainRegionPruner pruner(regions, params, params, 0.9,
-                                     PrunerBackend::kRTree, region);
+                                     PrunerBackend::kGrid, region);
   // A task far outside the deployment region keeps almost nothing.
   const auto candidates = pruner.Candidates({extent * 3, extent * 3});
   EXPECT_LT(candidates.size(), 5u);

@@ -87,8 +87,7 @@ TEST(KernelEngineTest, ThresholdToggleIsBitIdenticalUnderPruning) {
   const Workload w = NoisyWorkload(150, 150, 34);
   MatchResult linear_direct;  // The grid's direct-evaluation scan reference.
   for (auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
+       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid}) {
     AlgorithmParams params;
     params.worker_params = kDefault;
     params.task_params = kDefault;
@@ -130,8 +129,7 @@ TEST(KernelEngineTest, PrunedRunsStayIdenticalToUnprunedAtHighGamma) {
   stats::Rng rng_plain(37);
   const MatchResult base = plain.Run(w, rng_plain);
   for (auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid,
-        index::PrunerBackend::kRTree}) {
+       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid}) {
     params.pruning_gamma = 0.999;
     params.pruning_backend = backend;
     MatcherHandle pruned = MakeProbabilisticModel(params);

@@ -81,7 +81,6 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
       {"off", std::nullopt, index::PrunerBackend::kGrid},
       {"linear", 0.9, index::PrunerBackend::kLinearScan},
       {"grid", 0.9, index::PrunerBackend::kGrid},
-      {"rtree", 0.9, index::PrunerBackend::kRTree},
   };
 
   for (const ModelCase& mc : models) {
