@@ -90,32 +90,37 @@ void BM_EmpiricalLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_EmpiricalLookup);
 
-std::vector<index::UncertainRegionPruner::WorkerRegion> MakeRegions(int n) {
-  stats::Rng rng(3);
-  const geo::BoundingBox region = data::BeijingRegion();
-  std::vector<index::UncertainRegionPruner::WorkerRegion> out;
-  out.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    out.push_back({i,
-                   {rng.UniformDouble(region.min_x, region.max_x),
-                    rng.UniformDouble(region.min_y, region.max_y)},
-                   rng.UniformDouble(1000.0, 3000.0)});
-  }
-  return out;
-}
-
+// One task's U2U candidate set through the pruned stage, as the pipeline
+// runs it (CollectRuns): the linear MBR scan plus the gather
+// classification (0), or the certified grid walk plus the range
+// classification over the grid's rows (1). Uniform workers over Beijing,
+// r ~ U[1000, 3000] m, alpha = 0.1; items are tasks.
 void BM_PrunerCandidates(benchmark::State& state) {
   const auto backend = static_cast<index::PrunerBackend>(state.range(0));
   const int n = static_cast<int>(state.range(1));
-  const index::UncertainRegionPruner pruner(MakeRegions(n), kParams, kParams,
-                                            0.9, backend, data::BeijingRegion());
-  stats::Rng rng(4);
   const geo::BoundingBox region = data::BeijingRegion();
-  for (auto _ : state) {
-    const geo::Point task{rng.UniformDouble(region.min_x, region.max_x),
-                          rng.UniformDouble(region.min_y, region.max_y)};
-    benchmark::DoNotOptimize(pruner.Candidates(task));
+  const reachability::AnalyticalModel model(kParams);
+  assign::U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  config.pruning = assign::U2uCandidateStage::Pruning{0.9, backend, kParams,
+                                                      kParams, region};
+  assign::U2uCandidateStage stage(std::move(config));
+  stats::Rng rng(3);
+  stage.ReserveWorkers(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    stage.AddWorker({rng.UniformDouble(region.min_x, region.max_x),
+                     rng.UniformDouble(region.min_y, region.max_y)},
+                    rng.UniformDouble(1000.0, 3000.0));
   }
+  stage.Prepare();
+  stats::Rng task_rng(4);
+  for (auto _ : state) {
+    const geo::Point task{task_rng.UniformDouble(region.min_x, region.max_x),
+                          task_rng.UniformDouble(region.min_y, region.max_y)};
+    benchmark::DoNotOptimize(stage.CollectRuns(task).size);
+  }
+  state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::string(index::PrunerBackendName(backend)));
 }
 BENCHMARK(BM_PrunerCandidates)
@@ -124,10 +129,10 @@ BENCHMARK(BM_PrunerCandidates)
     ->Args({1, 100000});  // Grid at engine scale.
 
 // One worker re-report against a prepared, grid-pruned stage: the service's
-// apply-phase hot path. Before GridIndex::Relocate this dropped the whole
-// pruner + mirror and the follow-up Prepare() rebuilt both — O(workers) per
-// report, which is the pathology this measures; the incremental path keeps
-// Prepare a no-op and relocates in O(cell).
+// apply-phase hot path. GridIndex::Relocate rewrites the worker's row in
+// place (or erases and re-inserts it across cells) and recomputes the
+// cell's aggregates in one O(cell) pass; the follow-up Prepare() is a
+// no-op.
 void BM_UpdateWorkerLocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const reachability::AnalyticalModel model(kParams);
@@ -363,8 +368,8 @@ void BM_U2UFilterThreshold(benchmark::State& state) {
 }
 BENCHMARK(BM_U2UFilterThreshold)->Arg(5000);
 
-// U2U setup: AddWorker x 200k + Prepare (certain bands, grid bulk load,
-// cell-major mirror) with grid pruning at alpha = 0.1, on three radii (0)
+// U2U setup: AddWorker x 200k + Prepare (certain bands, grid bulk load of
+// the cell-major rows) with grid pruning at alpha = 0.1, on three radii (0)
 // vs distinct U[1000, 3000] m radii (1). The threshold cache bisects
 // lattice nodes, not radii, so both arms cost about the same; CI gates
 // time(1) <= 2 x time(0). Items/s = workers set up.
@@ -399,17 +404,19 @@ void BM_U2uPrepare(benchmark::State& state) {
 }
 BENCHMARK(BM_U2uPrepare)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// ---- Cell-major mirror kernels (DESIGN.md section 13) ----------------
-// The same certain-band trichotomy over the same workers, as the pruned
-// path's scattered gather (indices into a large SoA, one cache line per
-// worker) vs the mirror path's contiguous range (cell-major rows, packed
+// ---- Cell-major range kernels (DESIGN.md section 13) -----------------
+// The same certain-band trichotomy over the same workers, as the linear
+// pruner's scattered gather (indices into a large SoA, one cache line per
+// worker) vs the grid path's contiguous range (cell-major rows, packed
 // column loads). Items/s = worker decisions; the gap is pure memory
 // traffic, since both arms take bit-identical decisions.
 
 struct MirrorFixture {
   reachability::WorkerFilterSoA soa;     // Large id-major pool.
   std::vector<uint32_t> indices;         // Sorted ~10% sample of the pool.
-  reachability::CellMajorMirror mirror;  // The sampled workers, contiguous.
+  // The sampled workers as one contiguous run of grid rows (one cell's
+  // slice of GridIndex::rows()).
+  reachability::CellMajorMirror mirror;
   std::vector<geo::Point> tasks;
 };
 
@@ -617,7 +624,7 @@ void BM_TaskPipelineGrid(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   state.SetLabel(runs ? "cell runs" : "id vector");
-  // Mirror rows classified one by one, against the rows of the walk's
+  // Grid rows classified one by one, against the rows of the walk's
   // rectangle-boundary cells (which the alpha certificate mostly settles
   // without a read).
   state.counters["rows_per_task"] = benchmark::Counter(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -44,12 +45,14 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
   soa_.x[worker] = noisy_location.x;
   soa_.y[worker] = noisy_location.y;
   // The certain-band bounds depend only on the (unchanged) reach radius,
-  // so the worker's bands stay valid. A built pruning index anchors its
-  // rectangle at the old location and relocates the entry in place
-  // (O(cell) with the mirror kept in sync through the slice listener — the
-  // mutation the service loop amortizes, DESIGN.md §14); an index not yet
-  // built reads the new location when Prepare builds it.
-  if (pruner_ != nullptr) {
+  // so the worker's bands stay valid. A built grid relocates the worker's
+  // row in place (O(cell), the mutation the service loop amortizes,
+  // DESIGN.md §14; a matched worker has no row, and its reactivation reads
+  // the SoA); an index not yet built reads the new location when Prepare
+  // builds it.
+  if (grid_ != nullptr) {
+    grid_->Relocate(worker, noisy_location);
+  } else if (pruner_ != nullptr) {
     pruner_->Relocate(static_cast<int64_t>(worker), noisy_location);
   }
 }
@@ -57,9 +60,12 @@ void U2uCandidateStage::UpdateWorkerLocation(uint32_t worker,
 void U2uCandidateStage::MarkAvailable(uint32_t worker) {
   if (!soa_.matched[worker]) return;
   soa_.matched[worker] = 0;
-  // Undo MarkMatched's active-set maintenance: re-insert into the pruning
-  // index, or splice the id back into its shard's ascending active list.
-  if (pruner_ != nullptr) {
+  // Undo MarkMatched's active-set maintenance: re-insert the row into the
+  // grid, restore the worker in the linear pruner, or splice the id back
+  // into its shard's ascending active list.
+  if (grid_ != nullptr) {
+    grid_->Insert(GridRow(worker));
+  } else if (pruner_ != nullptr) {
     pruner_->Restore(static_cast<int64_t>(worker));
   } else if (prepared_ && !config_.pruning.has_value()) {
     std::vector<uint32_t>& active =
@@ -90,12 +96,72 @@ void U2uCandidateStage::RebuildShards() {
   }
 }
 
-void U2uCandidateStage::DropPruner() {
-  // The mirror must let go of the dying grid first.
-  mirror_.ForgetGrid();
-  if (pruner_ != nullptr && pruner_->grid() != nullptr) {
-    retired_grid_rebuilds_ += pruner_->grid()->rebuilds();
+index::GridIndex::Row U2uCandidateStage::GridRow(uint32_t i) const {
+  return {i,
+          {soa_.x[i], soa_.y[i]},
+          pruner_->worker_confidence_radius_m() + soa_.reach_radius_m[i],
+          soa_.accept_below_sq[i],
+          soa_.reject_above_sq[i],
+          soa_.reach_radius_m[i]};
+}
+
+void U2uCandidateStage::BuildPruner() {
+  const size_t n = soa_.size();
+  const Pruning& p = *config_.pruning;
+  const bool grid = p.backend == index::PrunerBackend::kGrid;
+  // The grid reads its rows from the SoA; only the linear scan keeps a
+  // worker copy.
+  std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
+  if (!grid) {
+    regions.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      regions.push_back({static_cast<int64_t>(i),
+                         {soa_.x[i], soa_.y[i]},
+                         soa_.reach_radius_m[i]});
+    }
   }
+  pruner_ = std::make_unique<index::UncertainRegionPruner>(
+      std::move(regions), p.worker_params, p.task_params, p.gamma, p.region);
+  if (grid) {
+    // The expanded worker rectangles can stick out beyond the deployment
+    // region; grow the grid region accordingly so border cells stay
+    // balanced.
+    const double r_w = pruner_->worker_confidence_radius_m();
+    double max_extent = r_w;
+    for (size_t i = 0; i < n; ++i) {
+      max_extent = std::max(max_extent, r_w + soa_.reach_radius_m[i]);
+    }
+    geo::BoundingBox grid_region = p.region;
+    grid_region.Extend(
+        geo::Point{p.region.min_x - max_extent, p.region.min_y - max_extent});
+    grid_region.Extend(
+        geo::Point{p.region.max_x + max_extent, p.region.max_y + max_extent});
+    // Density-adaptive resolution (a perf-only knob: certification is
+    // exact at any resolution): target ~64 rows per cell so boundary-cell
+    // member tests stay short at a million workers without flooding small
+    // workloads with empty cells.
+    const int cells_per_axis = std::clamp(
+        static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n) / 64.0))),
+        16, 512);
+    grid_ = std::make_unique<index::GridIndex>(grid_region, cells_per_axis);
+    grid_->BulkLoad(n, [this](size_t i) {
+      return GridRow(static_cast<uint32_t>(i));
+    });
+  }
+  // Re-apply removals for workers matched before the (re)build.
+  for (size_t i = 0; i < n; ++i) {
+    if (!soa_.matched[i]) continue;
+    if (grid) {
+      grid_->Remove(static_cast<uint32_t>(i));
+    } else {
+      pruner_->Remove(static_cast<int64_t>(i));
+    }
+  }
+}
+
+void U2uCandidateStage::DropPruner() {
+  if (grid_ != nullptr) retired_grid_rebuilds_ += grid_->rebuilds();
+  grid_.reset();
   pruner_.reset();
 }
 
@@ -127,36 +193,14 @@ void U2uCandidateStage::Prepare() {
   }
 
   if (config_.pruning.has_value()) {
-    if (pruner_ == nullptr) {
-      const Pruning& p = *config_.pruning;
-      std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
-      regions.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        regions.push_back({static_cast<int64_t>(i),
-                           {soa_.x[i], soa_.y[i]},
-                           soa_.reach_radius_m[i]});
-      }
-      pruner_ = std::make_unique<index::UncertainRegionPruner>(
-          std::move(regions), p.worker_params, p.task_params, p.gamma,
-          p.backend, p.region);
-      // Re-apply removals for workers matched before the (re)build.
-      for (size_t i = 0; i < n; ++i) {
-        if (soa_.matched[i]) pruner_->Remove(static_cast<int64_t>(i));
-      }
-    }
+    // After the certain bands above: the grid copies them into its rows.
+    if (pruner_ == nullptr) BuildPruner();
     // Pruned runs partition the index's candidate list across the same
     // fixed-size shards as the brute scan (DESIGN.md §11), so they need the
     // full scratch set — but not shard_active_, which only the brute path
     // reads.
     const auto shard_size = static_cast<size_t>(config_.runtime.shard_size);
     shards_.resize(n > 0 ? (n + shard_size - 1) / shard_size : 0);
-    // The mirror attaches after the certain bands above are filled (it
-    // copies them per worker) and after the grid is final for this
-    // Prepare. A pruner rebuilt since the last attach has a fresh grid, so
-    // re-attach whenever the association is gone (ForgetGrid cleared it).
-    if (pruner_->grid() != nullptr && mirror_.grid() != pruner_->grid()) {
-      mirror_.Attach(pruner_->grid(), &soa_);
-    }
   } else if (warm_ == 0) {
     RebuildShards();
   } else {
@@ -208,10 +252,10 @@ void U2uCandidateStage::ScanIndices(geo::Point task_noisy, const uint32_t* idx,
              sc.band.end(), sc.out.begin());
 }
 
-void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
-                                        const geo::BoundingBox& query,
-                                        size_t begin, size_t end,
-                                        ShardScratch& sc) const {
+void U2uCandidateStage::ScanGridChunk(geo::Point task_noisy,
+                                      const geo::BoundingBox& query,
+                                      size_t begin, size_t end,
+                                      ShardScratch& sc) const {
   sc.accept.clear();
   sc.band.clear();
   sc.groups.clear();
@@ -219,7 +263,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
   sc.gather_bytes = 0;
   sc.cells_direct = 0;
   sc.rows_classified = 0;
-  const reachability::CellMajorMirror& m = mirror_.rows();
+  const reachability::CellMajorMirror& m = grid_->rows();
   // Ids appended to sc.accept since `from` become one listed group.
   const auto push_list = [&sc](size_t from, uint32_t slot) {
     const size_t count = sc.accept.size() - from;
@@ -239,9 +283,9 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
     }
     // Alpha first: a candidate must pass both the rectangle and alpha, so
     // the cell-level alpha certificate runs before any row is read.
-    const CellScoreMirror::CellAlpha alpha =
-        mirror_.Certify(visit.slot, task_noisy.x, task_noisy.y);
-    if (alpha == CellScoreMirror::CellAlpha::kAllReject) {
+    const index::GridIndex::CellAlpha alpha =
+        grid_->Certify(visit.slot, task_noisy.x, task_noisy.y);
+    if (alpha == index::GridIndex::CellAlpha::kAllReject) {
       // No member can reach alpha, whatever the rectangle says: the cell
       // is finished without a row read, and its workers are not scanned.
       ++sc.cells_direct;
@@ -250,7 +294,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
     if (visit.cert == index::GridIndex::CellCert::kBulkAccepted) {
       // Every member is rectangle-admitted.
       sc.scanned += static_cast<int64_t>(visit.count);
-      if (alpha == CellScoreMirror::CellAlpha::kAllAccept) {
+      if (alpha == index::GridIndex::CellAlpha::kAllAccept) {
         // The whole slice is the group: no id is copied. The traffic model
         // still charges the id run U2E reads if it opens the cell.
         sc.groups.push_back({visit.begin, visit.count, visit.slot, true});
@@ -277,7 +321,7 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
       sc.gather_bytes += static_cast<int64_t>(visit.count) * 44;
     }
   }
-  // The same band resolution as ScanIndices, so the mirror and gather
+  // The same band resolution as ScanIndices, so the grid and gather
   // paths agree bit for bit (and count the same band_evals). Survivors
   // are plain entries: a cell bound would cover a handful of rows.
   ResolveBand(task_noisy, sc);
@@ -286,43 +330,42 @@ void U2uCandidateStage::ScanMirrorChunk(geo::Point task_noisy,
   push_list(from, CandidateRuns::kNoCell);
 }
 
-void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
+void U2uCandidateStage::CollectGrid(geo::Point task_noisy_location) {
   const size_t n = soa_.size();
   const EngineRuntime& rt = config_.runtime;
   const geo::BoundingBox query = pruner_->TaskQueryBox(task_noisy_location);
-  index::GridIndex* grid = pruner_->grid();
-  grid->VisitQueryCells(query, visits_);
+  grid_->VisitQueryCells(query, visits_);
 
   // Cut the visit list into chunks of >= shard_size members. Boundaries
   // depend only on the walk and shard_size — never the pool — so per-chunk
   // outputs and counters are reproducible; at most one chunk more than the
   // brute scan's shard count exists, hence the resize.
   const auto shard_size = static_cast<size_t>(rt.shard_size);
-  mirror_chunks_.clear();
+  grid_chunks_.clear();
   size_t chunk_begin = 0;
   size_t acc = 0;
   for (size_t v = 0; v < visits_.size(); ++v) {
     acc += visits_[v].count;
     if (acc >= shard_size) {
-      mirror_chunks_.push_back({chunk_begin, v + 1});
+      grid_chunks_.push_back({chunk_begin, v + 1});
       chunk_begin = v + 1;
       acc = 0;
     }
   }
   if (chunk_begin < visits_.size()) {
-    mirror_chunks_.push_back({chunk_begin, visits_.size()});
+    grid_chunks_.push_back({chunk_begin, visits_.size()});
   }
-  if (shards_.size() < mirror_chunks_.size()) {
-    shards_.resize(mirror_chunks_.size());
+  if (shards_.size() < grid_chunks_.size()) {
+    shards_.resize(grid_chunks_.size());
   }
 
   const Status scan_status = runtime::ParallelFor(
-      rt.pool, 0, static_cast<int64_t>(mirror_chunks_.size()), /*grain=*/1,
+      rt.pool, 0, static_cast<int64_t>(grid_chunks_.size()), /*grain=*/1,
       [&](int64_t lo, int64_t hi) -> Status {
         for (int64_t j = lo; j < hi; ++j) {
-          const MirrorChunk& chunk = mirror_chunks_[static_cast<size_t>(j)];
-          ScanMirrorChunk(task_noisy_location, query, chunk.begin, chunk.end,
-                          shards_[static_cast<size_t>(j)]);
+          const GridChunk& chunk = grid_chunks_[static_cast<size_t>(j)];
+          ScanGridChunk(task_noisy_location, query, chunk.begin, chunk.end,
+                        shards_[static_cast<size_t>(j)]);
         }
         return Status::OK();
       });
@@ -330,8 +373,8 @@ void U2uCandidateStage::CollectMirror(geo::Point task_noisy_location) {
 
   // Concatenate the chunks' groups in chunk order (pool-independent),
   // re-basing the listed ones onto the shared id storage.
-  runs_.mirror = &mirror_;
-  for (size_t j = 0; j < mirror_chunks_.size(); ++j) {
+  runs_.grid = grid_.get();
+  for (size_t j = 0; j < grid_chunks_.size(); ++j) {
     const ShardScratch& sc = shards_[j];
     const size_t base = runs_.ids.size();
     runs_.ids.insert(runs_.ids.end(), sc.accept.begin(), sc.accept.end());
@@ -352,19 +395,19 @@ const std::vector<uint32_t>& U2uCandidateStage::Collect(
     geo::Point task_noisy_location) {
   const CandidateRuns& runs = CollectRuns(task_noisy_location);
   // The brute and linear-pruner scans already produce the ascending list.
-  if (runs.mirror == nullptr) return runs.ids;
+  if (runs.grid == nullptr) return runs.ids;
   // Union the groups through a dense bitmap and read it back in word
   // order: an order-independent set union, so the ascending result equals
   // the gather path's ascending concatenation no matter how cells were
   // chunked.
   candidates_.clear();
-  mirror_bits_.assign((soa_.size() + 63) / 64, 0);
+  accept_bits_.assign((soa_.size() + 63) / 64, 0);
   runs.ForEach([this](uint32_t i) {
-    mirror_bits_[i >> 6] |= uint64_t{1} << (i & 63);
+    accept_bits_[i >> 6] |= uint64_t{1} << (i & 63);
   });
   candidates_.reserve(runs.size);
-  for (size_t w = 0; w < mirror_bits_.size(); ++w) {
-    uint64_t bits = mirror_bits_[w];
+  for (size_t w = 0; w < accept_bits_.size(); ++w) {
+    uint64_t bits = accept_bits_[w];
     while (bits != 0) {
       const int b = std::countr_zero(bits);
       candidates_.push_back(
@@ -384,8 +427,8 @@ const CandidateRuns& U2uCandidateStage::CollectRuns(
   stats_.scanned_last = 0;
   stats_.pruned_last = 0;
 
-  if (pruner_ != nullptr && pruner_->grid() != nullptr) {
-    CollectMirror(task_noisy_location);
+  if (grid_ != nullptr) {
+    CollectGrid(task_noisy_location);
     return runs_;
   }
   // The brute and linear-pruner scans build one ascending list in place.
@@ -400,8 +443,8 @@ const CandidateRuns& U2uCandidateStage::CollectRuns(
   };
 
   if (pruner_ != nullptr) {
-    // The index query itself stays serial (sub-linear, and it owns mutable
-    // merge scratch); the classification work it feeds is what fans out.
+    // The linear MBR scan itself stays serial; the classification work it
+    // feeds is what fans out.
     pruner_->Candidates(task_noisy_location, pruner_ids_);
     stats_.pruned_last = static_cast<int64_t>(n) -
                          static_cast<int64_t>(pruner_ids_.size());
@@ -507,7 +550,9 @@ void U2uCandidateStage::MarkMatched(uint32_t worker) {
   // Active-set maintenance: full scans compact the shard at its next scan;
   // pruned runs drop the worker from the index so queries stop returning
   // it.
-  if (pruner_ != nullptr) {
+  if (grid_ != nullptr) {
+    grid_->Remove(worker);
+  } else if (pruner_ != nullptr) {
     pruner_->Remove(static_cast<int64_t>(worker));
   } else if (prepared_) {
     shard_dirty_[worker / static_cast<size_t>(config_.runtime.shard_size)] = 1;
@@ -527,8 +572,7 @@ int64_t U2uCandidateStage::band_evals() const {
 }
 
 int64_t U2uCandidateStage::grid_rebuilds() const {
-  const index::GridIndex* grid = pruner_ != nullptr ? pruner_->grid() : nullptr;
-  return retired_grid_rebuilds_ + (grid != nullptr ? grid->rebuilds() : 0);
+  return retired_grid_rebuilds_ + (grid_ != nullptr ? grid_->rebuilds() : 0);
 }
 
 int64_t U2uCandidateStage::compactions() const {

@@ -6,9 +6,10 @@
 #include <optional>
 #include <vector>
 
-#include "assign/stages/cell_mirror.h"
+#include "assign/stages/candidate_runs.h"
 #include "geo/bbox.h"
 #include "geo/point.h"
+#include "index/grid_index.h"
 #include "index/pruning.h"
 #include "privacy/privacy_params.h"
 #include "reachability/kernel.h"
@@ -47,10 +48,11 @@ struct EngineRuntime {
 /// workers are plausible candidates for this noisy task location?" with
 /// Pr(reachable | d') >= alpha. One object owns everything the scan needs —
 /// the WorkerFilterSoA snapshot, the AlphaThresholdCache behind its
-/// per-worker certain bands, the optional uncertainty-rectangle pruner, and
-/// the sharded active-set scan state — so every pipeline (ScGuardEngine,
-/// core::TaskingServer, sim/dynamic, BatchMatcher) shares one filter
-/// implementation and its decisions stay bit-identical across call sites.
+/// per-worker certain bands, the optional uncertainty-rectangle grid (or
+/// linear pruner), and the sharded active-set scan state — so every
+/// pipeline (ScGuardEngine, core::TaskingServer, sim/dynamic, BatchMatcher)
+/// shares one filter implementation and its decisions stay bit-identical
+/// across call sites.
 ///
 /// Not thread-safe; Collect itself fans shards over the configured pool.
 /// Intended to be run-local (ExperimentRunner shares one matcher across
@@ -86,7 +88,7 @@ class U2uCandidateStage {
   /// Per-Collect scan accounting, surfaced so orchestrators can feed
   /// RunMetrics and obs counters without reaching into the scan.
   struct Stats {
-    /// Workers scored by the last Collect. On the grid (mirror) path: the
+    /// Workers scored by the last Collect. On the grid path: the
     /// rectangle-admitted workers of cells the whole-cell alpha certificate
     /// did not reject — a rejected cell's rows are never read, so its
     /// workers count as pruned (DESIGN.md section 13).
@@ -97,7 +99,7 @@ class U2uCandidateStage {
     /// Modeled scoring-side memory traffic, cumulative over the stage's
     /// life (a traffic model, not a hardware counter — see EXPERIMENTS.md):
     /// gathered workers cost one scattered cache line per SoA stream (4 x
-    /// 64 B), brute sequential scans cost the packed 32 B, mirror range
+    /// 64 B), brute sequential scans cost the packed 32 B, grid range
     /// scans cost the contiguous rows actually streamed (36 B bulk / 44 B
     /// boundary), and certificate-direct cells cost only their emitted id
     /// run (4 B per id, 0 for whole-cell rejects).
@@ -106,7 +108,7 @@ class U2uCandidateStage {
     /// reject) with zero per-worker loads, cumulative. Rectangle-boundary
     /// cells settled by a reject count too.
     int64_t cells_emitted_direct = 0;
-    /// Mirror rows the range kernels classified one by one (the mixed
+    /// Grid rows the range kernels classified one by one (the mixed
     /// bulk cells and the boundary cells not rejected whole), cumulative.
     int64_t rows_classified = 0;
   };
@@ -175,19 +177,22 @@ class U2uCandidateStage {
   size_t available() const;
 
   const Stats& stats() const { return stats_; }
-  /// Cell-certification counters of a grid-backed pruning index, cumulative
-  /// over the pruner's life (nullptr without pruning or for the linear
+  /// Cell-certification counters of the grid backend's index, cumulative
+  /// over the index's life (nullptr without pruning or for the linear
   /// backend). Orchestrators feed these into RunMetrics / obs counters.
   const index::GridIndex::QueryStats* grid_query_stats() const {
-    return pruner_ != nullptr ? pruner_->grid_query_stats() : nullptr;
+    return grid_ != nullptr ? &grid_->stats() : nullptr;
   }
+  /// The grid backend's index once built (nullptr otherwise): one row per
+  /// live worker, copied from the SoA.
+  const index::GridIndex* grid() const { return grid_.get(); }
   /// Direct in-band model evaluations, cumulative over the stage's life
   /// (summed across shard scratches; call once per run, not per task).
   int64_t band_evals() const;
   /// Radius-lattice nodes the threshold cache inverted, cumulative.
   int64_t threshold_nodes() const { return thresholds_.nodes_bisected(); }
-  /// Full re-layouts of the grid backend's member arrays (each one also
-  /// resyncs the mirror), cumulative over every grid the stage built.
+  /// Full re-layouts of the grid backend's rows, cumulative over every
+  /// grid the stage built.
   int64_t grid_rebuilds() const;
   /// Active-set shard rebuilds, cumulative.
   int64_t compactions() const;
@@ -205,13 +210,13 @@ class U2uCandidateStage {
     std::vector<uint32_t> accept;  ///< Certain accepts, ascending.
     std::vector<uint32_t> band;    ///< In-band indices, then survivors.
     std::vector<uint32_t> out;     ///< This shard's candidates, ascending.
-    /// Mirror chunks: this chunk's candidate groups; the ones not in rows
+    /// Grid chunks: this chunk's candidate groups; the ones not in rows
     /// index `accept`.
     std::vector<CandidateRuns::Group> groups;
     int64_t scanned = 0;           ///< Workers scored for the current task.
     int64_t band_evals = 0;        ///< Direct model evals, run cumulative.
     int64_t compactions = 0;       ///< Active-set rebuilds, run cumulative.
-    int64_t gather_bytes = 0;      ///< Mirror-chunk traffic, current task.
+    int64_t gather_bytes = 0;      ///< Grid-chunk traffic, current task.
     int64_t cells_direct = 0;      ///< Certificate-direct cells, this task.
     int64_t rows_classified = 0;   ///< Range-kernel rows, this task.
   };
@@ -228,31 +233,38 @@ class U2uCandidateStage {
   void ResolveBand(geo::Point task_noisy, ShardScratch& sc) const;
 
   /// The grid backend's CollectRuns: certified cell walk, chunked range
-  /// classification over contiguous mirror slices, chunk groups
-  /// concatenated in chunk order.
-  void CollectMirror(geo::Point task_noisy);
+  /// classification over contiguous row slices, chunk groups concatenated
+  /// in chunk order.
+  void CollectGrid(geo::Point task_noisy);
 
   /// Classifies the visits [begin, end) of the current walk against the
   /// task, leaving this chunk's candidate groups in sc.groups (the listed
   /// ids in sc.accept) and its admitted/traffic accounting in sc. Safe to
   /// run concurrently on distinct scratches.
-  void ScanMirrorChunk(geo::Point task_noisy, const geo::BoundingBox& query,
-                       size_t begin, size_t end, ShardScratch& sc) const;
+  void ScanGridChunk(geo::Point task_noisy, const geo::BoundingBox& query,
+                     size_t begin, size_t end, ShardScratch& sc) const;
 
   void RebuildShards();
 
-  /// Detaches the mirror and drops the pruning index (rebuilt over current
-  /// data at the next Prepare), keeping its grid rebuild count.
+  /// Builds the pruning index over the current workers: the pruner's
+  /// confidence radii, and for the grid backend the grid bulk-loaded from
+  /// the SoA; workers matched before the build are removed afterwards.
+  void BuildPruner();
+
+  /// Drops the pruning index (rebuilt over current data at the next
+  /// Prepare), keeping its grid rebuild count.
   void DropPruner();
+
+  /// Worker `i`'s grid row, copied from the SoA.
+  index::GridIndex::Row GridRow(uint32_t i) const;
 
   Config config_;
   reachability::WorkerFilterSoA soa_;
   reachability::AlphaThresholdCache thresholds_;
+  /// Confidence radii for both backends; the linear backend's worker copy.
   std::unique_ptr<index::UncertainRegionPruner> pruner_;
-  /// Cell-major scoring mirror over the grid backend's member layout.
-  /// Declared after pruner_ and detached (ForgetGrid) at every
-  /// pruner_.reset() site, so it never holds a dangling grid pointer.
-  CellScoreMirror mirror_;
+  /// The grid backend's row store.
+  std::unique_ptr<index::GridIndex> grid_;
   /// Workers [0, warm_) have certain bands and shard slots.
   size_t warm_ = 0;
   /// Set once Prepare ran; a later AddWorker drops a configured pruner so
@@ -277,11 +289,11 @@ class U2uCandidateStage {
     size_t end;
   };
 
-  /// One mirror chunk: the visit range [begin, end) of the current walk.
+  /// One grid chunk: the visit range [begin, end) of the current walk.
   /// Chunks are cut by cumulative member count against shard_size alone —
   /// pool-independent, like Segment boundaries — so chunk contents (and
   /// with them every per-chunk counter) are identical on any pool.
-  struct MirrorChunk {
+  struct GridChunk {
     size_t begin;
     size_t end;
   };
@@ -292,8 +304,8 @@ class U2uCandidateStage {
   std::vector<int64_t> pruner_ids_;
   std::vector<Segment> segments_;
   std::vector<index::GridIndex::CellVisit> visits_;
-  std::vector<MirrorChunk> mirror_chunks_;
-  std::vector<uint64_t> mirror_bits_;  ///< Accept bitmap, one bit per worker.
+  std::vector<GridChunk> grid_chunks_;
+  std::vector<uint64_t> accept_bits_;  ///< Collect's union, a bit per worker.
   Stats stats_;
   int64_t retired_grid_rebuilds_ = 0;  ///< Of grids already dropped.
 };

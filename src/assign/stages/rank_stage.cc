@@ -36,7 +36,7 @@ double MemberBound(reachability::U2eBoundLattice& lattice,
 // dxn; squaring, the sum and sqrt are monotone too, so the slacked corner
 // distance stays below every member's hypot distance, as in MemberBound.
 double CellBound(reachability::U2eBoundLattice& lattice,
-                 const CellScoreMirror::CellAgg& a, geo::Point task) {
+                 const index::GridIndex::CellAgg& a, geo::Point task) {
   const double dx_lo = a.min_x - task.x;
   const double dx_hi = a.max_x - task.x;
   const double dy_lo = a.min_y - task.y;
@@ -123,9 +123,9 @@ void U2eRankCursor::Expand() {
   cells_.pop_back();
   ++cells_expanded_;
   if (group.in_rows) {
-    // A certified cell's members are contiguous mirror rows, whose columns
+    // A certified cell's members are contiguous grid rows, whose columns
     // equal the SoA's bit for bit: the same bounds without a by-id gather.
-    const reachability::CellMajorMirror& m = runs_->mirror->rows();
+    const reachability::CellMajorMirror& m = runs_->grid->rows();
     for (size_t pos = group.begin; pos < group.begin + group.count; ++pos) {
       hot_.push_back({RowBound(*lattice_, m.x[pos], m.y[pos],
                                m.reach_radius_m[pos], task_),
@@ -312,11 +312,11 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
                                   geo::Point exact_task_location,
                                   const double* random_rank,
                                   int64_t audit_task_id) {
-  if (!lattice_.has_value() || runs.mirror == nullptr ||
+  if (!lattice_.has_value() || runs.grid == nullptr ||
       (obs::RecorderEnabled() && obs::AuditFullEnabled())) {
     // No cell bound to take, or every score is wanted: rank per candidate.
-    // Without a mirror the runs are one list over `ids` already.
-    if (runs.mirror == nullptr) {
+    // Without a grid the runs are one list over `ids` already.
+    if (runs.grid == nullptr) {
       return Open(soa, runs.ids, exact_task_location, random_rank,
                   audit_task_id);
     }
@@ -339,7 +339,7 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
             {MemberBound(*lattice_, soa, id, exact_task_location), id});
       });
     } else {
-      c.cells_.push_back({CellBound(*lattice_, runs.mirror->cell_agg(g.slot),
+      c.cells_.push_back({CellBound(*lattice_, runs.grid->cell_agg(g.slot),
                                     exact_task_location),
                           static_cast<uint32_t>(k)});
     }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "assign/matcher.h"
-#include "assign/stages/cell_mirror.h"
+#include "assign/stages/candidate_runs.h"
 #include "geo/point.h"
 #include "obs/recorder.h"
 #include "reachability/kernel.h"
@@ -119,7 +119,7 @@ class U2eRankCursor {
   void Certify();
 
   /// Opens the best-bounded cell: its members enter the hot heap under
-  /// their own lattice bounds, read straight from the mirror rows for a
+  /// their own lattice bounds, read straight from the grid rows for a
   /// certificate-accepted cell and by id from the SoA for a listed one,
   /// then the heap is rebuilt once.
   void Expand();
@@ -214,8 +214,8 @@ class U2eRankStage {
   /// point of the cell's member box and at the cell's largest reach radius
   /// — can still win. Plain kNoCell entries are bounded up front. Falls
   /// back to Open over the flattened set when there is no cell bound to
-  /// take (no Monotone(kU2E) lattice, kRandom / kNearest, no mirror) and
-  /// in full-audit mode. `runs` and the mirror rows it names must stay
+  /// take (no Monotone(kU2E) lattice, kRandom / kNearest, no grid) and
+  /// in full-audit mode. `runs` and the grid rows it names must stay
   /// unchanged while the cursor is in use.
   U2eRankCursor& Open(const reachability::WorkerFilterSoA& soa,
                       const CandidateRuns& runs,

@@ -2,14 +2,11 @@
 #define SCGUARD_INDEX_PRUNING_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/bbox.h"
 #include "geo/point.h"
-#include "index/grid_index.h"
 #include "privacy/privacy_params.h"
 
 namespace scguard::index {
@@ -36,6 +33,11 @@ constexpr std::string_view PrunerBackendName(PrunerBackend b) {
 /// pruned before any probability evaluation. The pruner is conservative:
 /// it may keep unreachable workers but never drops a pair whose disks
 /// overlap.
+///
+/// This class holds the confidence radii and the linear MBR scan, the
+/// reference the grid backend is checked against. The grid backend stores
+/// its rows in a GridIndex the U2U stage owns; the stage passes such a
+/// pruner no workers and reads only its radii.
 class UncertainRegionPruner {
  public:
   struct WorkerRegion {
@@ -44,18 +46,17 @@ class UncertainRegionPruner {
     double reach_radius_m = 0.0;
   };
 
-  /// `gamma` in (0,1): confidence that a true location lies within the
-  /// expanded disk of its observation. `region` bounds the deployment area
-  /// (needed by the grid backend; pass the workload bounding box).
+  /// `workers[i].worker_id` must be i. `gamma` in (0,1): confidence that a
+  /// true location lies within the expanded disk of its observation.
+  /// `region` bounds the deployment area (the grid mechanisms size their
+  /// confidence radius over it; pass the workload bounding box).
   UncertainRegionPruner(std::vector<WorkerRegion> workers,
                         const privacy::PrivacyParams& worker_params,
                         const privacy::PrivacyParams& task_params,
-                        double gamma, PrunerBackend backend,
-                        const geo::BoundingBox& region);
+                        double gamma, const geo::BoundingBox& region);
 
-  /// Worker ids whose expanded rectangle intersects the task's rectangle,
-  /// in ascending id order (every backend sorts or preserves insertion
-  /// order, so callers that need determinism don't re-sort).
+  /// Ids of the workers not removed whose expanded rectangle intersects
+  /// the task's rectangle, in ascending id order.
   std::vector<int64_t> Candidates(geo::Point task_noisy_location) const;
 
   /// As above into a caller-owned scratch vector (cleared first): the
@@ -64,65 +65,41 @@ class UncertainRegionPruner {
   void Candidates(geo::Point task_noisy_location,
                   std::vector<int64_t>& out) const;
 
-  /// Permanently drops a worker from future Candidates results (the engine
-  /// calls this when a worker accepts a task, so pruned queries stop
-  /// returning matched workers — DESIGN.md section 9). Idempotent; removing
-  /// an unknown id is a no-op. The grid backend compacts the entry out of
-  /// its cell (and refreshes that cell's certification aggregates); the
-  /// linear backend filters at query time.
+  /// Drops a worker from future Candidates results (the engine calls this
+  /// when a worker accepts a task — DESIGN.md section 9). Idempotent.
+  /// `worker_id` must be in [0, workers) for this and the two below.
   void Remove(int64_t worker_id);
 
   /// Re-centers a worker's expanded disk at a new noisy location (dynamic
-  /// re-reporting; the reach radius stays fixed). The grid backend moves
-  /// the entry incrementally (GridIndex::Relocate — O(cell) for the common
-  /// same-cell move); the linear backend updates the stored region, which
-  /// Candidates scans directly. An unknown id is a no-op. A worker
-  /// currently Removed keeps its new location for a later Restore.
+  /// re-reporting; the reach radius stays fixed). A worker currently
+  /// Removed keeps its new location for a later Restore.
   void Relocate(int64_t worker_id, geo::Point new_noisy_location);
 
   /// Reverses a Remove: the worker rejoins future Candidates results at
   /// its current recorded location (reactivation when a matched worker
-  /// re-reports). Idempotent; an unknown id is a no-op.
+  /// re-reports). Idempotent.
   void Restore(int64_t worker_id);
 
   /// The query rectangle Candidates builds for a task observation
-  /// (`FromCircle(task, task_confidence_radius_m)`), exposed so the
-  /// cell-major mirror path can drive the grid's cell walk itself with the
-  /// exact box the id query would use.
+  /// (`FromCircle(task, task_confidence_radius_m)`), exposed so the grid
+  /// walk certifies cells against the exact box the linear scan uses.
   geo::BoundingBox TaskQueryBox(geo::Point task_noisy_location) const {
     return geo::BoundingBox::FromCircle(task_noisy_location, r_r_task_);
   }
-
-  /// The grid backend's index (nullptr for the linear backend); the
-  /// cell-major scoring mirror attaches to it. Stays owned by the pruner.
-  GridIndex* grid() const { return grid_.get(); }
 
   /// Confidence radius applied to worker observations.
   double worker_confidence_radius_m() const { return r_r_worker_; }
   /// Confidence radius applied to task observations.
   double task_confidence_radius_m() const { return r_r_task_; }
-  PrunerBackend backend() const { return backend_; }
-
-  /// Cumulative cell-certification counters of the grid backend's queries
-  /// (DESIGN.md §11); nullptr for the linear backend.
-  const GridIndex::QueryStats* grid_query_stats() const {
-    return grid_ != nullptr ? &grid_->stats() : nullptr;
-  }
 
  private:
-  /// The stored region of `worker_id`, or nullptr when unknown. O(1) for
-  /// the engine's dense registration order (workers_[id].worker_id == id),
-  /// linear probe otherwise.
-  WorkerRegion* FindWorker(int64_t worker_id);
+  /// The position of `worker_id`, which must be in [0, workers) (checked).
+  size_t IndexOf(int64_t worker_id) const;
 
   std::vector<WorkerRegion> workers_;
   double r_r_worker_;
   double r_r_task_;
-  PrunerBackend backend_;
-  std::unique_ptr<GridIndex> grid_;
-  // Removed ids for the linear backend (no native removal); empty unless
-  // Remove was called, so untouched pruners pay nothing.
-  std::unordered_set<int64_t> removed_;
+  std::vector<uint8_t> removed_;  ///< 1 while the worker is Removed.
 };
 
 }  // namespace scguard::index

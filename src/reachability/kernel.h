@@ -245,18 +245,18 @@ void ClassifyCertainBandAvx2(const WorkerFilterSoA& soa,
                              std::vector<uint32_t>& band);
 #endif  // SCGUARD_HAVE_AVX2
 
-/// Cell-major mirror of the scoring-side worker state (DESIGN.md §13): the
-/// same per-worker columns the U2U filter reads, but laid out in a
-/// GridIndex's CSR cell order (including the per-slice headroom rows), so a
-/// cell's members are one contiguous run instead of a scattered gather
-/// through `indices`. `id` maps each row back to the engine worker index;
-/// `expanded_r` is the pruner's expanded rectangle radius, carried so
-/// boundary cells can fuse the rectangle admission test with the band
-/// classification; `reach_radius_m` is the worker's own reach radius,
-/// carried so a cell's largest radius (the U2E cell bound's) is recomputed
-/// from contiguous rows. Rows outside the owning index's live slices are
-/// headroom with unspecified contents. Owned and synced by
-/// assign::CellScoreMirror.
+/// Cell-major rows of the scoring-side worker state (DESIGN.md §13): the
+/// same per-worker columns the U2U filter reads, laid out in a GridIndex's
+/// CSR cell order (including the per-slice headroom rows), so a cell's
+/// members are one contiguous run instead of a scattered gather through
+/// `indices`. `id` maps each row back to the engine worker index;
+/// `expanded_r` is the pruner's expanded rectangle radius, read by the
+/// grid's rectangle certificates and by boundary cells that fuse the
+/// rectangle admission test with the band classification;
+/// `reach_radius_m` is the worker's own reach radius, read by the U2E cell
+/// bound. Rows outside the owning index's live slices are headroom with
+/// unspecified contents. Owned by index::GridIndex, which stores its
+/// members in exactly these columns.
 struct CellMajorMirror {
   std::vector<uint32_t> id;
   std::vector<double> x;
@@ -266,23 +266,22 @@ struct CellMajorMirror {
   std::vector<double> reject_above_sq;
   std::vector<double> reach_radius_m;
 
+  /// Calls fn(column) for each of the seven columns.
+  template <typename Fn>
+  void ForEachColumn(Fn&& fn) {
+    fn(id);
+    fn(x);
+    fn(y);
+    fn(expanded_r);
+    fn(accept_below_sq);
+    fn(reject_above_sq);
+    fn(reach_radius_m);
+  }
   void Resize(size_t n) {
-    id.resize(n);
-    x.resize(n);
-    y.resize(n);
-    expanded_r.resize(n);
-    accept_below_sq.resize(n);
-    reject_above_sq.resize(n);
-    reach_radius_m.resize(n);
+    ForEachColumn([n](auto& column) { column.resize(n); });
   }
   void Reserve(size_t n) {
-    id.reserve(n);
-    x.reserve(n);
-    y.reserve(n);
-    expanded_r.reserve(n);
-    accept_below_sq.reserve(n);
-    reject_above_sq.reserve(n);
-    reach_radius_m.reserve(n);
+    ForEachColumn([n](auto& column) { column.reserve(n); });
   }
   size_t size() const { return id.size(); }
 };

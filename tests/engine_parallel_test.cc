@@ -415,35 +415,35 @@ TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   index::GridIndex grid(region, 8);
-  grid.Insert({150, 150}, 50.0, 1);   // Rectangle [100,200]^2.
-  grid.Insert({225, 225}, 75.0, 2);   // Rectangle [150,300]^2.
+  grid.Insert({1, {150, 150}, 50.0});   // Rectangle [100,200]^2.
+  grid.Insert({2, {225, 225}, 75.0});   // Rectangle [150,300]^2.
   ASSERT_EQ(grid.size(), 2u);
 
   const geo::BoundingBox everywhere = region;
   EXPECT_EQ(grid.QueryIds(everywhere).size(), 2u);
 
-  // Remove drops the entry from every query it previously matched.
-  EXPECT_EQ(grid.Remove(1), 1u);
+  // Remove drops the row from every query it previously matched.
+  EXPECT_TRUE(grid.Remove(1));
   EXPECT_EQ(grid.size(), 1u);
   {
     const auto ids = grid.QueryIds(everywhere);
     ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 2);
+    EXPECT_EQ(ids[0], 2u);
   }
 
   // Idempotent: a second removal is a no-op.
-  EXPECT_EQ(grid.Remove(1), 0u);
-  EXPECT_EQ(grid.Remove(777), 0u);  // Unknown id too.
+  EXPECT_FALSE(grid.Remove(1));
+  EXPECT_FALSE(grid.Remove(777));  // Unknown id too.
   EXPECT_EQ(grid.size(), 1u);
 
   // Re-add under the same id: live again, with the new rectangle only.
-  grid.Insert({850, 850}, 50.0, 1);  // Rectangle [800,900]^2.
+  grid.Insert({1, {850, 850}, 50.0});  // Rectangle [800,900]^2.
   EXPECT_EQ(grid.size(), 2u);
   {
     const auto ids = grid.QueryIds(
         geo::BoundingBox::FromCorners({790, 790}, {950, 950}));
     ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 1);
+    EXPECT_EQ(ids[0], 1u);
   }
   // The old rectangle of id 1 stays dead.
   {
@@ -453,18 +453,8 @@ TEST(GridIndexRemoveTest, QueryAfterRemoveReAddAndIdempotence) {
   }
 }
 
-TEST(GridIndexRemoveTest, RemovesEveryEntryOfAnId) {
-  const geo::BoundingBox region =
-      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
-  index::GridIndex grid(region, 8);
-  grid.Insert({50, 50}, 50.0, 5);
-  grid.Insert({550, 550}, 50.0, 5);
-  ASSERT_EQ(grid.size(), 2u);
-  EXPECT_EQ(grid.Remove(5), 2u);
-  EXPECT_EQ(grid.size(), 0u);
-  EXPECT_TRUE(grid.QueryIds(region).empty());
-}
-
+// Removal in both backends: the linear pruner's per-id flag and the grid's
+// row erase.
 TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
   std::vector<index::UncertainRegionPruner::WorkerRegion> regions;
   for (int i = 0; i < 20; ++i) {
@@ -472,23 +462,35 @@ TEST(PrunerRemoveTest, AllBackendsStopReturningRemovedWorkers) {
   }
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {2000, 2000});
-
-  for (const auto backend :
-       {index::PrunerBackend::kLinearScan, index::PrunerBackend::kGrid}) {
-    index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
-                                        /*gamma=*/0.9, backend, region);
-    const geo::Point probe{500.0, 500.0};
-    std::vector<int64_t> before = pruner.Candidates(probe);
-    ASSERT_FALSE(before.empty());
-    const int64_t victim = before.front();
-
-    pruner.Remove(victim);
-    pruner.Remove(victim);  // Idempotent.
-    std::vector<int64_t> after = pruner.Candidates(probe);
-    EXPECT_EQ(after.size(), before.size() - 1);
-    for (const int64_t id : after) EXPECT_NE(id, victim);
-    EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
+  index::UncertainRegionPruner pruner(regions, kDefault, kDefault,
+                                      /*gamma=*/0.9, region);
+  index::GridIndex grid(region, 8);
+  for (const auto& w : regions) {
+    grid.Insert({static_cast<uint32_t>(w.worker_id), w.noisy_location,
+                 pruner.worker_confidence_radius_m() + w.reach_radius_m});
   }
+  const geo::Point probe{500.0, 500.0};
+  const geo::BoundingBox box = pruner.TaskQueryBox(probe);
+  const std::vector<int64_t> before = pruner.Candidates(probe);
+  ASSERT_FALSE(before.empty());
+  const std::vector<uint32_t> grid_before = grid.QueryIds(box);
+  ASSERT_EQ(grid_before.size(), before.size());
+  const int64_t victim = before.front();
+
+  pruner.Remove(victim);
+  pruner.Remove(victim);  // Idempotent.
+  EXPECT_TRUE(grid.Remove(static_cast<uint32_t>(victim)));
+  EXPECT_FALSE(grid.Remove(static_cast<uint32_t>(victim)));
+  const std::vector<int64_t> after = pruner.Candidates(probe);
+  EXPECT_EQ(after.size(), before.size() - 1);
+  for (const int64_t id : after) EXPECT_NE(id, victim);
+  EXPECT_TRUE(std::is_sorted(after.begin(), after.end()));
+  const std::vector<uint32_t> grid_after = grid.QueryIds(box);
+  EXPECT_EQ(std::vector<int64_t>(grid_after.begin(), grid_after.end()), after);
+
+  // Restore brings the worker back at its recorded location.
+  pruner.Restore(victim);
+  EXPECT_EQ(pruner.Candidates(probe), before);
 }
 
 // ---- SIMD classification kernel (ISSUE 6 tentpole c) ---------------------

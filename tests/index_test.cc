@@ -23,11 +23,11 @@ geo::BoundingBox RandomBox(stats::Rng& rng, double extent, double max_size) {
 struct PointEntry {
   geo::Point center;
   double radius = 0.0;
-  int64_t id = 0;
+  uint32_t id = 0;
 };
 
 PointEntry RandomPointEntry(stats::Rng& rng, double extent, double max_radius,
-                            int64_t id) {
+                            uint32_t id) {
   return {{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)},
           rng.UniformDouble(1.0, max_radius),
           id};
@@ -39,9 +39,13 @@ bool EntryHits(const PointEntry& e, const geo::BoundingBox& query) {
   return geo::BoundingBox::FromCircle(e.center, e.radius).Intersects(query);
 }
 
-std::vector<int64_t> BruteForcePoints(const std::vector<PointEntry>& entries,
-                                      const geo::BoundingBox& query) {
-  std::vector<int64_t> out;
+/// The grid row of a point entry (the scoring columns stay zero: these
+/// tests exercise the rectangle side).
+GridIndex::Row RowOf(const PointEntry& e) { return {e.id, e.center, e.radius}; }
+
+std::vector<uint32_t> BruteForcePoints(const std::vector<PointEntry>& entries,
+                                       const geo::BoundingBox& query) {
+  std::vector<uint32_t> out;
   for (const auto& e : entries) {
     if (EntryHits(e, query)) out.push_back(e.id);
   }
@@ -54,15 +58,15 @@ TEST(GridIndexTest, MatchesBruteForceAndEmitsAscending) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   GridIndex grid(region, 16);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 500; ++i) {
+  for (uint32_t i = 0; i < 500; ++i) {
     entries.push_back(RandomPointEntry(rng, 1000.0, 50.0, i));
-    grid.Insert(entries.back().center, entries.back().radius, i);
+    grid.Insert(RowOf(entries.back()));
   }
   EXPECT_EQ(grid.size(), 500u);
   for (int q = 0; q < 50; ++q) {
     const geo::BoundingBox query = RandomBox(rng, 1000.0, 120.0);
     const auto got = grid.QueryIds(query);
-    // Ascending without any caller-side sort: the k-way merge contract.
+    // Ascending without any caller-side sort.
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     EXPECT_EQ(got, BruteForcePoints(entries, query)) << "query " << q;
   }
@@ -73,7 +77,7 @@ TEST(GridIndexTest, OutOfOrderInsertionStaysAscending) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   GridIndex grid(region, 8);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 300; ++i) {
+  for (uint32_t i = 0; i < 300; ++i) {
     entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, i));
   }
   // Insert in shuffled id order; cells must re-establish ascending ids.
@@ -82,9 +86,7 @@ TEST(GridIndexTest, OutOfOrderInsertionStaysAscending) {
   for (size_t i = order.size(); i > 1; --i) {  // Fisher-Yates.
     std::swap(order[i - 1], order[rng.UniformInt(i)]);
   }
-  for (const size_t i : order) {
-    grid.Insert(entries[i].center, entries[i].radius, entries[i].id);
-  }
+  for (const size_t i : order) grid.Insert(RowOf(entries[i]));
   for (int q = 0; q < 30; ++q) {
     const geo::BoundingBox query = RandomBox(rng, 1000.0, 150.0);
     const auto got = grid.QueryIds(query);
@@ -96,8 +98,8 @@ TEST(GridIndexTest, OutOfOrderInsertionStaysAscending) {
 TEST(GridIndexTest, EntriesOutsideRegionClampToBorderCells) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0}, {100, 100});
   GridIndex grid(region, 4);
-  grid.Insert({-45, -45}, 5.0, 1);
-  grid.Insert({205, 205}, 5.0, 2);
+  grid.Insert({1, {-45, -45}, 5.0});
+  grid.Insert({2, {205, 205}, 5.0});
   // Queries beyond the region still find them through the border cells.
   EXPECT_EQ(grid.QueryIds(geo::BoundingBox::FromCorners({-60, -60}, {-45, -45})).size(),
             1u);
@@ -116,12 +118,12 @@ TEST(GridIndexTest, CellCertificationAgreesWithMemberTests) {
                                                                 {extent, extent});
   GridIndex grid(region, 8);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 400; ++i) {
+  for (uint32_t i = 0; i < 400; ++i) {
     entries.push_back(RandomPointEntry(rng, extent, 80.0, i));
-    grid.Insert(entries.back().center, entries.back().radius, i);
+    grid.Insert(RowOf(entries.back()));
   }
-  auto entry_by_id = [&](int64_t id) -> const PointEntry& {
-    return entries[static_cast<size_t>(id)];
+  auto entry_by_id = [&](uint32_t id) -> const PointEntry& {
+    return entries[id];
   };
   for (int q = 0; q < 40; ++q) {
     const geo::BoundingBox query = RandomBox(rng, extent, 200.0);
@@ -131,14 +133,14 @@ TEST(GridIndexTest, CellCertificationAgreesWithMemberTests) {
         if (members.empty()) continue;
         switch (grid.ClassifyCellForTest(cx, cy, query)) {
           case GridIndex::CellCert::kBulkAccepted:
-            for (const int64_t id : members) {
+            for (const uint32_t id : members) {
               EXPECT_TRUE(EntryHits(entry_by_id(id), query))
                   << "bulk-accepted cell (" << cx << "," << cy
                   << ") holds a non-matching member " << id;
             }
             break;
           case GridIndex::CellCert::kSkipped:
-            for (const int64_t id : members) {
+            for (const uint32_t id : members) {
               EXPECT_FALSE(EntryHits(entry_by_id(id), query))
                   << "skipped cell (" << cx << "," << cy
                   << ") holds a matching member " << id;
@@ -171,11 +173,11 @@ TEST(GridIndexTest, RemoveCompactsAndReAddChurn) {
   GridIndex grid(region, 6);
   std::vector<PointEntry> live;
   std::vector<PointEntry> pool;
-  for (int64_t i = 0; i < 200; ++i) {
+  for (uint32_t i = 0; i < 200; ++i) {
     pool.push_back(RandomPointEntry(rng, extent, 60.0, i));
   }
   for (const auto& e : pool) {
-    grid.Insert(e.center, e.radius, e.id);
+    grid.Insert(RowOf(e));
     live.push_back(e);
   }
   for (int step = 0; step < 300; ++step) {
@@ -184,9 +186,9 @@ TEST(GridIndexTest, RemoveCompactsAndReAddChurn) {
     if (op == 0) {
       // Remove a random live id.
       const auto k = static_cast<size_t>(rng.UniformInt(live.size()));
-      const int64_t id = live[k].id;
-      EXPECT_EQ(grid.Remove(id), 1u);
-      EXPECT_EQ(grid.Remove(id), 0u);  // Idempotent.
+      const uint32_t id = live[k].id;
+      EXPECT_TRUE(grid.Remove(id));
+      EXPECT_FALSE(grid.Remove(id));  // Idempotent.
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     } else if (op == 1) {
       // Re-add an absent pool entry (possibly at a fresh location).
@@ -197,7 +199,7 @@ TEST(GridIndexTest, RemoveCompactsAndReAddChurn) {
       if (!absent) continue;
       PointEntry e = pool[k];
       e.center = {rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
-      grid.Insert(e.center, e.radius, e.id);
+      grid.Insert(RowOf(e));
       live.push_back(e);
     } else {
       const geo::BoundingBox query = RandomBox(rng, extent, 120.0);
@@ -219,11 +221,11 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
       geo::BoundingBox::FromCorners({0, 0}, {extent, extent});
   GridIndex grid(region, 6);
   std::vector<PointEntry> live;
-  for (int64_t i = 0; i < 150; ++i) {
+  for (uint32_t i = 0; i < 150; ++i) {
     live.push_back(RandomPointEntry(rng, extent, 60.0, i));
-    grid.Insert(live.back().center, live.back().radius, live.back().id);
+    grid.Insert(RowOf(live.back()));
   }
-  EXPECT_EQ(grid.Relocate(999, {10, 10}), 0u);  // Unknown id: no-op.
+  EXPECT_FALSE(grid.Relocate(999, {10, 10}));  // Unknown id: no-op.
   for (int step = 0; step < 400; ++step) {
     const auto k = static_cast<size_t>(rng.UniformInt(live.size()));
     geo::Point next;
@@ -234,7 +236,7 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
     } else {
       next = {rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
     }
-    EXPECT_EQ(grid.Relocate(live[k].id, next), 1u);
+    EXPECT_TRUE(grid.Relocate(live[k].id, next));
     live[k].center = next;
     EXPECT_TRUE(grid.Contains(live[k].id));
     if (step % 7 == 0) {
@@ -245,125 +247,11 @@ TEST(GridIndexTest, RelocateMatchesRemoveInsertChurn) {
     }
   }
   // Relocate after Remove is a no-op until a fresh Insert revives the id.
-  const int64_t victim = live.front().id;
-  EXPECT_EQ(grid.Remove(victim), 1u);
+  const uint32_t victim = live.front().id;
+  EXPECT_TRUE(grid.Remove(victim));
   EXPECT_FALSE(grid.Contains(victim));
-  EXPECT_EQ(grid.Relocate(victim, {1, 1}), 0u);
+  EXPECT_FALSE(grid.Relocate(victim, {1, 1}));
 }
-
-TEST(GridIndexTest, SparseIdsFallBackToRunMergeCorrectly) {
-  // Ids spread over a huge range disable the dense bitmap ordering; the
-  // run-merge fallback must produce the same ascending answers.
-  stats::Rng rng(21);
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {1000, 1000});
-  GridIndex grid(region, 8);
-  std::vector<PointEntry> entries;
-  for (int i = 0; i < 120; ++i) {
-    // Widely scattered ids, including negatives and near-2^40 values.
-    const int64_t id = (static_cast<int64_t>(i) << 33) - 4000000000LL +
-                       static_cast<int64_t>(rng.UniformInt(1000));
-    entries.push_back(RandomPointEntry(rng, 1000.0, 60.0, id));
-    grid.Insert(entries.back().center, entries.back().radius, id);
-  }
-  for (int q = 0; q < 30; ++q) {
-    const geo::BoundingBox query = RandomBox(rng, 1000.0, 200.0);
-    const auto got = grid.QueryIds(query);
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-    EXPECT_EQ(got, BruteForcePoints(entries, query)) << "query " << q;
-  }
-}
-
-TEST(GridIndexTest, DuplicateIdEmittedOnce) {
-  // An id inserted at two locations is reported once per query that reaches
-  // either entry — in both the dense-bitmap and the sparse-merge regimes.
-  const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
-                                                                {1000, 1000});
-  const geo::BoundingBox everywhere = region;
-  {
-    GridIndex dense(region, 8);
-    dense.Insert({100, 100}, 10.0, 7);
-    dense.Insert({900, 900}, 10.0, 7);
-    const auto ids = dense.QueryIds(everywhere);
-    ASSERT_EQ(ids.size(), 1u);
-    EXPECT_EQ(ids[0], 7);
-    EXPECT_EQ(dense.Remove(7), 2u);
-  }
-  {
-    GridIndex sparse(region, 8);
-    sparse.Insert({100, 100}, 10.0, 7);
-    sparse.Insert({900, 900}, 10.0, 7);
-    sparse.Insert({500, 500}, 10.0, int64_t{1} << 40);  // Force sparse mode.
-    const auto ids = sparse.QueryIds(everywhere);
-    ASSERT_EQ(ids.size(), 2u);
-    EXPECT_EQ(ids[0], 7);
-    EXPECT_EQ(ids[1], int64_t{1} << 40);
-  }
-}
-
-/// Counts wholesale re-layouts and slice moves of the member arrays.
-class RebuildCounter final : public GridIndex::SliceChangeListener {
- public:
-  void OnSliceErase(size_t, size_t, size_t) override {}
-  void OnSliceInsert(size_t, size_t, size_t) override {}
-  void OnSliceUpdate(size_t, size_t, size_t) override {}
-  void OnSliceMove(size_t, size_t, size_t, uint32_t) override { ++moves; }
-  void OnRebuild() override { ++rebuilds; }
-  int rebuilds = 0;
-  int moves = 0;
-};
-
-/// A derived view that keeps a copy of the member id column through the
-/// listener callbacks alone, as the scoring mirror does (re-reading only
-/// on a rebuild), and counts the slice moves and rebuilds it saw.
-class IdShadow final : public GridIndex::SliceChangeListener {
- public:
-  explicit IdShadow(const GridIndex* grid) : grid_(grid) { Resync(); }
-  void OnSliceErase(size_t, size_t pos, size_t end) override {
-    std::move(ids.begin() + static_cast<std::ptrdiff_t>(pos + 1),
-              ids.begin() + static_cast<std::ptrdiff_t>(end + 1),
-              ids.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
-  void OnSliceInsert(size_t, size_t pos, size_t end) override {
-    std::move_backward(ids.begin() + static_cast<std::ptrdiff_t>(pos),
-                       ids.begin() + static_cast<std::ptrdiff_t>(end - 1),
-                       ids.begin() + static_cast<std::ptrdiff_t>(end));
-    ids[pos] = grid_->member_id(pos);
-  }
-  void OnSliceUpdate(size_t, size_t, size_t) override {}
-  void OnSliceMove(size_t, size_t from, size_t to, uint32_t count) override {
-    ++moves;
-    ids.resize(grid_->member_rows());
-    std::copy_n(ids.begin() + static_cast<std::ptrdiff_t>(from), count,
-                ids.begin() + static_cast<std::ptrdiff_t>(to));
-  }
-  void OnRebuild() override {
-    ++rebuilds;
-    Resync();
-  }
-  void Resync() {
-    ids.resize(grid_->member_rows());
-    for (size_t pos = 0; pos < ids.size(); ++pos) {
-      ids[pos] = grid_->member_id(pos);
-    }
-  }
-  /// Every live slice row equals the index's.
-  void ExpectInSync(const std::string& label) const {
-    ASSERT_EQ(ids.size(), grid_->member_rows()) << label;
-    for (size_t slot = 0; slot < grid_->num_cell_slots(); ++slot) {
-      const size_t begin = grid_->cell_begin(slot);
-      for (size_t pos = begin; pos < begin + grid_->cell_count(slot); ++pos) {
-        ASSERT_EQ(ids[pos], grid_->member_id(pos)) << label << " slot " << slot;
-      }
-    }
-  }
-  std::vector<int64_t> ids;
-  int moves = 0;
-  int rebuilds = 0;
-
- private:
-  const GridIndex* grid_;
-};
 
 /// `a` and `b` answer every query identically: ids, the certified cell
 /// walk (slot, member count, certificate, member ids in slice order) and
@@ -385,7 +273,7 @@ void ExpectSameAnswers(const GridIndex& a, const GridIndex& b,
       EXPECT_EQ(va[k].count, vb[k].count) << label;
       EXPECT_EQ(va[k].cert, vb[k].cert) << label;
       for (uint32_t m = 0; m < va[k].count && m < vb[k].count; ++m) {
-        EXPECT_EQ(a.member_id(va[k].begin + m), b.member_id(vb[k].begin + m))
+        EXPECT_EQ(a.rows().id[va[k].begin + m], b.rows().id[vb[k].begin + m])
             << label;
       }
     }
@@ -402,133 +290,120 @@ void ExpectSameAnswers(const GridIndex& a, const GridIndex& b,
   }
 }
 
+/// Every cell's slice offset, to tell slice moves from in-place inserts.
+std::vector<size_t> CellBegins(const GridIndex& grid) {
+  std::vector<size_t> begins(grid.num_cell_slots());
+  for (size_t slot = 0; slot < begins.size(); ++slot) {
+    begins[slot] = grid.cell_begin(slot);
+  }
+  return begins;
+}
+
 // The one-pass bulk load is the incremental Insert build, observably: same
 // query ids, same certified cell walk and certificates, same accounting —
-// for ascending input (the engine's registration order) and shuffled input
-// with a duplicated id — and the two stay identical through Remove,
-// Relocate and re-Insert (the pruner's Restore) churn afterwards. Every
-// slice starts with a fresh layout's headroom, so the first inserts into
-// a bulk-loaded cell move and re-lay nothing.
+// and the two stay identical through Remove, Relocate and re-Insert (the
+// stage's reactivation) churn afterwards. Every slice starts with a fresh
+// layout's headroom, so the first inserts into a bulk-loaded cell move and
+// re-lay nothing.
 TEST(GridIndexTest, BulkLoadMatchesIncrementalInsert) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
-  for (const bool shuffled : {false, true}) {
-    const std::string label = shuffled ? "shuffled" : "ascending";
-    stats::Rng rng(shuffled ? 24 : 23);
-    std::vector<PointEntry> entries;
-    for (int64_t i = 0; i < 600; ++i) {
-      entries.push_back(RandomPointEntry(rng, 1000.0, 60.0, i));
-    }
-    if (shuffled) {
-      // A second entry for id 7, far from the first; then a shuffle.
-      entries.push_back({{950.0, 40.0}, 12.0, 7});
-      for (size_t i = entries.size() - 1; i > 0; --i) {
-        std::swap(entries[i], entries[static_cast<size_t>(
-                                  rng.UniformInt(i + 1))]);
-      }
-    }
-    GridIndex bulk(region, 8);
-    GridIndex incremental(region, 8);
-    bulk.BulkLoad(entries.size(), [&](size_t i) {
-      return GridIndex::Entry{entries[i].center, entries[i].radius,
-                              entries[i].id};
-    });
-    for (const PointEntry& e : entries) {
-      incremental.Insert(e.center, e.radius, e.id);
-    }
-    ExpectSameAnswers(bulk, incremental, rng, label + " loaded");
+  stats::Rng rng(23);
+  std::vector<PointEntry> entries;
+  for (uint32_t i = 0; i < 600; ++i) {
+    entries.push_back(RandomPointEntry(rng, 1000.0, 60.0, i));
+  }
+  GridIndex bulk(region, 8);
+  GridIndex incremental(region, 8);
+  bulk.BulkLoad(entries.size(), [&](size_t i) { return RowOf(entries[i]); });
+  for (const PointEntry& e : entries) incremental.Insert(RowOf(e));
+  ExpectSameAnswers(bulk, incremental, rng, "loaded");
 
-    RebuildCounter counter;
-    bulk.SetSliceChangeListener(&counter);
-    for (int k = 0; k < 4; ++k) {
-      const geo::Point p{500.0 + k, 500.0};
-      bulk.Insert(p, 20.0, 1000 + k);
-      incremental.Insert(p, 20.0, 1000 + k);
-    }
-    EXPECT_EQ(counter.rebuilds, 0) << label;
-    EXPECT_EQ(counter.moves, 0) << label;
-    bulk.SetSliceChangeListener(nullptr);
+  const std::vector<size_t> begins = CellBegins(bulk);
+  const size_t rows = bulk.rows().size();
+  for (uint32_t k = 0; k < 4; ++k) {
+    const GridIndex::Row row{1000 + k, {500.0 + k, 500.0}, 20.0};
+    bulk.Insert(row);
+    incremental.Insert(row);
+  }
+  EXPECT_EQ(bulk.rebuilds(), 0);
+  EXPECT_EQ(CellBegins(bulk), begins);  // No slice moved.
+  EXPECT_EQ(bulk.rows().size(), rows);
 
-    std::vector<PointEntry> removed;
-    for (int step = 0; step < 300; ++step) {
-      const uint64_t op = rng.UniformInt(3);
-      if (op == 0 && !entries.empty()) {
-        const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
-        EXPECT_EQ(bulk.Remove(entries[k].id),
-                  incremental.Remove(entries[k].id)) << label;
-        removed.push_back(entries[k]);
-      } else if (op == 1 && !entries.empty()) {
-        const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
-        geo::Point next = entries[k].center;
-        if (step % 2 == 0) {
-          next.x += rng.UniformDouble(-10.0, 10.0);
-        } else {
-          next = {rng.UniformDouble(0, 1000.0), rng.UniformDouble(0, 1000.0)};
-        }
-        EXPECT_EQ(bulk.Relocate(entries[k].id, next),
-                  incremental.Relocate(entries[k].id, next)) << label;
-      } else if (!removed.empty()) {
-        const PointEntry e = removed.back();
-        removed.pop_back();
-        if (!bulk.Contains(e.id)) {
-          ASSERT_FALSE(incremental.Contains(e.id)) << label;
-          bulk.Insert(e.center, e.radius, e.id);
-          incremental.Insert(e.center, e.radius, e.id);
-        }
+  std::vector<PointEntry> removed;
+  for (int step = 0; step < 300; ++step) {
+    const uint64_t op = rng.UniformInt(3);
+    if (op == 0) {
+      const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
+      EXPECT_EQ(bulk.Remove(entries[k].id), incremental.Remove(entries[k].id));
+      removed.push_back(entries[k]);
+    } else if (op == 1) {
+      const auto k = static_cast<size_t>(rng.UniformInt(entries.size()));
+      geo::Point next = entries[k].center;
+      if (step % 2 == 0) {
+        next.x += rng.UniformDouble(-10.0, 10.0);
+      } else {
+        next = {rng.UniformDouble(0, 1000.0), rng.UniformDouble(0, 1000.0)};
       }
-      if (step % 50 == 49) {
-        ExpectSameAnswers(bulk, incremental, rng,
-                          label + " step " + std::to_string(step));
+      EXPECT_EQ(bulk.Relocate(entries[k].id, next),
+                incremental.Relocate(entries[k].id, next));
+    } else if (!removed.empty()) {
+      const PointEntry e = removed.back();
+      removed.pop_back();
+      if (!bulk.Contains(e.id)) {
+        ASSERT_FALSE(incremental.Contains(e.id));
+        bulk.Insert(RowOf(e));
+        incremental.Insert(RowOf(e));
       }
+    }
+    if (step % 50 == 49) {
+      ExpectSameAnswers(bulk, incremental, rng,
+                        "step " + std::to_string(step));
     }
   }
 }
 
 // An Insert into a full slice moves only that slice to the tail of the
-// member arrays (O(cell), listener OnSliceMove) instead of re-laying the
-// index. GridIndex::rebuilds() counts the re-layouts that remain: a bulk
-// load's layout pass is not one, and the first re-layout comes exactly
-// when the dead rows the moves left would outnumber the live entries.
+// rows (O(cell): its cell_begin changes) instead of re-laying the index.
+// GridIndex::rebuilds() counts the re-layouts that remain: a bulk load's
+// layout pass is not one, and the first re-layout comes exactly when the
+// dead rows the moves left would outnumber the live ones.
 TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
   {
-    // One cell, worked by hand. 8 loaded entries get a 12-row slice; the
-    // 13th insert finds it full with 12 live entries, so moving it would
-    // leave 12 dead rows: equal to the live count, not past it, so it
-    // moves (to an 18-row slice). The 19th finds 12 + 18 > 18 and re-lays
-    // the index: one 27-row slice, no dead rows.
+    // One cell, worked by hand. 8 loaded rows get a 12-row slice; the 13th
+    // insert finds it full with 12 live rows, so moving it would leave 12
+    // dead rows: equal to the live count, not past it, so it moves (to an
+    // 18-row slice at row 12). The 19th finds 12 + 18 > 18 and re-lays the
+    // index: one 27-row slice at row 0, no dead rows.
     GridIndex one(region, 1);
     one.BulkLoad(8, [](size_t i) {
-      return GridIndex::Entry{{100.0 + static_cast<double>(i), 100.0}, 5.0,
-                              static_cast<int64_t>(i)};
+      return GridIndex::Row{static_cast<uint32_t>(i),
+                            {100.0 + static_cast<double>(i), 100.0},
+                            5.0};
     });
-    IdShadow shadow(&one);
-    one.SetSliceChangeListener(&shadow);
-    for (int64_t id = 8; id < 19; ++id) {
-      one.Insert({500.0, 500.0}, 5.0, id);
+    for (uint32_t id = 8; id < 19; ++id) {
+      one.Insert({id, {500.0, 500.0}, 5.0});
       const std::string label = "one cell, insert " + std::to_string(id);
-      EXPECT_EQ(shadow.moves, id >= 12 ? 1 : 0) << label;
+      EXPECT_EQ(one.cell_begin(0), id >= 12 && id < 18 ? 12u : 0u) << label;
       EXPECT_EQ(one.rebuilds(), id >= 18 ? 1 : 0) << label;
-      EXPECT_EQ(one.member_rows(), id < 12 ? 12u : (id < 18 ? 30u : 27u))
+      EXPECT_EQ(one.rows().size(), id < 12 ? 12u : (id < 18 ? 30u : 27u))
           << label;
-      shadow.ExpectInSync(label);
+      EXPECT_EQ(one.cell_count(0), id + 1) << label;
+      for (uint32_t k = 0; k <= id; ++k) {
+        EXPECT_EQ(one.rows().id[one.cell_begin(0) + k], k) << label;
+      }
     }
-    one.SetSliceChangeListener(nullptr);
   }
   stats::Rng rng(31);
   std::vector<PointEntry> entries;
-  for (int64_t i = 0; i < 200; ++i) {
+  for (uint32_t i = 0; i < 200; ++i) {
     entries.push_back(RandomPointEntry(rng, 1000.0, 40.0, 2 * i));
   }
   GridIndex grid(region, 4);
-  grid.BulkLoad(entries.size(), [&](size_t i) {
-    return GridIndex::Entry{entries[i].center, entries[i].radius,
-                            entries[i].id};
-  });
+  grid.BulkLoad(entries.size(), [&](size_t i) { return RowOf(entries[i]); });
   EXPECT_EQ(grid.rebuilds(), 0);
-  IdShadow shadow(&grid);
-  grid.SetSliceChangeListener(&shadow);
   // Cell (0, 0) holds `count` members in a slice of count + max(4,
   // count / 2) rows; the hand-computed model below tracks that capacity,
   // the dead rows and the live entries.
@@ -539,13 +414,13 @@ TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
   int64_t cap = capacity_for(count);
   int64_t live = static_cast<int64_t>(entries.size());
   int64_t dead = 0;
-  int expected_moves = 0;
-  int64_t next_id = 1;  // Odd ids interleave with the loaded even ones.
+  uint32_t next_id = 1;  // Odd ids interleave with the loaded even ones.
 
   // Overfill cell (0, 0) until the dead rows pass the live entries. Every
   // full slice before that moves; the insert that would push the dead rows
   // past the live count re-lays the index once instead.
   bool rebuilt = false;
+  int moves = 0;
   size_t relaid_rows = 0;
   for (int k = 0; !rebuilt; ++k) {
     ASSERT_LT(k, 10000);
@@ -553,7 +428,7 @@ TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
     if (count == cap) {
       if (dead + cap > live) {
         rebuilt = true;
-        // The re-layout will reclaim every dead row: the arrays will hold
+        // The re-layout will reclaim every dead row: the rows will hold
         // exactly a fresh layout's slices.
         for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
           relaid_rows +=
@@ -563,60 +438,62 @@ TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
         dead += cap;
         cap = capacity_for(count);
         moved = true;
-        ++expected_moves;
       }
     }
-    const size_t rows_before = grid.member_rows();
+    const size_t rows_before = grid.rows().size();
+    const std::vector<size_t> begins = CellBegins(grid);
     // Descending positions inside the cell, ids between loaded ones: the
     // insert lands mid-slice, so the move must carry the order along.
-    grid.Insert({240.0 - 0.01 * k, 10.0}, 5.0, next_id);
+    grid.Insert({next_id, {240.0 - 0.01 * k, 10.0}, 5.0});
     next_id += 2;
     ++count;
     ++live;
     const std::string label = "insert " + std::to_string(k);
-    ASSERT_EQ(shadow.moves, expected_moves) << label;
     ASSERT_EQ(grid.rebuilds(), rebuilt ? 1 : 0) << label;
-    ASSERT_EQ(shadow.rebuilds, rebuilt ? 1 : 0) << label;
     if (!rebuilt) {
-      // A move grows the arrays by the slice's new capacity, nothing else.
-      EXPECT_EQ(grid.member_rows() - rows_before,
+      // A move puts the slice at the old end of the rows, which grow by
+      // its new capacity; nothing else moves.
+      std::vector<size_t> expected = begins;
+      if (moved) {
+        expected[0] = rows_before;
+        ++moves;
+      }
+      EXPECT_EQ(CellBegins(grid), expected) << label;
+      EXPECT_EQ(grid.rows().size() - rows_before,
                 moved ? static_cast<size_t>(cap) : 0u)
           << label;
     }
-    const std::vector<int64_t> members = grid.CellMembersForTest(0, 0);
+    const std::vector<uint32_t> members = grid.CellMembersForTest(0, 0);
     ASSERT_EQ(static_cast<int64_t>(members.size()), count) << label;
     ASSERT_TRUE(std::is_sorted(members.begin(), members.end())) << label;
-    shadow.ExpectInSync(label);
   }
-  EXPECT_GE(expected_moves, 2);
-  EXPECT_EQ(grid.member_rows(), relaid_rows);
+  EXPECT_GE(moves, 2);
+  EXPECT_EQ(grid.rows().size(), relaid_rows);
 
   // Removals never move or re-lay anything.
-  const int moves = shadow.moves;
+  const std::vector<size_t> begins = CellBegins(grid);
   grid.Remove(0);
   grid.Remove(1);
   EXPECT_EQ(grid.rebuilds(), 1);
-  EXPECT_EQ(shadow.moves, moves);
-  shadow.ExpectInSync("after removals");
+  EXPECT_EQ(CellBegins(grid), begins);
 
   // The moved and re-laid index answers like one bulk-loaded over the same
-  // entries.
+  // rows.
   std::vector<PointEntry> final_entries;
+  const reachability::CellMajorMirror& rows = grid.rows();
   for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
     for (size_t pos = grid.cell_begin(slot);
          pos < grid.cell_begin(slot) + grid.cell_count(slot); ++pos) {
-      final_entries.push_back({{grid.member_x(pos), grid.member_y(pos)},
-                               grid.member_r(pos),
-                               grid.member_id(pos)});
+      final_entries.push_back(
+          {{rows.x[pos], rows.y[pos]}, rows.expanded_r[pos], rows.id[pos]});
     }
   }
+  std::sort(final_entries.begin(), final_entries.end(),
+            [](const PointEntry& a, const PointEntry& b) { return a.id < b.id; });
   GridIndex fresh(region, 4);
-  fresh.BulkLoad(final_entries.size(), [&](size_t i) {
-    return GridIndex::Entry{final_entries[i].center, final_entries[i].radius,
-                            final_entries[i].id};
-  });
+  fresh.BulkLoad(final_entries.size(),
+                 [&](size_t i) { return RowOf(final_entries[i]); });
   ExpectSameAnswers(grid, fresh, rng, "after overfill");
-  grid.SetSliceChangeListener(nullptr);
 }
 
 // ---------------------------------------------------------------- Pruner
@@ -633,6 +510,24 @@ std::vector<UncertainRegionPruner::WorkerRegion> MakeRegions(int n,
   return regions;
 }
 
+/// The grid backend's rows over `regions`: each worker's expanded
+/// rectangle radius is the pruner's worker confidence radius plus its
+/// reach, as the U2U stage builds them.
+GridIndex GridOver(const std::vector<UncertainRegionPruner::WorkerRegion>& regions,
+                   const UncertainRegionPruner& pruner,
+                   const geo::BoundingBox& region) {
+  GridIndex grid(region, 16);
+  grid.BulkLoad(regions.size(), [&](size_t i) {
+    return GridIndex::Row{static_cast<uint32_t>(regions[i].worker_id),
+                          regions[i].noisy_location,
+                          pruner.worker_confidence_radius_m() +
+                              regions[i].reach_radius_m};
+  });
+  return grid;
+}
+
+// The linear MBR scan and the grid walk (GridIndex::Query) admit the same
+// workers for the same confidence rectangles.
 TEST(PrunerTest, BackendsAgree) {
   stats::Rng rng(4);
   const double extent = 30000.0;
@@ -640,17 +535,13 @@ TEST(PrunerTest, BackendsAgree) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner linear(regions, params, params, 0.9,
-                                     PrunerBackend::kLinearScan, region);
-  const UncertainRegionPruner grid(regions, params, params, 0.9,
-                                   PrunerBackend::kGrid, region);
+  const UncertainRegionPruner linear(regions, params, params, 0.9, region);
+  const GridIndex grid = GridOver(regions, linear, region);
   for (int q = 0; q < 30; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
-    auto a = linear.Candidates(task);
-    auto b = grid.Candidates(task);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
+    const std::vector<int64_t> a = linear.Candidates(task);
+    const std::vector<uint32_t> b = grid.QueryIds(linear.TaskQueryBox(task));
+    EXPECT_EQ(a, std::vector<int64_t>(b.begin(), b.end())) << "task " << q;
   }
 }
 
@@ -663,12 +554,10 @@ TEST(PrunerTest, NeverDropsOverlappingDiskPairs) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner pruner(regions, params, params, 0.9,
-                                     PrunerBackend::kGrid, region);
+  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
   for (int q = 0; q < 50; ++q) {
     const geo::Point task{rng.UniformDouble(0, extent), rng.UniformDouble(0, extent)};
-    auto candidates = pruner.Candidates(task);
-    std::sort(candidates.begin(), candidates.end());
+    const std::vector<int64_t> candidates = pruner.Candidates(task);
     for (const auto& w : regions) {
       const double gap = geo::Distance(w.noisy_location, task);
       const double disk_sum = pruner.worker_confidence_radius_m() +
@@ -689,10 +578,8 @@ TEST(PrunerTest, ConfidenceRadiusGrowsWithGamma) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {1000, 1000});
   const privacy::PrivacyParams params{0.7, 800.0};
-  const UncertainRegionPruner p50(regions, params, params, 0.5,
-                                  PrunerBackend::kLinearScan, region);
-  const UncertainRegionPruner p99(regions, params, params, 0.99,
-                                  PrunerBackend::kLinearScan, region);
+  const UncertainRegionPruner p50(regions, params, params, 0.5, region);
+  const UncertainRegionPruner p99(regions, params, params, 0.99, region);
   EXPECT_LT(p50.worker_confidence_radius_m(), p99.worker_confidence_radius_m());
 }
 
@@ -703,11 +590,12 @@ TEST(PrunerTest, FarTaskPrunesMostWorkers) {
   const geo::BoundingBox region = geo::BoundingBox::FromCorners({0, 0},
                                                                 {extent, extent});
   const privacy::PrivacyParams params{1.0, 200.0};  // Little noise.
-  const UncertainRegionPruner pruner(regions, params, params, 0.9,
-                                     PrunerBackend::kGrid, region);
+  const UncertainRegionPruner pruner(regions, params, params, 0.9, region);
+  const GridIndex grid = GridOver(regions, pruner, region);
   // A task far outside the deployment region keeps almost nothing.
-  const auto candidates = pruner.Candidates({extent * 3, extent * 3});
-  EXPECT_LT(candidates.size(), 5u);
+  const geo::Point far{extent * 3, extent * 3};
+  EXPECT_LT(pruner.Candidates(far).size(), 5u);
+  EXPECT_LT(grid.QueryIds(pruner.TaskQueryBox(far)).size(), 5u);
 }
 
 }  // namespace

@@ -290,8 +290,7 @@ TEST(AlphaThresholdTest, LatticeDecisionsMatchDirectEvalAcrossPathsAndPools) {
       }
       // The pruner admission every pruned Collect applies first.
       const index::UncertainRegionPruner admission(
-          regions, kDefault, kDefault, kGamma,
-          index::PrunerBackend::kLinearScan, region);
+          regions, kDefault, kDefault, kGamma, region);
       for (runtime::ThreadPool* pool : {&pool1, &pool4}) {
         const std::string label =
             std::string(mc.label) + " pruner=" +

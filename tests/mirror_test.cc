@@ -1,8 +1,8 @@
-// The cell-major scoring mirror (DESIGN.md section 13): bit-identity of the
-// grid backend's mirror Collect path against the same rectangles through
+// The grid's cell-major rows (DESIGN.md section 13): bit-identity of the
+// grid backend's range Collect path against the same rectangles through
 // the linear backend's gather path, across models, SIMD dispatch, and
-// thread pools; incremental slice-sync under index churn; and the range
-// classification kernels against their scalar references.
+// thread pools; the row store and its cell aggregates under stage churn;
+// and the range classification kernels against their scalar references.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_runs.h"
 #include "assign/stages/candidate_stage.h"
-#include "assign/stages/cell_mirror.h"
 #include "data/workload.h"
 #include "engine_fixtures.h"
 #include "geo/bbox.h"
@@ -43,7 +43,7 @@ using fixtures::Compare;
 // run must reproduce its serial forced-scalar baseline's MatchResult,
 // traffic counters and caller RNG stream bit for bit under forced-scalar
 // and auto SIMD dispatch and pools {serial, 1, 8}; and the grid backend's
-// mirror path must make the same decisions as the same rectangles through
+// range path must make the same decisions as the same rectangles through
 // the linear backend, which takes the gather path.
 TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
   const reachability::AnalyticalModel analytical(kDefault);
@@ -112,8 +112,8 @@ TEST(MirrorEngineSweepTest, BitIdenticalAcrossModelPrunerSimdPoolMirror) {
         linear_next_draw = expected_next_draw;
       } else if (pc.gamma.has_value() &&
                  pc.backend == index::PrunerBackend::kGrid) {
-        // Mirror vs gather over the same rectangles: identical decisions.
-        // The mirror never reads the rows of a cell its alpha certificate
+        // Grid vs gather over the same rectangles: identical decisions.
+        // The grid never reads the rows of a cell its alpha certificate
         // rejects, so it scans a subset of the gather path's workers.
         ExpectBitIdentical(linear, expected,
                            std::string(mc.name) + " grid vs linear",
@@ -177,27 +177,27 @@ TEST(MirrorEngineSweepTest, MirrorEngagesAndReducesTraffic) {
   stats::Rng rng_off(3);
   const MatchResult r_on = engine_on.Run(workload, rng_on);
   const MatchResult r_off = engine_off.Run(workload, rng_off);
-  // Alpha-rejected cells drop out of the mirror's scan: the runs may scan
+  // Alpha-rejected cells drop out of the grid's scan: the runs may scan
   // different sets, but decide identically.
   ExpectBitIdentical(r_on, r_off, "dense grid", Compare::kOutcome);
   EXPECT_LT(r_on.metrics.u2u_scanned, r_off.metrics.u2u_scanned);
 
   EXPECT_GT(r_on.metrics.cells_emitted_direct, 0);
   EXPECT_EQ(r_off.metrics.cells_emitted_direct, 0);
-  // Gather model: 4 scattered 64 B lines per scanned worker. The mirror
+  // Gather model: 4 scattered 64 B lines per scanned worker. The grid
   // streams at most 44 B per scanned worker plus id runs, so it must come
   // in strictly below.
   ASSERT_GT(r_off.metrics.u2u_gather_bytes, 0);
   EXPECT_LT(r_on.metrics.u2u_gather_bytes, r_off.metrics.u2u_gather_bytes);
 }
 
-// ---- Incremental slice sync under churn ------------------------------
+// ---- One row store under churn ---------------------------------------
 
-/// Reference recomputation of one cell's aggregate straight off the mirror
-/// rows (plain fmin/fmax), the invariant the incremental updates maintain.
-CellScoreMirror::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
-                                      size_t begin, uint32_t count) {
-  CellScoreMirror::CellAgg agg;  // Empty sentinel: max < min.
+/// Reference recomputation of one cell's alpha / U2E aggregate straight off
+/// the rows (plain fmin/fmax), the invariant every mutation maintains.
+index::GridIndex::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
+                                       size_t begin, uint32_t count) {
+  index::GridIndex::CellAgg agg;  // Empty sentinel: max < min.
   if (count == 0) return agg;
   agg.min_x = agg.max_x = m.x[begin];
   agg.min_y = agg.max_y = m.y[begin];
@@ -220,30 +220,67 @@ CellScoreMirror::CellAgg ReferenceAgg(const reachability::CellMajorMirror& m,
   return agg;
 }
 
-/// Asserts the mirror shadows the grid position for position: every live
-/// slice row equals the index's member arrays plus the soa's bands for that
-/// id, and every cell aggregate equals its reference recomputation.
-void ExpectMirrorInSync(const index::GridIndex& grid,
-                        const CellScoreMirror& mirror,
-                        const reachability::WorkerFilterSoA& soa,
-                        const std::string& label) {
-  const reachability::CellMajorMirror& rows = mirror.rows();
-  ASSERT_GE(rows.size(), grid.member_rows()) << label;
+/// Reference recomputation of one cell's rectangle aggregate from the
+/// members' FromCircle rectangles.
+index::GridIndex::Agg ReferenceRectAgg(const reachability::CellMajorMirror& m,
+                                       size_t begin, uint32_t count) {
+  index::GridIndex::Agg agg;  // Reset sentinels.
+  for (size_t k = begin; k < begin + count; ++k) {
+    const geo::BoundingBox r =
+        geo::BoundingBox::FromCircle({m.x[k], m.y[k]}, m.expanded_r[k]);
+    agg.cover_min_x = std::fmin(agg.cover_min_x, r.min_x);
+    agg.cover_min_y = std::fmin(agg.cover_min_y, r.min_y);
+    agg.cover_max_x = std::fmax(agg.cover_max_x, r.max_x);
+    agg.cover_max_y = std::fmax(agg.cover_max_y, r.max_y);
+    agg.core_max_lo_x = std::fmax(agg.core_max_lo_x, r.min_x);
+    agg.core_max_lo_y = std::fmax(agg.core_max_lo_y, r.min_y);
+    agg.core_min_hi_x = std::fmin(agg.core_min_hi_x, r.max_x);
+    agg.core_min_hi_y = std::fmin(agg.core_min_hi_y, r.max_y);
+  }
+  return agg;
+}
+
+/// Asserts the stage's grid is its SoA in cell order: exactly the
+/// unmatched workers have a row, every live row equals the SoA at its id
+/// (with the expanded radius r_w + reach), and every cell's two aggregates
+/// equal their reference recomputation.
+void ExpectGridMatchesSoa(const U2uCandidateStage& stage, double r_w,
+                          const std::string& label) {
+  const index::GridIndex& grid = *stage.grid();
+  const reachability::WorkerFilterSoA& soa = stage.soa();
+  const reachability::CellMajorMirror& rows = grid.rows();
+  size_t live = 0;
   for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
     const size_t begin = grid.cell_begin(slot);
     const uint32_t count = grid.cell_count(slot);
+    ASSERT_LE(begin + count, rows.size()) << label;
     for (size_t pos = begin; pos < begin + count; ++pos) {
-      const auto id = static_cast<uint32_t>(grid.member_id(pos));
-      ASSERT_EQ(rows.id[pos], id) << label << " slot=" << slot;
-      EXPECT_EQ(rows.x[pos], grid.member_x(pos)) << label;
-      EXPECT_EQ(rows.y[pos], grid.member_y(pos)) << label;
-      EXPECT_EQ(rows.expanded_r[pos], grid.member_r(pos)) << label;
+      const uint32_t id = rows.id[pos];
+      ASSERT_LT(id, soa.size()) << label;
+      if (pos > begin) {
+        ASSERT_LT(rows.id[pos - 1], id) << label;
+      }
+      EXPECT_EQ(soa.matched[id], 0) << label << " id=" << id;
+      EXPECT_EQ(rows.x[pos], soa.x[id]) << label << " id=" << id;
+      EXPECT_EQ(rows.y[pos], soa.y[id]) << label << " id=" << id;
+      EXPECT_EQ(rows.expanded_r[pos], r_w + soa.reach_radius_m[id]) << label;
       EXPECT_EQ(rows.accept_below_sq[pos], soa.accept_below_sq[id]) << label;
       EXPECT_EQ(rows.reject_above_sq[pos], soa.reject_above_sq[id]) << label;
       EXPECT_EQ(rows.reach_radius_m[pos], soa.reach_radius_m[id]) << label;
     }
-    const CellScoreMirror::CellAgg expected = ReferenceAgg(rows, begin, count);
-    const CellScoreMirror::CellAgg& got = mirror.cell_agg(slot);
+    live += count;
+    const index::GridIndex::CellAgg expected = ReferenceAgg(rows, begin, count);
+    const index::GridIndex::CellAgg& got = grid.cell_agg(slot);
+    const index::GridIndex::Agg rect = ReferenceRectAgg(rows, begin, count);
+    const index::GridIndex::Agg& got_rect = grid.rect_agg(slot);
+    EXPECT_EQ(got_rect.cover_min_x, rect.cover_min_x) << label << " " << slot;
+    EXPECT_EQ(got_rect.cover_min_y, rect.cover_min_y) << label << " " << slot;
+    EXPECT_EQ(got_rect.cover_max_x, rect.cover_max_x) << label << " " << slot;
+    EXPECT_EQ(got_rect.cover_max_y, rect.cover_max_y) << label << " " << slot;
+    EXPECT_EQ(got_rect.core_max_lo_x, rect.core_max_lo_x) << label;
+    EXPECT_EQ(got_rect.core_max_lo_y, rect.core_max_lo_y) << label;
+    EXPECT_EQ(got_rect.core_min_hi_x, rect.core_min_hi_x) << label;
+    EXPECT_EQ(got_rect.core_min_hi_y, rect.core_min_hi_y) << label;
     if (count == 0) {
       EXPECT_LT(got.max_x, got.min_x) << label << " slot=" << slot;
       continue;
@@ -256,131 +293,145 @@ void ExpectMirrorInSync(const index::GridIndex& grid,
     EXPECT_EQ(got.max_reject_sq, expected.max_reject_sq) << label;
     EXPECT_EQ(got.max_reach_r, expected.max_reach_r) << label;
   }
+  EXPECT_EQ(live, grid.size()) << label;
+  EXPECT_EQ(live, stage.available()) << label;
 }
 
-TEST(CellScoreMirrorChurnTest, RemoveReAddAndRebuildKeepMirrorInSync) {
+/// The cell whose slice holds live `id`.
+size_t SlotOf(const index::GridIndex& grid, uint32_t id) {
+  for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
+    const size_t begin = grid.cell_begin(slot);
+    for (size_t pos = begin; pos < begin + grid.cell_count(slot); ++pos) {
+      if (grid.rows().id[pos] == id) return slot;
+    }
+  }
+  return grid.num_cell_slots();
+}
+
+// The grid stage's one row store through the service's churn: relocations
+// within and across cells, matches, reactivations (re-inserted from the
+// SoA), slice moves and a forced re-layout. After every step each live row
+// equals the SoA at its id and each cell's two aggregates equal a
+// recompute; moves and the re-layout show in cell_begin and rebuilds().
+// The stage then answers like one built fresh over the final state, and
+// whole-cell alpha certificates agree with the per-member trichotomy.
+TEST(MirrorStageChurnTest, GridRowsAndAggregatesMatchSoaThroughChurn) {
+  const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {10000, 10000});
+  U2uCandidateStage::Config config;
+  config.model = &model;
+  config.alpha = 0.1;
+  config.pruning = U2uCandidateStage::Pruning{
+      0.9, index::PrunerBackend::kGrid, kDefault, kDefault, region};
+  const double r_w =
+      index::UncertainRegionPruner({}, kDefault, kDefault, 0.9, region)
+          .worker_confidence_radius_m();
+
   stats::Rng rng(17);
-
-  const size_t n = 200;
-  reachability::WorkerFilterSoA soa;
-  soa.Resize(n);
-  soa.accept_below_sq.resize(n);
-  soa.reject_above_sq.resize(n);
-  std::vector<double> radii(n);
+  const size_t n = 300;
+  U2uCandidateStage stage(config);
   for (size_t i = 0; i < n; ++i) {
-    soa.x[i] = rng.UniformDouble(0.0, 10000.0);
-    soa.y[i] = rng.UniformDouble(0.0, 10000.0);
-    soa.reach_radius_m[i] = rng.UniformDouble(500.0, 2000.0);
-    radii[i] = soa.reach_radius_m[i] + 300.0;  // Expanded rectangle radius.
-    const double accept = rng.UniformDouble(0.0, 5000.0);
-    soa.accept_below_sq[i] = accept * accept;
-    const double reject = accept + rng.UniformDouble(0.0, 3000.0);
-    soa.reject_above_sq[i] = reject * reject;
+    stage.AddWorker({rng.UniformDouble(0.0, 10000.0),
+                     rng.UniformDouble(0.0, 10000.0)},
+                    rng.UniformDouble(500.0, 2000.0));
   }
+  stage.Prepare();
+  ASSERT_NE(stage.grid(), nullptr);
+  const index::GridIndex& grid = *stage.grid();
+  ExpectGridMatchesSoa(stage, r_w, "loaded");
 
-  index::GridIndex grid(region, 8);
+  for (int step = 0; step < 200; ++step) {
+    const auto w = static_cast<uint32_t>(rng.UniformInt(n));
+    const geo::Point at{stage.soa().x[w], stage.soa().y[w]};
+    switch (rng.UniformInt(4)) {
+      case 0:  // Same-cell jitter, mostly.
+        stage.UpdateWorkerLocation(w, {at.x + rng.UniformDouble(-20.0, 20.0),
+                                       at.y + rng.UniformDouble(-20.0, 20.0)});
+        break;
+      case 1:  // Cross-cell jump.
+        stage.UpdateWorkerLocation(w, {rng.UniformDouble(0.0, 10000.0),
+                                       rng.UniformDouble(0.0, 10000.0)});
+        break;
+      case 2:
+        stage.MarkMatched(w);
+        break;
+      default:  // A re-report: moved, then reactivated if matched.
+        stage.UpdateWorkerLocation(w, {rng.UniformDouble(0.0, 10000.0),
+                                       rng.UniformDouble(0.0, 10000.0)});
+        stage.MarkAvailable(w);
+        break;
+    }
+    ExpectGridMatchesSoa(stage, r_w, "churn step " + std::to_string(step));
+  }
+  EXPECT_EQ(stage.grid(), &grid);  // Churn never rebuilt the stage's grid.
+
+  // Pile unmatched workers onto one point with cross-cell moves. Each full
+  // slice moves to the old end of the rows, until the dead rows the moves
+  // leave would outnumber the live ones and one re-layout reclaims them.
+  const geo::Point pile{5300.0, 5300.0};
+  const int64_t rebuilds_before = stage.grid_rebuilds();
+  ASSERT_EQ(rebuilds_before, grid.rebuilds());
+  uint32_t first = 0;
+  while (stage.is_matched(first)) ++first;
+  stage.UpdateWorkerLocation(first, pile);
+  const size_t target = SlotOf(grid, first);
+  ASSERT_LT(target, grid.num_cell_slots());
+  int moves = 0;
+  for (uint32_t w = first + 1;
+       w < n && stage.grid_rebuilds() == rebuilds_before; ++w) {
+    if (stage.is_matched(w) || SlotOf(grid, w) == target) continue;
+    const size_t rows_before = grid.rows().size();
+    const size_t begin_before = grid.cell_begin(target);
+    stage.UpdateWorkerLocation(w, pile);
+    ASSERT_EQ(SlotOf(grid, w), target);
+    const std::string label = "pile " + std::to_string(w);
+    if (stage.grid_rebuilds() == rebuilds_before &&
+        grid.cell_begin(target) != begin_before) {
+      EXPECT_EQ(grid.cell_begin(target), rows_before) << label;
+      ++moves;
+    }
+    ExpectGridMatchesSoa(stage, r_w, label);
+  }
+  EXPECT_GE(moves, 2);
+  EXPECT_EQ(stage.grid_rebuilds(), rebuilds_before + 1);
+  EXPECT_EQ(stage.grid(), &grid);
+
+  U2uCandidateStage fresh(config);
   for (size_t i = 0; i < n; ++i) {
-    grid.Insert({soa.x[i], soa.y[i]}, radii[i], static_cast<int64_t>(i));
+    fresh.AddWorker({stage.soa().x[i], stage.soa().y[i]},
+                    stage.soa().reach_radius_m[i]);
   }
-  CellScoreMirror mirror;
-  mirror.Attach(&grid, &soa);
-  ExpectMirrorInSync(grid, mirror, soa, "after attach");
-
-  // Interleaved removals (MarkMatched) and re-adds, checking sync at every
-  // step; the erase path shifts slice tails down, the insert path shifts
-  // them up (or moves the slice to the tail when it fills).
-  std::vector<uint32_t> removed;
-  for (int step = 0; step < 120; ++step) {
-    const bool remove = removed.size() < 60 &&
-                        (removed.empty() || rng.UniformDouble() < 0.7);
-    if (remove) {
-      const auto victim =
-          static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-      if (grid.Remove(victim) > 0) removed.push_back(victim);
-    } else {
-      const uint32_t back = removed.back();
-      removed.pop_back();
-      grid.Insert({soa.x[back], soa.y[back]}, radii[back],
-                  static_cast<int64_t>(back));
-    }
-    ExpectMirrorInSync(grid, mirror, soa,
-                       "churn step " + std::to_string(step));
+  for (uint32_t i = 0; i < n; ++i) {
+    if (stage.is_matched(i)) fresh.MarkMatched(i);
   }
-
-  // Location churn (UpdateWorkerLocation): remove + re-insert elsewhere.
-  for (int step = 0; step < 20; ++step) {
-    const auto id =
-        static_cast<uint32_t>(rng.UniformDouble() * static_cast<double>(n));
-    grid.Remove(id);
-    soa.x[id] = rng.UniformDouble(0.0, 10000.0);
-    soa.y[id] = rng.UniformDouble(0.0, 10000.0);
-    grid.Insert({soa.x[id], soa.y[id]}, radii[id], static_cast<int64_t>(id));
-    ExpectMirrorInSync(grid, mirror, soa,
-                       "relocate step " + std::to_string(step));
-  }
-
-  // Overfill: pile inserts into one cell. Each full slice moves to the
-  // tail of the member arrays (OnSliceMove), checked row by row after every
-  // insert, until the dead rows the moves leave outnumber the live entries
-  // and one re-layout reclaims them (OnRebuild -> resync).
-  const int64_t rebuilds_before = grid.rebuilds();
-  const size_t rows_before = grid.member_rows();
-  size_t i = n;
-  for (; grid.rebuilds() == rebuilds_before; ++i) {
-    ASSERT_LT(i, n + 2000);
-    soa.Resize(i + 1);
-    soa.accept_below_sq.resize(i + 1, 1.0);
-    soa.reject_above_sq.resize(i + 1, 2.0);
-    soa.x[i] = 1234.5;
-    soa.y[i] = 1234.5;
-    soa.reach_radius_m[i] = 600.0;
-    soa.accept_below_sq[i] = 1.0e6;
-    soa.reject_above_sq[i] = 4.0e6;
-    grid.Insert({soa.x[i], soa.y[i]}, 900.0, static_cast<int64_t>(i));
-    if (i == n + 64) {
-      EXPECT_GT(grid.member_rows(), rows_before);  // The slice moved.
-      EXPECT_EQ(grid.rebuilds(), rebuilds_before);
-    }
-    ExpectMirrorInSync(grid, mirror, soa, "overfill " + std::to_string(i));
-  }
-  EXPECT_GT(i, n + 64);
-  EXPECT_EQ(grid.rebuilds(), rebuilds_before + 1);
-
-  // Certificates after all that churn: a whole-cell verdict must agree
-  // with the per-member trichotomy it replaces.
   for (int t = 0; t < 32; ++t) {
     const double tx = rng.UniformDouble(0.0, 10000.0);
     const double ty = rng.UniformDouble(0.0, 10000.0);
+    EXPECT_EQ(stage.Collect({tx, ty}), fresh.Collect({tx, ty})) << "task " << t;
+    // A whole-cell verdict agrees with the per-member trichotomy.
     for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
-      const uint32_t count = grid.cell_count(slot);
-      if (count == 0) continue;
-      const auto cert = mirror.Certify(slot, tx, ty);
-      if (cert == CellScoreMirror::CellAlpha::kMixed) continue;
+      const auto cert = grid.Certify(slot, tx, ty);
+      if (cert == index::GridIndex::CellAlpha::kMixed) continue;
       const size_t begin = grid.cell_begin(slot);
-      for (size_t pos = begin; pos < begin + count; ++pos) {
-        const double dx = mirror.rows().x[pos] - tx;
-        const double dy = mirror.rows().y[pos] - ty;
+      for (size_t pos = begin; pos < begin + grid.cell_count(slot); ++pos) {
+        const double dx = grid.rows().x[pos] - tx;
+        const double dy = grid.rows().y[pos] - ty;
         const double d_sq = dx * dx + dy * dy;
-        if (cert == CellScoreMirror::CellAlpha::kAllAccept) {
-          EXPECT_LE(d_sq, mirror.rows().accept_below_sq[pos])
-              << "slot=" << slot << " pos=" << pos;
+        if (cert == index::GridIndex::CellAlpha::kAllAccept) {
+          EXPECT_LE(d_sq, grid.rows().accept_below_sq[pos]) << slot;
         } else {
-          EXPECT_GE(d_sq, mirror.rows().reject_above_sq[pos])
-              << "slot=" << slot << " pos=" << pos;
+          EXPECT_GE(d_sq, grid.rows().reject_above_sq[pos]) << slot;
         }
       }
     }
   }
-
-  mirror.ForgetGrid();
 }
 
-// Stage-level churn: a grid (mirror) stage and a linear-backend (gather)
+// Stage-level churn: a grid stage and a linear-backend (gather)
 // stage driven through the same AddWorker / Collect / MarkMatched /
 // UpdateWorkerLocation sequence must emit identical candidate lists
-// throughout, with the mirror scanning a subset of the gather path's
+// throughout, with the grid scanning a subset of the gather path's
 // workers (it never reads a cell its alpha certificate rejects). Swept over
 // gamma, SIMD dispatch and pools. At gamma = 0.3 the rectangles are tight
 // enough that they dismiss alpha-admissible workers, and rectangle-boundary
@@ -411,9 +462,7 @@ TEST(MirrorStageChurnTest, MirrorMatchesLinearBackendThroughChurn) {
         config_off.pruning->backend = index::PrunerBackend::kLinearScan;
         // The query rectangle the grid walk certifies cells against.
         const index::UncertainRegionPruner boxes({}, kDefault, kDefault,
-                                                 gamma,
-                                                 index::PrunerBackend::kLinearScan,
-                                                 region);
+                                                 gamma, region);
 
         U2uCandidateStage on(config);
         U2uCandidateStage off(config_off);
@@ -442,7 +491,7 @@ TEST(MirrorStageChurnTest, MirrorMatchesLinearBackendThroughChurn) {
           const std::string label = run + " step " + std::to_string(step);
           {
             const CandidateRuns& runs = on.CollectRuns(task);
-            const index::GridIndex* grid = runs.mirror->grid();
+            const index::GridIndex* grid = runs.grid;
             const geo::BoundingBox query = boxes.TaskQueryBox(task);
             const auto cells = static_cast<size_t>(grid->cells_per_axis());
             for (const CandidateRuns::Group& g : runs.groups) {
@@ -514,7 +563,7 @@ TEST(MirrorStageChurnTest, MirrorMatchesLinearBackendThroughChurn) {
 //   D, cell (7, 9): 2 of 3 workers rectangle-admitted, 1 within 1000 m —
 //      boundary, mixed;
 // plus one worker in cell (10, 8), visited but skipped (its rectangle
-// misses the task by 1100 m). The mirror scans A + B + the admitted part
+// misses the task by 1100 m). The grid scans A + B + the admitted part
 // of D = 3 + 3 + 2 = 8 workers (the gather path also scans C's 2 admitted
 // ones: 10), classifies the 6 rows of B and D one by one, settles A and C
 // by certificate, and both paths emit the same 6 candidates.
@@ -564,8 +613,8 @@ TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {
   // workers reactivated via MarkAvailable — applied incrementally must
   // leave the stage answering exactly like one built fresh over the final
   // worker state. This pins the whole Relocate chain: GridIndex in-place
-  // move, mirror OnSliceUpdate row refresh, pruner record update, and
-  // Restore's re-insert at the *new* location.
+  // row update, cross-cell erase and re-insert, and the reactivation's
+  // re-insert from the SoA at the *new* location.
   const reachability::AnalyticalModel model(kDefault);
   const geo::BoundingBox region =
       geo::BoundingBox::FromCorners({0, 0}, {20000, 20000});
@@ -637,7 +686,7 @@ TEST(MirrorStageChurnTest, IncrementalRelocateMatchesFreshStage) {
 
 // ---- Range kernels vs references -------------------------------------
 
-/// A mirror whose bounds cover every trichotomy shape, like kernel_test's
+/// Rows whose bounds cover every trichotomy shape, like kernel_test's
 /// ClassifierSoA: mode 0 mixed, 1 empty band, 2 all-accept, 3 all-reject.
 reachability::CellMajorMirror ClassifierMirror(size_t n, int mode,
                                                stats::Rng& rng) {

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_runs.h"
 #include "assign/stages/candidate_stage.h"
-#include "assign/stages/cell_mirror.h"
 #include "assign/stages/contact_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "engine_fixtures.h"
@@ -656,9 +656,8 @@ struct RunShape {
   int64_t plain_groups = 0;  ///< Band survivors.
 };
 
-/// Checks the structure of `runs` and that every live mirror row shadows
-/// the soa's noisy location bit for bit; returns the members in group
-/// order.
+/// Checks the structure of `runs` and that every live grid row holds the
+/// soa's noisy location bit for bit; returns the members in group order.
 std::vector<uint32_t> CheckedMembers(const assign::CandidateRuns& runs,
                                      const reachability::WorkerFilterSoA& soa,
                                      RunShape& shape) {
@@ -676,9 +675,9 @@ std::vector<uint32_t> CheckedMembers(const assign::CandidateRuns& runs,
     runs.ForEachIn(g, [&](uint32_t id) { members.push_back(id); });
   }
   EXPECT_EQ(members.size(), runs.size);
-  if (runs.mirror != nullptr) {
-    const index::GridIndex& grid = *runs.mirror->grid();
-    const reachability::CellMajorMirror& rows = runs.mirror->rows();
+  if (runs.grid != nullptr) {
+    const index::GridIndex& grid = *runs.grid;
+    const reachability::CellMajorMirror& rows = grid.rows();
     for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
       const size_t begin = grid.cell_begin(slot);
       for (size_t pos = begin; pos < begin + grid.cell_count(slot); ++pos) {
@@ -794,7 +793,7 @@ TEST(CellRunCursorTest, GridStageMatchesEagerRankUnderChurn) {
               if (!g.in_rows) continue;
               std::vector<uint32_t> cell;
               runs.ForEachIn(g, [&](uint32_t id) { cell.push_back(id); });
-              const index::GridIndex& grid = *runs.mirror->grid();
+              const index::GridIndex& grid = *runs.grid;
               if (grid.cell_count(g.slot) != cell.size()) continue;
               const uint32_t slot = g.slot;
               for (const uint32_t id : cell) {
@@ -877,14 +876,16 @@ TEST(CellRunCursorTest, NaNRadiusCellGetsTheTrivialBound) {
   }
   index::GridIndex grid(region, 4);
   grid.BulkLoad(n, [&](size_t i) {
-    // The index holds a finite rectangle radius whatever the soa says.
-    return index::GridIndex::Entry{{soa.x[i], soa.y[i]}, 500.0,
-                                   static_cast<int64_t>(i)};
+    // The rectangle radius stays finite whatever the reach radius says.
+    return index::GridIndex::Row{static_cast<uint32_t>(i),
+                                 {soa.x[i], soa.y[i]},
+                                 500.0,
+                                 soa.accept_below_sq[i],
+                                 soa.reject_above_sq[i],
+                                 soa.reach_radius_m[i]};
   });
-  assign::CellScoreMirror mirror;
-  mirror.Attach(&grid, &soa);
   assign::CandidateRuns runs;
-  runs.mirror = &mirror;
+  runs.grid = &grid;
   std::vector<uint32_t> flat;
   int nan_cells = 0;
   for (size_t slot = 0; slot < grid.num_cell_slots(); ++slot) {
@@ -900,9 +901,9 @@ TEST(CellRunCursorTest, NaNRadiusCellGetsTheTrivialBound) {
     });
     if (has_nan) {
       ++nan_cells;
-      EXPECT_EQ(mirror.cell_agg(slot).max_reach_r, kInf) << slot;
+      EXPECT_EQ(grid.cell_agg(slot).max_reach_r, kInf) << slot;
     } else {
-      EXPECT_LT(mirror.cell_agg(slot).max_reach_r, 300.0) << slot;
+      EXPECT_LT(grid.cell_agg(slot).max_reach_r, 300.0) << slot;
     }
   }
   ASSERT_GT(nan_cells, 0);
@@ -921,7 +922,6 @@ TEST(CellRunCursorTest, NaNRadiusCellGetsTheTrivialBound) {
       EXPECT_TRUE(SameBits(got[k].first, want[k].first)) << "entry " << k;
     }
   }
-  mirror.ForgetGrid();
 }
 
 }  // namespace

@@ -365,13 +365,13 @@ TEST(ServiceTest, HostileIngestIsRefusedOrClampedNotFatal) {
   // The grid itself: a far-out or non-finite center clamps into a border
   // cell instead of overflowing the cell cast.
   index::GridIndex grid(workload.region, 8);
-  grid.Insert({1e300, -1e300}, 100.0, 7);
-  grid.Insert({kNaN, kNaN}, 100.0, 9);
+  grid.Insert({7, {1e300, -1e300}, 100.0});
+  grid.Insert({9, {kNaN, kNaN}, 100.0});
   const size_t corner = 7;  // Cell (x = 7, y = 0), row-major.
   ASSERT_EQ(grid.cell_count(corner), 1u);
-  EXPECT_EQ(grid.member_id(grid.cell_begin(corner)), 7);
+  EXPECT_EQ(grid.rows().id[grid.cell_begin(corner)], 7u);
   ASSERT_EQ(grid.cell_count(0), 1u);
-  EXPECT_EQ(grid.member_id(grid.cell_begin(0)), 9);
+  EXPECT_EQ(grid.rows().id[grid.cell_begin(0)], 9u);
 }
 
 TEST(ServiceTest, QueueFullBackpressureRejectsWithoutBlocking) {
