@@ -6,6 +6,7 @@
 
 #include "assign/algorithms.h"
 #include "assign/scguard_engine.h"
+#include "assign/stages/candidate_runs.h"
 #include "assign/stages/candidate_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "bench/bench_common.h"
@@ -529,9 +530,10 @@ BENCHMARK(BM_ProbReachableBatch)->Arg(0)->Arg(1)->Arg(2);
 // U2E ranking of one rush-like task (~26k candidates at uniform observed
 // distance, r ~ U[1000, 3000] m, analytical model) up to its first two
 // contacts: the eager Rank (0) scores and sorts every candidate, the
-// certified cursor (1) bounds them from the memoized lattice and scores
-// only those the first two entries need. Same entries either way
-// (tests/rank_cursor_test.cc); items are candidates ranked.
+// certified cursor (1), opened over the same ids as one kNoCell group,
+// bounds them from the memoized lattice and scores only those the first
+// two entries need. Same entries either way (tests/rank_cursor_test.cc);
+// items are candidates ranked.
 void BM_U2eRank(benchmark::State& state) {
   const size_t n = 26000;
   stats::Rng rng(13);
@@ -546,6 +548,11 @@ void BM_U2eRank(benchmark::State& state) {
     soa.reach_radius_m[i] = rng.UniformDouble(1000.0, 3000.0);
     candidates[i] = static_cast<uint32_t>(i);
   }
+  assign::CandidateRuns runs;
+  runs.ids = candidates;
+  runs.size = n;
+  runs.groups.push_back({});
+  runs.groups[0].count = static_cast<uint32_t>(n);
   const reachability::AnalyticalModel model(kParams);
   assign::U2eRankStage stage({.model = &model,
                               .rank = assign::RankStrategy::kProbability,
@@ -555,7 +562,7 @@ void BM_U2eRank(benchmark::State& state) {
   for (auto _ : state) {
     if (lazy) {
       assign::U2eRankCursor& cursor =
-          stage.Open(soa, candidates, {0.0, 0.0}, nullptr);
+          stage.Open(soa, runs, {0.0, 0.0}, nullptr);
       assign::U2eRankCursor::Entry entry;
       for (int k = 0; k < 2 && cursor.Next(entry); ++k) {
         benchmark::DoNotOptimize(entry);
@@ -572,8 +579,8 @@ BENCHMARK(BM_U2eRank)->Arg(0)->Arg(1);
 
 // One task through U2U and U2E up to its first two contacts on the grid
 // path (200k uniform workers, r ~ U[1000, 3000] m, grid pruning, alpha =
-// 0.1, analytical model): the ascending Collect and Open over the id
-// vector (0) against CollectRuns and Open over the cell runs (1), which
+// 0.1, analytical model): the ascending Collect, ranked as one kNoCell
+// group (0), against CollectRuns ranked over its cell runs (1), which
 // bounds whole cells best-first instead of every candidate. Same entries
 // either way (tests/rank_cursor_test.cc); items are tasks. CI gates
 // rate(1) >= 1.5 x rate(0), and rows_per_task < boundary_rows_per_task on
@@ -611,12 +618,19 @@ void BM_TaskPipelineGrid(benchmark::State& state) {
                             .kernel = {}});
   const int64_t rows_before = stage.stats().rows_classified;
   const int64_t boundary_before = stage.grid_query_stats()->boundary_workers;
+  assign::CandidateRuns id_vector;  // Arm 0's one kNoCell group.
+  id_vector.groups.push_back({});
   size_t t = 0;
   for (auto _ : state) {
     const auto& [exact, noisy] = tasks[t++ % tasks.size()];
+    if (!runs) {
+      id_vector.ids = stage.Collect(noisy);
+      id_vector.size = id_vector.ids.size();
+      id_vector.groups[0].count = static_cast<uint32_t>(id_vector.size);
+    }
     assign::U2eRankCursor& cursor =
         runs ? u2e.Open(stage.soa(), stage.CollectRuns(noisy), exact, nullptr)
-             : u2e.Open(stage.soa(), stage.Collect(noisy), exact, nullptr);
+             : u2e.Open(stage.soa(), id_vector, exact, nullptr);
     assign::U2eRankCursor::Entry entry;
     for (int k = 0; k < 2 && cursor.Next(entry); ++k) {
       benchmark::DoNotOptimize(entry);

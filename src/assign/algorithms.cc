@@ -18,8 +18,6 @@ EnginePolicy BasePolicy(const AlgorithmParams& params) {
   policy.redundancy_k = params.redundancy_k;
   policy.pruning_gamma = params.pruning_gamma;
   policy.pruning_backend = params.pruning_backend;
-  policy.kernel = params.kernel;
-  policy.runtime = params.runtime;
   return policy;
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "assign/matcher.h"
-#include "assign/stages/candidate_stage.h"
 #include "assign/stages/rank_stage.h"
 #include "index/pruning.h"
 #include "privacy/privacy_params.h"
@@ -40,10 +39,6 @@ struct AlgorithmParams {
   index::PrunerBackend pruning_backend = index::PrunerBackend::kGrid;
   reachability::AnalyticalMode analytical_mode =
       reachability::AnalyticalMode::kPaperNormalApprox;
-  /// Evaluation-kernel knobs, forwarded to EnginePolicy::kernel.
-  reachability::KernelOptions kernel;
-  /// Parallel-scan knobs, forwarded to EnginePolicy::runtime.
-  EngineRuntime runtime;
 };
 
 /// GroundTruth-RR / GroundTruth-NN: the non-private Ranking upper bound.

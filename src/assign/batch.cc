@@ -10,9 +10,8 @@
 namespace scguard::assign {
 
 BatchMatcher::BatchMatcher(const reachability::ReachabilityModel* model,
-                           double alpha, int batch_size,
-                           reachability::KernelOptions kernel)
-    : model_(model), alpha_(alpha), batch_size_(batch_size), kernel_(kernel) {
+                           double alpha, int batch_size)
+    : model_(model), alpha_(alpha), batch_size_(batch_size) {
   SCGUARD_CHECK(model != nullptr);
   SCGUARD_CHECK(alpha > 0.0 && alpha <= 1.0);
   SCGUARD_CHECK(batch_size >= 1);
@@ -39,7 +38,6 @@ MatchResult BatchMatcher::Run(const Workload& workload, stats::Rng& /*rng*/) {
   U2uCandidateStage::Config u2u_config;
   u2u_config.model = model_;
   u2u_config.alpha = alpha_;
-  u2u_config.kernel = kernel_;
   U2uCandidateStage u2u(std::move(u2u_config));
   u2u.ReserveWorkers(workload.workers.size());
   for (const Worker& w : workload.workers) {

@@ -2,7 +2,6 @@
 #define SCGUARD_ASSIGN_BATCH_H_
 
 #include "assign/matcher.h"
-#include "reachability/kernel.h"
 #include "reachability/model.h"
 
 namespace scguard::assign {
@@ -24,9 +23,9 @@ class BatchMatcher final : public OnlineMatcher {
   /// outlive the matcher); pairs below `alpha` are infeasible. A
   /// batch_size of 1 degenerates to a nearest-feasible online rule.
   /// Feasibility is decided through U2uCandidateStage::Decide (exact; see
-  /// kernel.h for the certain bands and `kernel.threshold_margin`).
+  /// kernel.h for the certain bands).
   BatchMatcher(const reachability::ReachabilityModel* model, double alpha,
-               int batch_size, reachability::KernelOptions kernel = {});
+               int batch_size);
 
   MatchResult Run(const Workload& workload, stats::Rng& rng) override;
 
@@ -38,7 +37,6 @@ class BatchMatcher final : public OnlineMatcher {
   const reachability::ReachabilityModel* model_;
   double alpha_;
   int batch_size_;
-  reachability::KernelOptions kernel_;
 };
 
 }  // namespace scguard::assign

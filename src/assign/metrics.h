@@ -51,7 +51,7 @@ struct RunMetrics {
   /// Wall-clock spent in the requester-side U2E ranking (paper Fig. 10e).
   double u2e_seconds = 0.0;
   /// Wall-clock of setup: worker registration plus the U2U stage's
-  /// Prepare (certain bands, pruning index, mirror). Part of total_seconds
+  /// Prepare (certain bands, pruning index). Part of total_seconds
   /// for an engine run.
   double setup_seconds = 0.0;
   /// Wall-clock of the whole run.
@@ -60,9 +60,9 @@ struct RunMetrics {
   /// Workers actually scored by the U2U filter, summed over tasks. With
   /// active-set compaction this shrinks as workers get matched; the
   /// first/last-task pair exposes the decay (scale bench, DESIGN.md §9).
-  /// On the grid backend's mirror path a worker counts only when its
-  /// rectangle admits the task and its cell was not rejected whole by the
-  /// cell alpha certificate, whose rows are never read (DESIGN.md §13).
+  /// On the grid backend a worker counts only when its rectangle admits
+  /// the task and its cell was not rejected whole by the cell alpha
+  /// certificate, whose rows are never read (DESIGN.md §13).
   /// First/last are per-run snapshots, not accumulated across seeds.
   int64_t u2u_scanned = 0;
   int64_t u2u_scanned_first_task = 0;
@@ -80,12 +80,12 @@ struct RunMetrics {
 
   /// Modeled scoring-side memory traffic of the U2U scan, bytes summed over
   /// the run (DESIGN.md §13 / EXPERIMENTS.md): scattered cache lines for
-  /// gathered workers, packed streams for brute and mirror scans, id runs
+  /// gathered workers, packed streams for brute and grid-row scans, id runs
   /// only for certificate-direct cells. A traffic model — comparable across
   /// configurations, not a hardware counter.
   int64_t u2u_gather_bytes = 0;
-  /// Cells the mirror path resolved purely by a whole-cell alpha
-  /// certificate, with zero per-worker loads (zero off the mirror path).
+  /// Cells the grid walk resolved purely by a whole-cell alpha
+  /// certificate, with zero per-worker loads (zero off the grid backend).
   int64_t cells_emitted_direct = 0;
   /// Full re-layouts of the grid backend's member arrays (an Insert,
   /// Relocate or Restore overflowing a cell's headroom; O(workers) each,

@@ -78,8 +78,9 @@ class E2eContactStage {
   /// audit trail (recorder.h): every disclosure emits a kAuditDisclosure
   /// event tagged with the task, worker, score, accept outcome, and the
   /// U2U filter that admitted the candidate (`admit_filter(id)`, consulted
-  /// only when the recorder is on). Call sites without task context use
-  /// the two-argument overload.
+  /// only when the recorder is on). The protocol parties and variants
+  /// rank and threshold on the requester device and walk their plan here
+  /// with beta = 0, as (0.0, worker id) pairs when no score is at hand.
   template <typename Id, typename OfferFn, typename FilterFn>
   Outcome Contact(const std::vector<std::pair<double, Id>>& ranked,
                   OfferFn&& offer, int64_t audit_task_id,
@@ -87,48 +88,6 @@ class E2eContactStage {
     RankedList<Id> source(ranked);
     std::pair<double, Id> tripped;
     return Walk(source, offer, audit_task_id, admit_filter, tripped);
-  }
-
-  template <typename Id, typename OfferFn>
-  Outcome Contact(const std::vector<std::pair<double, Id>>& ranked,
-                  OfferFn&& offer) const {
-    return Contact(ranked, std::forward<OfferFn>(offer), obs::kAuditNoTask,
-                   UnknownAdmitFilter{});
-  }
-
-  /// As Contact for an already beta-filtered contact plan (the protocol
-  /// parties rank and threshold on the requester device, then hand the
-  /// coordinator a plain ordered list): no score gating, `offer` sees the
-  /// plan entry itself. `id_of` projects the entry to the worker id for
-  /// the audit event (scores are not visible at this layer).
-  template <typename Entry, typename OfferFn, typename IdFn>
-  Outcome ContactPlan(const std::vector<Entry>& plan, OfferFn&& offer,
-                      int64_t audit_task_id, IdFn&& id_of) const {
-    Outcome o;
-    const bool audit = obs::RecorderEnabled();
-    while (o.accepted < config_.redundancy_k && o.next < plan.size()) {
-      const Entry& entry = plan[o.next++];
-      ++o.disclosures;
-      const bool accepted = offer(entry);
-      if (accepted) {
-        ++o.accepted;
-      } else {
-        ++o.false_hits;
-      }
-      if (audit) {
-        obs::AuditE2eDisclosure(audit_task_id,
-                                static_cast<int64_t>(id_of(entry)),
-                                /*score=*/0.0, accepted,
-                                obs::AuditFilter::kUnknown);
-      }
-    }
-    return o;
-  }
-
-  template <typename Entry, typename OfferFn>
-  Outcome ContactPlan(const std::vector<Entry>& plan, OfferFn&& offer) const {
-    return ContactPlan(plan, std::forward<OfferFn>(offer), obs::kAuditNoTask,
-                       [](const Entry&) { return int64_t{-1}; });
   }
 
   /// Contact plus the engine-side RunMetrics fold: disclosure/false-hit

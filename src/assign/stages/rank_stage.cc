@@ -14,7 +14,7 @@ namespace {
 constexpr double kDistanceSlack = 1.0 - 1e-12;
 
 // The lattice bound of a worker at (x, y) with reach radius r, as
-// Open(vector) computes it.
+// OpenCold computes it.
 double RowBound(reachability::U2eBoundLattice& lattice, double x, double y,
                 double r, geo::Point task) {
   const double dx = x - task.x;
@@ -176,46 +176,24 @@ U2eRankStage::U2eRankStage(const Config& config) : config_(config) {
   cursor_.exact_ = !lattice_.has_value();
 }
 
-void U2eRankStage::ScoreBatch(const double* observed_distance_m,
-                              const double* reach_radius_m, size_t n,
-                              double* out) {
-  batch_evals_ += static_cast<int64_t>(n);
-  config_.model->ProbReachableBatch(reachability::Stage::kU2E,
-                                    observed_distance_m, reach_radius_m, n,
-                                    out);
-}
-
-U2eRankStage::BatchInputs U2eRankStage::StageScoreInputs(size_t n) {
-  if (d_.size() < n) {
-    d_.resize(n);
-    r_.resize(n);
-  }
-  if (p_.size() < n) p_.resize(n);
-  return {d_.data(), r_.data()};
-}
-
-const double* U2eRankStage::ScoreStagedInputs(size_t n) {
-  SCGUARD_CHECK(d_.size() >= n && r_.size() >= n && p_.size() >= n);
-  ScoreBatch(d_.data(), r_.data(), n, p_.data());
-  return p_.data();
-}
-
+template <typename IdAt>
 void U2eRankStage::ScoreCandidates(const reachability::WorkerFilterSoA& soa,
-                                   const std::vector<uint32_t>& candidates,
+                                   size_t n, IdAt id_at,
                                    geo::Point exact_task_location) {
   // Batched scoring: gather candidate distances/radii into dense arrays,
   // then one ProbReachableBatch call instead of a virtual call per
   // candidate.
-  const size_t c = candidates.size();
-  d_.resize(c);
-  r_.resize(c);
-  p_.resize(c);
-  for (size_t k = 0; k < c; ++k) {
-    const size_t i = candidates[k];
+  d_.resize(n);
+  r_.resize(n);
+  p_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t i = id_at(k);
     d_[k] = geo::Distance({soa.x[i], soa.y[i]}, exact_task_location);
     r_[k] = soa.reach_radius_m[i];
   }
-  ScoreBatch(d_.data(), r_.data(), c, p_.data());
+  batch_evals_ += static_cast<int64_t>(n);
+  config_.model->ProbReachableBatch(reachability::Stage::kU2E, d_.data(),
+                                    r_.data(), n, p_.data());
 }
 
 void U2eRankStage::AuditCandidates(int64_t audit_task_id,
@@ -234,7 +212,9 @@ void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
                         int64_t audit_task_id) {
   ranked.clear();
   if (config_.rank == RankStrategy::kProbability) {
-    ScoreCandidates(soa, candidates, exact_task_location);
+    ScoreCandidates(
+        soa, candidates.size(), [&](size_t k) { return candidates[k]; },
+        exact_task_location);
     for (size_t k = 0; k < candidates.size(); ++k) {
       ranked.emplace_back(p_[k], candidates[k]);
     }
@@ -259,16 +239,16 @@ void U2eRankStage::Rank(const reachability::WorkerFilterSoA& soa,
   }
 }
 
-U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
-                                  const std::vector<uint32_t>& candidates,
-                                  geo::Point exact_task_location,
-                                  const double* random_rank,
-                                  int64_t audit_task_id) {
-  U2eRankCursor& c = cursor_;
-  c.soa_ = &soa;
-  c.task_ = exact_task_location;
-  c.cells_.clear();
-  const size_t n = candidates.size();
+void U2eRankStage::OpenCold(const reachability::WorkerFilterSoA& soa,
+                            const CandidateRuns& runs,
+                            geo::Point exact_task_location,
+                            const double* random_rank) {
+  std::vector<U2eRankCursor::Pending>& cold = cursor_.cold_;
+  // Resized, not cleared: every entry is overwritten, so only growth pays
+  // an initialization.
+  const size_t n = runs.size;
+  cold.resize(n);
+  size_t k = 0;
   if (lattice_.has_value()) {
     // The bound needs a distance no larger than the geo::Distance (hypot)
     // that scores the candidate. sqrt of the rounded sum of squares is
@@ -277,34 +257,32 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
     // overlaps the scattered SoA loads far better than the lattice pass.
     d_.resize(n);
     r_.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = candidates[k];
+    runs.ForEach([&](uint32_t i) {
       const double dx = soa.x[i] - exact_task_location.x;
       const double dy = soa.y[i] - exact_task_location.y;
+      cold[k].id = i;
       d_[k] = std::sqrt(dx * dx + dy * dy) * kDistanceSlack;
       r_[k] = soa.reach_radius_m[i];
+      ++k;
+    });
+    for (k = 0; k < n; ++k) {
+      cold[k].bound = lattice_->UpperBound(d_[k], r_[k]);
     }
-    p_.resize(n);
-    for (size_t k = 0; k < n; ++k) p_[k] = lattice_->UpperBound(d_[k], r_[k]);
-  } else if (config_.rank == RankStrategy::kProbability) {
+    return;
+  }
+  runs.ForEach([&](uint32_t i) { cold[k++].id = i; });
+  if (config_.rank == RankStrategy::kProbability) {
     // No monotonicity to certify a bound with: score everything, as Rank.
-    ScoreCandidates(soa, candidates, exact_task_location);
+    ScoreCandidates(
+        soa, n, [&cold](size_t j) { return cold[j].id; },
+        exact_task_location);
+    for (k = 0; k < n; ++k) cold[k].bound = p_[k];
   } else {
-    p_.resize(n);
-    for (size_t k = 0; k < n; ++k) {
-      p_[k] = StrategyScore(config_.rank, soa, candidates[k],
-                            exact_task_location, random_rank);
+    for (U2eRankCursor::Pending& p : cold) {
+      p.bound = StrategyScore(config_.rank, soa, p.id, exact_task_location,
+                              random_rank);
     }
   }
-  c.cold_.resize(n);
-  size_t top = 0;
-  for (size_t k = 0; k < n; ++k) {
-    c.cold_[k] = {p_[k], candidates[k]};
-    if (p_[k] > p_[top]) top = k;
-  }
-  if (obs::RecorderEnabled()) AuditCandidates(audit_task_id, n);
-  c.Start(top, n > 0 ? p_[top] : 0.0);
-  return c;
 }
 
 U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
@@ -312,45 +290,46 @@ U2eRankCursor& U2eRankStage::Open(const reachability::WorkerFilterSoA& soa,
                                   geo::Point exact_task_location,
                                   const double* random_rank,
                                   int64_t audit_task_id) {
-  if (!lattice_.has_value() || runs.grid == nullptr ||
-      (obs::RecorderEnabled() && obs::AuditFullEnabled())) {
-    // No cell bound to take, or every score is wanted: rank per candidate.
-    // Without a grid the runs are one list over `ids` already.
-    if (runs.grid == nullptr) {
-      return Open(soa, runs.ids, exact_task_location, random_rank,
-                  audit_task_id);
-    }
-    flat_.clear();
-    runs.ForEach([this](uint32_t id) { flat_.push_back(id); });
-    return Open(soa, flat_, exact_task_location, random_rank, audit_task_id);
-  }
   U2eRankCursor& c = cursor_;
   c.soa_ = &soa;
   c.task_ = exact_task_location;
-  c.lattice_ = &*lattice_;
-  c.runs_ = &runs;
-  c.cold_.clear();
   c.cells_.clear();
-  for (size_t k = 0; k < runs.groups.size(); ++k) {
-    const CandidateRuns::Group& g = runs.groups[k];
-    if (g.slot == CandidateRuns::kNoCell) {
-      runs.ForEachIn(g, [&](uint32_t id) {
-        c.cold_.push_back(
-            {MemberBound(*lattice_, soa, id, exact_task_location), id});
-      });
-    } else {
-      c.cells_.push_back({CellBound(*lattice_, runs.grid->cell_agg(g.slot),
-                                    exact_task_location),
-                          static_cast<uint32_t>(k)});
+  if (lattice_.has_value() && runs.grid != nullptr &&
+      !(obs::RecorderEnabled() && obs::AuditFullEnabled())) {
+    // Cells wait under one bound each; kNoCell members are bounded now.
+    c.lattice_ = &*lattice_;
+    c.runs_ = &runs;
+    c.cold_.clear();
+    for (size_t k = 0; k < runs.groups.size(); ++k) {
+      const CandidateRuns::Group& g = runs.groups[k];
+      if (g.slot == CandidateRuns::kNoCell) {
+        runs.ForEachIn(g, [&](uint32_t id) {
+          c.cold_.push_back(
+              {MemberBound(*lattice_, soa, id, exact_task_location), id});
+        });
+      } else {
+        c.cells_.push_back({CellBound(*lattice_, runs.grid->cell_agg(g.slot),
+                                      exact_task_location),
+                            static_cast<uint32_t>(k)});
+      }
+    }
+    std::make_heap(c.cells_.begin(), c.cells_.end(),
+                   U2eRankCursor::BoundLess);
+  } else {
+    // No cell bound to take, or every score is wanted: every member is a
+    // per-candidate entry, in group order.
+    OpenCold(soa, runs, exact_task_location, random_rank);
+  }
+  size_t top = 0;
+  double top_bound = c.cold_.empty() ? 0.0 : c.cold_[0].bound;
+  for (size_t k = 1; k < c.cold_.size(); ++k) {
+    if (c.cold_[k].bound > top_bound) {
+      top = k;
+      top_bound = c.cold_[k].bound;
     }
   }
-  std::make_heap(c.cells_.begin(), c.cells_.end(), U2eRankCursor::BoundLess);
-  size_t top = 0;
-  for (size_t k = 1; k < c.cold_.size(); ++k) {
-    if (c.cold_[k].bound > c.cold_[top].bound) top = k;
-  }
   if (obs::RecorderEnabled()) AuditCandidates(audit_task_id, runs.size);
-  c.Start(top, c.cold_.empty() ? 0.0 : c.cold_[top].bound);
+  c.Start(top, top_bound);
   return c;
 }
 

@@ -194,29 +194,21 @@ class U2eRankStage {
             std::vector<std::pair<double, size_t>>& ranked,
             int64_t audit_task_id = obs::kAuditNoTask);
 
-  /// The lazy form of Rank over the same arguments: the returned cursor
-  /// emits Rank's `ranked` list entry by entry. One pass computes every
-  /// candidate's observed distance and upper bound; the candidates needed
-  /// to certify the first entry are scored before returning. Emits the
-  /// kAuditCandidates event as Rank does; full-audit callers drain the
-  /// cursor to log every score. The positions and radii in `soa`, and
-  /// `random_rank`, must stay unchanged while the cursor is in use.
-  U2eRankCursor& Open(const reachability::WorkerFilterSoA& soa,
-                      const std::vector<uint32_t>& candidates,
-                      geo::Point exact_task_location,
-                      const double* random_rank,
-                      int64_t audit_task_id = obs::kAuditNoTask);
-
-  /// Open over a cell-grouped candidate set (U2uCandidateStage::
-  /// CollectRuns): the same entries as Open over the flattened set, but a
-  /// cell's members are gathered and bounded only when the cell's bound —
-  /// the lattice bound at the distance from the exact task to the nearest
-  /// point of the cell's member box and at the cell's largest reach radius
-  /// — can still win. Plain kNoCell entries are bounded up front. Falls
-  /// back to Open over the flattened set when there is no cell bound to
-  /// take (no Monotone(kU2E) lattice, kRandom / kNearest, no grid) and
-  /// in full-audit mode. `runs` and the grid rows it names must stay
-  /// unchanged while the cursor is in use.
+  /// The lazy form of Rank over a cell-grouped candidate set
+  /// (U2uCandidateStage::CollectRuns): the returned cursor emits the
+  /// entries Rank gives over the same ids. When the model declares
+  /// Monotone(kU2E), `runs` has a grid and full audit is off, a cell's
+  /// members are gathered and bounded only when the cell's bound — the
+  /// lattice bound at the distance from the exact task to the nearest
+  /// point of the cell's member box and at the cell's largest reach
+  /// radius — can still win. Every other member (kNoCell groups, and all
+  /// of them when there is no cell bound to take) is bounded up front: by
+  /// the lattice, else scored exactly. The candidates needed to certify the
+  /// first entry are scored before returning. Emits the kAuditCandidates
+  /// event as Rank does; full-audit callers drain the cursor to log every
+  /// score. The positions and radii in `soa`, `random_rank`, `runs` and
+  /// the grid rows it names must stay unchanged while the cursor is in
+  /// use.
   U2eRankCursor& Open(const reachability::WorkerFilterSoA& soa,
                       const CandidateRuns& runs,
                       geo::Point exact_task_location,
@@ -232,33 +224,18 @@ class U2eRankStage {
   /// Cells the cell-run cursors opened so far.
   int64_t cells_expanded() const { return cursor_.cells_expanded_; }
 
-  /// Batched probability scoring of (observed distance, radius) pairs:
-  /// out[i] = Pr(reachable at U2E | d[i], r[i]). The protocol-party adapter
-  /// ranks AoS candidate lists through this.
-  void ScoreBatch(const double* observed_distance_m,
-                  const double* reach_radius_m, size_t n, double* out);
-
-  /// Staged variant of ScoreBatch for AoS call sites (the protocol device
-  /// ranks CandidateWorker lists): write the i-th candidate's observed
-  /// distance / radius into the arrays StageScoreInputs(n) returns, then
-  /// ScoreStagedInputs(n) scores them and returns the probabilities. Both
-  /// point into the stage's batching scratch, so a caller ranking
-  /// repeatedly through one stage allocates nothing once the high-water
-  /// capacity is reached. Pointers are invalidated by the next
-  /// StageScoreInputs or Rank call.
-  struct BatchInputs {
-    double* observed_distance_m;
-    double* reach_radius_m;
-  };
-  BatchInputs StageScoreInputs(size_t n);
-  const double* ScoreStagedInputs(size_t n);
-
  private:
-  /// Gathers the candidates' observed distances and radii into d_ / r_
-  /// and scores them into p_.
-  void ScoreCandidates(const reachability::WorkerFilterSoA& soa,
-                       const std::vector<uint32_t>& candidates,
-                       geo::Point exact_task_location);
+  /// Gathers the observed distances and radii of the `n` candidates
+  /// `id_at(0 .. n-1)` into d_ / r_ and scores them into p_.
+  template <typename IdAt>
+  void ScoreCandidates(const reachability::WorkerFilterSoA& soa, size_t n,
+                       IdAt id_at, geo::Point exact_task_location);
+  /// Makes every member of `runs` a cursor cold_ entry, in group order,
+  /// bounded by the lattice when there is one and scored exactly
+  /// otherwise.
+  void OpenCold(const reachability::WorkerFilterSoA& soa,
+                const CandidateRuns& runs, geo::Point exact_task_location,
+                const double* random_rank);
   void AuditCandidates(int64_t audit_task_id, size_t count) const;
 
   Config config_;
@@ -270,7 +247,6 @@ class U2eRankStage {
   std::vector<double> d_;
   std::vector<double> r_;
   std::vector<double> p_;
-  std::vector<uint32_t> flat_;  ///< Flattened runs of the fallback Open.
 };
 
 }  // namespace scguard::assign

@@ -170,7 +170,7 @@ TaskOutcome TaskPipeline::Execute(const Task& task, MatchResult& result,
   } else {
     contact = e2e_.Run(ranking, offer, can_reach, m, task.id, admit_filter);
   }
-  // The groups name mirror rows and are valid only until the stage
+  // The groups name grid rows and are valid only until the stage
   // mutates, so acceptances are marked matched once the walk is over (an
   // erase shifts only the rows of the accepted worker's own cell, whose
   // group the cursor has opened, but the contract does not promise that).

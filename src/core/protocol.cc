@@ -45,30 +45,26 @@ TaskRequest RequesterDevice::Submit(stats::Rng& rng) {
 std::vector<CandidateWorker> RequesterDevice::RankCandidates(
     const std::vector<CandidateWorker>& candidates,
     const reachability::ReachabilityModel& model, double beta) const {
-  // The shared U2E stage scores the whole candidate list with one batched
-  // model call (bit-identical to per-candidate ProbReachable, see
-  // kernel_test); the device keeps only the message marshalling. The stage
-  // and its staging buffers live on the device so back-to-back rankings
-  // reuse them instead of reallocating per task.
-  if (!stage_.has_value() || stage_model_ != &model) {
-    stage_.emplace(assign::U2eRankStage::Config{
-        .model = &model, .rank = assign::RankStrategy::kProbability,
-        .kernel = {}});
-    stage_model_ = &model;
-  }
+  // One batched model call scores the whole candidate list (bit-identical
+  // to per-candidate ProbReachable, see kernel_test); the scratch lives on
+  // the device so back-to-back rankings reuse it instead of reallocating
+  // per task.
   const size_t n = candidates.size();
-  const assign::U2eRankStage::BatchInputs in = stage_->StageScoreInputs(n);
+  distance_.resize(n);
+  radius_.resize(n);
+  prob_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    in.observed_distance_m[i] =
+    distance_[i] =
         geo::Distance(candidates[i].noisy_location, true_task_location_);
-    in.reach_radius_m[i] = candidates[i].reach_radius_m;
+    radius_[i] = candidates[i].reach_radius_m;
   }
-  const double* p = stage_->ScoreStagedInputs(n);
+  model.ProbReachableBatch(reachability::Stage::kU2E, distance_.data(),
+                           radius_.data(), n, prob_.data());
   scored_.clear();
   scored_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (p[i] < beta) continue;  // Below the disclosure threshold.
-    scored_.emplace_back(p[i], &candidates[i]);
+    if (prob_[i] < beta) continue;  // Below the disclosure threshold.
+    scored_.emplace_back(prob_[i], &candidates[i]);
   }
   assign::SortRankedCandidates(
       scored_, [](const CandidateWorker* c) { return c->worker_id; });
@@ -83,21 +79,18 @@ std::vector<CandidateWorker> RequesterDevice::RankCandidates(
 namespace {
 
 assign::U2uCandidateStage MakeServerStage(
-    const reachability::ReachabilityModel* model, double alpha,
-    const reachability::KernelOptions& kernel) {
+    const reachability::ReachabilityModel* model, double alpha) {
   assign::U2uCandidateStage::Config config;
   config.model = model;
   config.alpha = alpha;
-  config.kernel = kernel;
   return assign::U2uCandidateStage(std::move(config));
 }
 
 }  // namespace
 
 TaskingServer::TaskingServer(const reachability::ReachabilityModel* model,
-                             double alpha,
-                             reachability::KernelOptions kernel)
-    : stage_(MakeServerStage(model, alpha, kernel)) {}
+                             double alpha)
+    : stage_(MakeServerStage(model, alpha)) {}
 
 void TaskingServer::RegisterWorker(const WorkerRegistration& registration) {
   workers_.push_back(registration);
@@ -161,25 +154,29 @@ TaskOutcome ProtocolCoordinator::AssignTask(
       requester.RankCandidates(candidates, *u2e_model_, beta_);
 
   // E2E: disclose the task location to one worker at a time. The plan is
-  // already beta-filtered and ordered, so the shared contact stage runs
-  // gate-free and this adapter only routes offers to the devices.
+  // already beta-filtered and ordered, and its scores stay on the device,
+  // so the shared contact walk runs gate-free over (0.0, worker id) pairs
+  // and this adapter only routes offers to the devices.
+  std::vector<std::pair<double, int64_t>> order;
+  order.reserve(plan.size());
+  for (const CandidateWorker& c : plan) order.emplace_back(0.0, c.worker_id);
   const assign::E2eContactStage contact(
       {.rank = assign::RankStrategy::kProbability, .beta = 0.0,
        .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
-  const assign::E2eContactStage::Outcome o = contact.ContactPlan(
-      plan,
-      [&](const CandidateWorker& c) {
-        SCGUARD_CHECK(c.worker_id >= 0 &&
-                      static_cast<size_t>(c.worker_id) < workers.size());
-        const WorkerDevice& device = workers[static_cast<size_t>(c.worker_id)];
+  const assign::E2eContactStage::Outcome o = contact.Contact(
+      order,
+      [&](int64_t worker_id) {
+        SCGUARD_CHECK(worker_id >= 0 &&
+                      static_cast<size_t>(worker_id) < workers.size());
+        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
         if (!device.HandleTaskOffer(requester.exact_task_location())) {
           return false;
         }
-        server_->MarkAssigned(c.worker_id);
-        outcome.assigned_worker = c.worker_id;
+        server_->MarkAssigned(worker_id);
+        outcome.assigned_worker = worker_id;
         return true;
       },
-      requester.task_id(), [](const CandidateWorker& c) { return c.worker_id; });
+      requester.task_id(), assign::UnknownAdmitFilter{});
   trace_.task_location_disclosures += o.disclosures;
   trace_.rejections += o.false_hits;
   outcome.disclosures = o.disclosures;

@@ -4,14 +4,13 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "assign/stages/candidate_stage.h"
-#include "assign/stages/rank_stage.h"
 #include "geo/point.h"
 #include "privacy/mechanism.h"
 #include "privacy/privacy_params.h"
-#include "reachability/kernel.h"
 #include "reachability/model.h"
 #include "stats/rng.h"
 
@@ -98,13 +97,11 @@ class RequesterDevice {
   privacy::PrivacyParams params_;
   /// See WorkerDevice::mechanism_.
   std::shared_ptr<const privacy::Mechanism> mechanism_;
-  /// Lazily built U2E stage plus ranking scratch, reused across
-  /// RankCandidates calls so the per-task hot path stops allocating once
-  /// capacities settle; rebuilt if a caller switches models. Mutable
-  /// because ranking is logically const (the device's observable state —
-  /// task id, location, budget — never changes).
-  mutable std::optional<assign::U2eRankStage> stage_;
-  mutable const reachability::ReachabilityModel* stage_model_ = nullptr;
+  /// Ranking scratch, reused across RankCandidates calls so the per-task
+  /// hot path stops allocating once capacities settle. Mutable because
+  /// ranking is logically const (the device's observable state — task id,
+  /// location, budget — never changes).
+  mutable std::vector<double> distance_, radius_, prob_;
   mutable std::vector<std::pair<double, const CandidateWorker*>> scored_;
 };
 
@@ -117,8 +114,7 @@ class TaskingServer {
  public:
   /// `alpha` is the U2U threshold applied to `model` probabilities,
   /// decided exactly through the shared stage's certain bands (kernel.h).
-  TaskingServer(const reachability::ReachabilityModel* model, double alpha,
-                reachability::KernelOptions kernel = {});
+  TaskingServer(const reachability::ReachabilityModel* model, double alpha);
 
   void RegisterWorker(const WorkerRegistration& registration);
 

@@ -1,6 +1,8 @@
 #include "core/variants.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "assign/stages/contact_stage.h"
 #include "assign/stages/rank_stage.h"
@@ -39,17 +41,21 @@ VariantOutcome RunSequential(const RequesterDevice& requester,
   VariantOutcome outcome;
   const std::vector<CandidateWorker> plan =
       requester.RankCandidates(candidates, model, beta);
-  const auto o = SequentialContact().ContactPlan(
-      plan,
-      [&](const CandidateWorker& c) {
-        const WorkerDevice& device = workers[static_cast<size_t>(c.worker_id)];
+  // The plan's scores stay on the device: walk it as (0.0, worker id).
+  std::vector<std::pair<double, int64_t>> order;
+  order.reserve(plan.size());
+  for (const CandidateWorker& c : plan) order.emplace_back(0.0, c.worker_id);
+  const auto o = SequentialContact().Contact(
+      order,
+      [&](int64_t worker_id) {
+        const WorkerDevice& device = workers[static_cast<size_t>(worker_id)];
         if (!device.HandleTaskOffer(requester.exact_task_location())) {
           return false;
         }
-        outcome.assigned_worker = c.worker_id;
+        outcome.assigned_worker = worker_id;
         return true;
       },
-      request.task_id, [](const CandidateWorker& c) { return c.worker_id; });
+      request.task_id, assign::UnknownAdmitFilter{});
   outcome.task_location_disclosures += o.disclosures;
   return outcome;
 }

@@ -26,12 +26,18 @@ namespace scguard::service {
 struct ServiceEvent {
   enum class Kind : uint8_t { kTask, kReport };
   Kind kind = Kind::kTask;
-  int64_t task_id = 0;   ///< kTask only.
   uint32_t worker = 0;   ///< kReport only.
+  int64_t task_id = 0;   ///< kTask only.
   geo::Point exact;      ///< Task location / worker's new true location.
   geo::Point noisy;      ///< Geo-I perturbed counterpart.
   uint64_t submit_ns = 0;  ///< steady_clock at enqueue (latency accounting).
 };
+// The ingest ring's slot is the event plus an 8-byte sequence word, aligned
+// to 64 bytes: at <= 56 bytes an event keeps it one cache line, and every
+// service's ring (queue_capacity slots, touched up front) half the size it
+// would be at 64.
+static_assert(sizeof(ServiceEvent) + sizeof(uint64_t) <= 64,
+              "ServiceEvent must leave its ring slot one cache line");
 
 /// How a task's service ended.
 struct CompletionRecord {
@@ -85,8 +91,8 @@ struct ServiceConfig : assign::ProtocolPolicy {
 /// producer threads push worker re-reports and task submissions into a
 /// lock-free bounded ring (MpscQueue); a single consumer thread alternates
 /// an apply phase (drain up to max_batch events, mutate the U2U stage's
-/// index/mirror state through the incremental Relocate/MarkAvailable
-/// paths, publish a new epoch) with a scan phase (run each drained task
+/// grid rows through the incremental Relocate/MarkAvailable paths,
+/// publish a new epoch) with a scan phase (run each drained task
 /// through the assign::TaskPipeline that ScGuardEngine::Run also uses,
 /// pinned to the just-published epoch).
 ///
@@ -126,7 +132,7 @@ class AssignmentService {
   /// it.
   uint32_t RegisterWorker(const assign::Worker& w);
 
-  /// Builds the stage state (certain bands, pruning index, mirror) and
+  /// Builds the stage state (certain bands, pruning index) and
   /// launches the consumer thread. RunMetrics::setup_seconds and the
   /// `assign.setup` span cover the first RegisterWorker through this
   /// build.

@@ -1,13 +1,11 @@
 #include "sim/dynamic.h"
 
 #include <algorithm>
-#include <memory>
 #include <cmath>
-#include <utility>
+#include <memory>
 
-#include "assign/stages/candidate_stage.h"
-#include "assign/stages/contact_stage.h"
-#include "assign/stages/rank_stage.h"
+#include "assign/entities.h"
+#include "assign/task_pipeline.h"
 #include "common/check.h"
 #include "data/beijing.h"
 #include "data/trip_model.h"
@@ -71,41 +69,41 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
   }
   const reachability::ReachabilityModel& model = *model_owner;
 
-  // Worker state.
-  struct DynamicWorker {
-    geo::Point location;
-    geo::Point reported;
-    double reach = 0;
-    double spent_epsilon = 0;
-  };
-  std::vector<DynamicWorker> workers(static_cast<size_t>(config.num_workers));
-  for (auto& w : workers) {
-    w.location = demand.Sample(rng);
-    w.reach = rng.UniformDouble(config.reach_min_m, config.reach_max_m);
+  // Worker state: the pipeline's ground truth, indexed by worker id.
+  // noisy_location stays unset until the round-0 report, before the first
+  // task reads it.
+  std::vector<assign::Worker> workers(static_cast<size_t>(config.num_workers));
+  for (size_t i = 0; i < workers.size(); ++i) {
+    workers[i].id = static_cast<int64_t>(i);
+    workers[i].location = demand.Sample(rng);
+    workers[i].reach_radius_m =
+        rng.UniformDouble(config.reach_min_m, config.reach_max_m);
   }
+  // Every worker reports at the same rounds, so all spend alike.
+  double spent_epsilon = 0;
 
-  // The shared protocol stages (DESIGN.md section 10); run-local, like the
-  // rest of the simulation state. Reach radii never change across rounds,
-  // so the U2U stage's per-worker certain bands (filled at the first
-  // Collect) stay valid for the whole run: per-round location refreshes
+  // The service's per-task protocol body (DESIGN.md section 10), run-local
+  // like the rest of the simulation state. Reach radii never change across
+  // rounds, so the U2U stage's per-worker certain bands (filled at the
+  // first task) stay valid for the whole run: per-round location refreshes
   // re-point the noisy coordinates via UpdateWorkerLocation, and round
   // boundaries only reset availability — the bands are never recomputed.
-  assign::U2uCandidateStage::Config u2u_config;
-  u2u_config.model = &model;
-  u2u_config.alpha = config.alpha;
-  assign::U2uCandidateStage u2u(std::move(u2u_config));
-  u2u.ReserveWorkers(workers.size());
-  for (const auto& w : workers) {
-    // Placeholder coordinates: every strategy refreshes the report in
-    // round 0 before the first Collect.
-    u2u.AddWorker(w.location, w.reach);
-  }
-  assign::U2eRankStage u2e(
-      {.model = &model, .rank = assign::RankStrategy::kProbability,
-       .kernel = {}, .audit_epsilon = per_report.epsilon});
-  const assign::E2eContactStage contact(
-      {.rank = assign::RankStrategy::kProbability, .beta = config.beta,
-       .beta_mode = assign::BetaMode::kEveryContact, .redundancy_k = 1});
+  assign::ProtocolPolicy policy;
+  policy.u2u_model = &model;
+  policy.u2e_model = &model;
+  policy.alpha = config.alpha;
+  policy.beta = config.beta;
+  policy.beta_mode = assign::BetaMode::kEveryContact;
+  policy.redundancy_k = 1;
+  policy.worker_params = per_report;
+  policy.task_params = config.joint;
+  assign::TaskPipeline pipeline(policy, region, workers);
+  pipeline.ReserveWorkers(workers.size());
+  // Probability ranking never reads the random-rank priorities; their
+  // draws come from a stream of their own so `rng` is untouched.
+  stats::Rng rank_rng(config.seed);
+  for (const assign::Worker& w : workers) pipeline.AddWorker(w, rank_rng);
+  assign::U2uCandidateStage& u2u = pipeline.u2u();
 
   // Task perturbation runs at the joint level every time (tasks are
   // one-shot); the mechanism itself is deterministic state, built once
@@ -114,7 +112,6 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
       privacy::MakeMechanismOrDie(config.joint, region);
 
   std::vector<DynamicRoundMetrics> results;
-  std::vector<std::pair<double, size_t>> ranked;  // Reused across tasks.
   for (int round = 0; round < config.rounds; ++round) {
     // Movement (not in round 0: workers register where they are).
     if (round > 0) {
@@ -128,14 +125,14 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
     }
 
     // Reporting.
-    for (size_t i = 0; i < workers.size(); ++i) {
-      auto& w = workers[i];
-      const bool refresh = round == 0 || strategy != ReportingStrategy::kReportOnce;
-      if (refresh) {
-        w.reported = report_mechanism->Perturb(w.location, rng);
-        w.spent_epsilon += per_report.epsilon;
-        u2u.UpdateWorkerLocation(static_cast<uint32_t>(i), w.reported);
+    if (round == 0 || strategy != ReportingStrategy::kReportOnce) {
+      for (size_t i = 0; i < workers.size(); ++i) {
+        workers[i].noisy_location =
+            report_mechanism->Perturb(workers[i].location, rng);
+        u2u.UpdateWorkerLocation(static_cast<uint32_t>(i),
+                                 workers[i].noisy_location);
       }
+      spent_epsilon += per_report.epsilon;
     }
 
     // One round of online assignment over fresh tasks; every worker is
@@ -143,42 +140,36 @@ std::vector<DynamicRoundMetrics> RunDynamicWorkers(const DynamicConfig& config,
     u2u.ResetAvailability();
     DynamicRoundMetrics metrics;
     metrics.round = round;
-    double travel_sum = 0;
+    assign::MatchResult round_result;
     static const obs::SpanSite kRoundSite("sim.dynamic_round");
     const obs::Span round_span(kRoundSite);
     for (int t = 0; t < config.tasks_per_round; ++t) {
+      assign::Task task;
       // Synthetic task id for the audit trail: stable for a fixed config,
       // unique across the whole run.
-      const int64_t task_id =
-          static_cast<int64_t>(round) * config.tasks_per_round + t;
-      const geo::Point task = demand.Sample(rng);
-      const geo::Point task_noisy = task_mechanism->Perturb(task, rng);
-      // U2U over reported locations, U2E against the exact task location.
-      const std::vector<uint32_t>& candidates = u2u.Collect(task_noisy);
-      u2e.Rank(u2u.soa(), candidates, task, /*random_rank=*/nullptr, ranked,
-               task_id);
-      const auto outcome = contact.Contact(
-          ranked,
-          [&](size_t i) {
-            const double d_true = geo::Distance(workers[i].location, task);
-            if (d_true > workers[i].reach) return false;
-            u2u.MarkMatched(static_cast<uint32_t>(i));
-            workers[i].location = task;  // Completes the task, ends up there.
-            metrics.assigned += 1;
-            travel_sum += d_true;
-            return true;
-          },
-          task_id, assign::UnknownAdmitFilter{});
-      metrics.false_hits += static_cast<double>(outcome.false_hits);
+      task.id = static_cast<int64_t>(round) * config.tasks_per_round + t;
+      task.location = demand.Sample(rng);
+      task.noisy_location = task_mechanism->Perturb(task.location, rng);
+      task.arrival_seq = task.id;
+      const assign::TaskOutcome outcome =
+          pipeline.Execute(task, round_result);
+      if (outcome.worker_id >= 0) {
+        // Completes the task and ends up there.
+        workers[static_cast<size_t>(outcome.worker_id)].location =
+            task.location;
+      }
     }
-    metrics.travel_m = metrics.assigned > 0 ? travel_sum / metrics.assigned : 0;
+    const assign::RunMetrics& m = round_result.metrics;
+    metrics.assigned = static_cast<double>(m.assigned_tasks);
+    metrics.travel_m =
+        metrics.assigned > 0 ? m.travel_sum_m / metrics.assigned : 0;
+    metrics.false_hits = static_cast<double>(m.false_hits);
 
-    double eps_max = 0, error_sum = 0;
+    double error_sum = 0;
     for (const auto& w : workers) {
-      eps_max = std::max(eps_max, w.spent_epsilon);
-      error_sum += geo::Distance(w.location, w.reported);
+      error_sum += geo::Distance(w.location, w.noisy_location);
     }
-    metrics.effective_epsilon = eps_max;
+    metrics.effective_epsilon = spent_epsilon;
     metrics.report_error_m = error_sum / static_cast<double>(workers.size());
     results.push_back(metrics);
   }

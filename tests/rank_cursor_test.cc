@@ -270,6 +270,8 @@ TEST(U2eBoundLatticeTest, OutsideTheLatticeTheBoundIsTrivial) {
 struct Snapshot {
   reachability::WorkerFilterSoA soa;
   std::vector<uint32_t> candidates;
+  /// The same ids as one kNoCell group, the cursor's input.
+  assign::CandidateRuns runs;
 
   void Add(geo::Point noisy, double radius) {
     const size_t i = soa.size();
@@ -278,6 +280,10 @@ struct Snapshot {
     soa.y[i] = noisy.y;
     soa.reach_radius_m[i] = radius;
     candidates.push_back(static_cast<uint32_t>(i));
+    runs.ids.push_back(static_cast<uint32_t>(i));
+    runs.size = runs.ids.size();
+    if (runs.groups.empty()) runs.groups.push_back({});
+    runs.groups[0].count = static_cast<uint32_t>(runs.size);
   }
 };
 
@@ -298,7 +304,7 @@ void ExpectCursorMatchesRank(const ReachabilityModel* model,
   Ranked want;
   eager.Rank(snap.soa, snap.candidates, task, random_rank, want);
   const Ranked got =
-      Drain(lazy.Open(snap.soa, snap.candidates, task, random_rank));
+      Drain(lazy.Open(snap.soa, snap.runs, task, random_rank));
   ASSERT_EQ(got.size(), want.size());
   for (size_t k = 0; k < want.size(); ++k) {
     EXPECT_EQ(got[k].second, want[k].second) << "entry " << k;
@@ -389,7 +395,7 @@ TEST(U2eRankCursorTest, ScoresFewCandidatesAndLeavesTheRestForDismissals) {
   Ranked want;
   eager.Rank(snap.soa, snap.candidates, {0, 0}, nullptr, want);
   assign::U2eRankCursor& cursor =
-      lazy.Open(snap.soa, snap.candidates, {0, 0}, nullptr);
+      lazy.Open(snap.soa, snap.runs, {0, 0}, nullptr);
   for (size_t k = 0; k < 3; ++k) {
     assign::U2eRankCursor::Entry e;
     ASSERT_TRUE(cursor.Next(e));
@@ -429,7 +435,7 @@ TEST(U2eRankCursorTest, CancelledTaskDismissesTrippedAndUnemitted) {
               assign::UnknownAdmitFilter{});
   assign::RunMetrics by_cursor;
   const auto cursor_outcome =
-      e2e.Run(u2e.Open(snap.soa, snap.candidates, {0, 0}, nullptr), offer,
+      e2e.Run(u2e.Open(snap.soa, snap.runs, {0, 0}, nullptr), offer,
               reachable, by_cursor, obs::kAuditNoTask,
               assign::UnknownAdmitFilter{});
   for (const auto& [o, m] : {std::pair{vector_outcome, by_vector},

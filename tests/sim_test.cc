@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
+#include "obs/obs_config.h"
+#include "obs/recorder.h"
+#include "obs/trace_export.h"
 #include "sim/defaults.h"
 #include "sim/dynamic.h"
 #include "sim/experiment.h"
@@ -211,6 +216,39 @@ TEST(DynamicWorkersTest, LocationSetSplitHonorsJointBudget) {
   // The split noise is far larger than a full-budget report's.
   const auto naive = RunDynamicWorkers(config, ReportingStrategy::kNaiveRefresh);
   EXPECT_GT(rounds.front().report_error_m, 2.0 * naive.front().report_error_m);
+}
+
+// The dynamic sim runs its tasks through the service's per-task pipeline,
+// so its audit trail reconciles like the service's: one disclosure per
+// contacted worker (each accepts or is a false hit), each naming the U2U
+// filter that admitted it.
+TEST(DynamicWorkersTest, AuditTrailCountsEveryDisclosureWithItsFilter) {
+  const obs::ObsConfig saved{obs::Enabled(), obs::RecorderEnabled(),
+                             obs::AuditFullEnabled()};
+  obs::ObsConfig config;
+  config.recorder = true;
+  obs::SetConfig(config);
+  obs::FlightRecorder::Global().Reset();
+  const auto rounds =
+      RunDynamicWorkers(TinyDynamic(), ReportingStrategy::kNaiveRefresh);
+  const std::vector<obs::TraceEvent> events =
+      obs::FlightRecorder::Global().Drain();
+  obs::FlightRecorder::Global().Reset();
+  obs::SetConfig(saved);
+
+  double contacted = 0;
+  for (const auto& r : rounds) contacted += r.assigned + r.false_hits;
+  const obs::AuditTotals totals = obs::SummarizeAudit(events);
+  EXPECT_GT(totals.e2e_disclosures, 0);
+  EXPECT_EQ(static_cast<double>(totals.e2e_disclosures), contacted);
+  int64_t unattributed = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.type == static_cast<uint8_t>(obs::EventType::kAuditDisclosure) &&
+        obs::DisclosureFilter(e.detail) == obs::AuditFilter::kUnknown) {
+      ++unattributed;
+    }
+  }
+  EXPECT_EQ(unattributed, 0);
 }
 
 TEST(DefaultsTest, PaperParameterGrid) {

@@ -93,7 +93,8 @@ PipelineResult RunParties(const assign::Workload& workload,
   return out;
 }
 
-// (c) A dynamic-simulator-style driver over the raw stages.
+// (c) A driver over the raw stages: eager Rank, then the contact walk over
+// the ranked vector.
 PipelineResult RunStageDriver(const assign::Workload& workload,
                               const reachability::ReachabilityModel* model,
                               bool pruner_on, bool kernel_on) {
@@ -124,13 +125,16 @@ PipelineResult RunStageDriver(const assign::Workload& workload,
     const std::vector<uint32_t>& candidates = u2u.Collect(t.noisy_location);
     u2e.Rank(u2u.soa(), candidates, t.location, /*random_rank=*/nullptr,
              ranked);
-    const auto outcome = contact.Contact(ranked, [&](size_t i) {
-      const assign::Worker& w = workload.workers[i];
-      if (!w.CanReach(t.location)) return false;
-      u2u.MarkMatched(static_cast<uint32_t>(i));
-      out.pairs.insert({t.id, w.id});
-      return true;
-    });
+    const auto outcome = contact.Contact(
+        ranked,
+        [&](size_t i) {
+          const assign::Worker& w = workload.workers[i];
+          if (!w.CanReach(t.location)) return false;
+          u2u.MarkMatched(static_cast<uint32_t>(i));
+          out.pairs.insert({t.id, w.id});
+          return true;
+        },
+        obs::kAuditNoTask, assign::UnknownAdmitFilter{});
     out.disclosures += outcome.disclosures;
   }
   return out;
