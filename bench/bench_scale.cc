@@ -84,6 +84,7 @@ int Main() {
   }
 
   const privacy::PrivacyParams privacy_level{0.7, 800.0};
+  constexpr double kAlpha = 0.1;
   const reachability::AnalyticalModel model(privacy_level);
   JsonSeriesWriter json("scale");
 
@@ -93,10 +94,10 @@ int Main() {
   }
   std::printf("} (hardware=%d)\n\n", runtime::ThreadPool::HardwareThreads());
   std::printf("%10s %8s %7s %10s %10s %10s %12s %12s %11s %11s %11s %12s "
-              "%11s\n",
+              "%11s %11s\n",
               "workers", "threads", "pruner", "assigned", "u2u_s", "total_s",
               "scan_first", "scan_last", "cells_bulk", "cells_skip",
-              "boundary_w", "gather_MiB", "cells_direct");
+              "boundary_w", "gather_MiB", "cells_direct", "cells_clip");
 
   // Ground truth for the audit-trail reconciliation: the engine's own
   // disclosure counters summed over every cell this process ran.
@@ -124,7 +125,7 @@ int Main() {
         assign::EnginePolicy policy;
         policy.u2u_model = &model;
         policy.u2e_model = &model;
-        policy.alpha = 0.1;
+        policy.alpha = kAlpha;
         policy.beta = 0.25;
         policy.rank = assign::RankStrategy::kProbability;
         policy.worker_params = privacy_level;
@@ -153,10 +154,17 @@ int Main() {
                   {"u2u_gather_bytes",
                    static_cast<double>(run.metrics.u2u_gather_bytes)},
                   {"cells_emitted_direct",
-                   static_cast<double>(run.metrics.cells_emitted_direct)}});
+                   static_cast<double>(run.metrics.cells_emitted_direct)},
+                  {"cells_clipped",
+                   static_cast<double>(run.metrics.cells_clipped)},
+                  // The workload, so bench_compare.py only diffs points
+                  // measured on the same one.
+                  {"tasks", static_cast<double>(num_tasks)},
+                  {"alpha", kAlpha},
+                  {"epsilon", privacy_level.epsilon}});
         std::printf(
             "%10lld %8lld %7s %10lld %10.3f %10.3f %12lld %12lld %11lld "
-            "%11lld %11lld %12.1f %11lld\n",
+            "%11lld %11lld %12.1f %11lld %11lld\n",
             (long long)num_workers, (long long)threads,
             use_pruner ? "grid" : "off",
             (long long)run.metrics.assigned_tasks, run.metrics.u2u_seconds,
@@ -167,7 +175,8 @@ int Main() {
             (long long)run.metrics.cells_skipped,
             (long long)run.metrics.boundary_workers,
             static_cast<double>(run.metrics.u2u_gather_bytes) / (1 << 20),
-            (long long)run.metrics.cells_emitted_direct);
+            (long long)run.metrics.cells_emitted_direct,
+            (long long)run.metrics.cells_clipped);
       }
     }
   }

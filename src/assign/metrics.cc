@@ -40,6 +40,7 @@ void RunMetrics::Accumulate(const RunMetrics& other) {
   cells_bulk_accepted += other.cells_bulk_accepted;
   cells_skipped += other.cells_skipped;
   boundary_workers += other.boundary_workers;
+  cells_clipped += other.cells_clipped;
   u2u_gather_bytes += other.u2u_gather_bytes;
   cells_emitted_direct += other.cells_emitted_direct;
   grid_rebuilds += other.grid_rebuilds;

@@ -71,12 +71,15 @@ struct RunMetrics {
   /// Cell-certification work of a grid-backed pruning index, summed over
   /// the run's queries (DESIGN.md §11): cells whose whole id array was
   /// bulk-appended, non-empty cells skipped without touching entries, and
-  /// workers that fell through to the per-member rectangle test. All zero
-  /// without pruning or for the linear backend; together they explain *why*
-  /// pruning won or lost, not just that it did.
+  /// workers that fell through to the per-member rectangle test, all
+  /// counted inside the alpha-clipped walk range; and the cells of the
+  /// rectangle range the alpha clip left out. All zero without pruning or
+  /// for the linear backend; together they explain *why* pruning won or
+  /// lost, not just that it did.
   int64_t cells_bulk_accepted = 0;
   int64_t cells_skipped = 0;
   int64_t boundary_workers = 0;
+  int64_t cells_clipped = 0;
 
   /// Modeled scoring-side memory traffic of the U2U scan, bytes summed over
   /// the run (DESIGN.md §13 / EXPERIMENTS.md): scattered cache lines for

@@ -334,7 +334,7 @@ void U2uCandidateStage::CollectGrid(geo::Point task_noisy_location) {
   const size_t n = soa_.size();
   const EngineRuntime& rt = config_.runtime;
   const geo::BoundingBox query = pruner_->TaskQueryBox(task_noisy_location);
-  grid_->VisitQueryCells(query, visits_);
+  grid_->VisitQueryCells(query, task_noisy_location, visits_);
 
   // Cut the visit list into chunks of >= shard_size members. Boundaries
   // depend only on the walk and shard_size — never the pool — so per-chunk

@@ -192,6 +192,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
     m.cells_bulk_accepted = gs->cells_bulk_accepted;
     m.cells_skipped = gs->cells_skipped;
     m.boundary_workers = gs->boundary_workers;
+    m.cells_clipped = gs->cells_clipped;
   }
   // Scoring-side traffic accounting, cumulative over the stage's life like
   // the certification counters above.
@@ -222,6 +223,7 @@ void TaskPipeline::Finish(RunMetrics& m) const {
       {"cells_bulk_accepted", m.cells_bulk_accepted},
       {"cells_skipped", m.cells_skipped},
       {"boundary_workers", m.boundary_workers},
+      {"cells_clipped", m.cells_clipped},
       {"u2u_gather_bytes", m.u2u_gather_bytes},
       {"cells_emitted_direct", m.cells_emitted_direct},
       {"grid_rebuilds", m.grid_rebuilds},

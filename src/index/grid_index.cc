@@ -104,6 +104,20 @@ void GridIndex::RecomputeCell(size_t slot) {
   for (size_t k = c.begin; k < c.begin + c.count; ++k) AddToCell(slot, k);
 }
 
+void GridIndex::RaiseAlphaReach(const Row& row) {
+  for (const double bound : {row.accept_below_sq, row.reject_above_sq}) {
+    // A NaN fails the compare and raises the mark to +inf (std::max would
+    // drop it): a NaN or +inf bound turns the clip off.
+    if (bound <= max_band_sq_) continue;
+    max_band_sq_ = std::isnan(bound) ? kInf : bound;
+    // Round h up until fl(h * h) covers the mark, so that |fl(x - t)| >= h
+    // implies the kernel's d_sq >= fl(h * h) >= every bound.
+    double h = std::sqrt(max_band_sq_);
+    while (h * h < max_band_sq_) h = std::nextafter(h, kInf);
+    alpha_reach_m_ = h;
+  }
+}
+
 GridIndex::GridIndex(const geo::BoundingBox& region, int cells_per_axis)
     : region_(region),
       cells_(cells_per_axis),
@@ -227,6 +241,7 @@ void GridIndex::BulkLoad(size_t n, const std::function<Row(size_t)>& row_at) {
     ++c.count;
     SetSlot(row.id, slot_of[i]);
     max_radius_ = std::max(max_radius_, row.expanded_r);
+    RaiseAlphaReach(row);
   }
   live_ = n;
   for (size_t slot = 0; slot < cells_ref_.size(); ++slot) RecomputeCell(slot);
@@ -265,6 +280,7 @@ void GridIndex::Insert(const Row& row) {
   AddToCell(slot, pos);
   SetSlot(row.id, static_cast<uint32_t>(slot));
   max_radius_ = std::max(max_radius_, row.expanded_r);
+  RaiseAlphaReach(row);
   ++live_;
 }
 
@@ -307,6 +323,30 @@ GridIndex::CellRange GridIndex::QueryRange(
   return range;
 }
 
+GridIndex::CellRange GridIndex::ClipToAlphaReach(CellRange rect,
+                                                 geo::Point task) const {
+  const double h = alpha_reach_m_;
+  if (std::isinf(h)) return rect;
+  // A cell's coordinate is monotone in the member's, so a member of a cell
+  // left of reach.x0 has x < fl(task.x - h), hence |fl(x - task.x)| >= h
+  // and a kernel d_sq >= fl(h * h) >= both of its bounds: rejected. The
+  // one cell of slack puts a whole cell width between the left-out
+  // members and the reach box, so their d_sq exceeds every bound strictly
+  // — which also covers a row whose accept bound equals its reject bound.
+  // Likewise on the other three sides.
+  geo::BoundingBox reach_box;
+  reach_box.min_x = task.x - h;
+  reach_box.min_y = task.y - h;
+  reach_box.max_x = task.x + h;
+  reach_box.max_y = task.y + h;
+  const CellRange reach = CellsFor(reach_box);
+  rect.x0 = std::max(rect.x0, reach.x0 - 1);
+  rect.y0 = std::max(rect.y0, reach.y0 - 1);
+  rect.x1 = std::min(rect.x1, reach.x1 + 1);
+  rect.y1 = std::min(rect.y1, reach.y1 + 1);
+  return rect;
+}
+
 void GridIndex::Query(const geo::BoundingBox& query,
                       std::vector<uint32_t>& out) const {
   out.clear();
@@ -330,11 +370,26 @@ void GridIndex::Query(const geo::BoundingBox& query,
 
 size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
                                   std::vector<CellVisit>& out) const {
-  // Each surviving cell is reported as its row slice, so the caller does
-  // the scoring-side work over contiguous rows.
   out.clear();
   if (live_ == 0 || query.empty()) return 0;
-  const CellRange range = QueryRange(query);
+  return Walk(QueryRange(query), query, out);
+}
+
+size_t GridIndex::VisitQueryCells(const geo::BoundingBox& query,
+                                  geo::Point task,
+                                  std::vector<CellVisit>& out) const {
+  out.clear();
+  if (live_ == 0 || query.empty()) return 0;
+  const CellRange rect = QueryRange(query);
+  const CellRange range = ClipToAlphaReach(rect, task);
+  stats_.cells_clipped += rect.cells() - range.cells();
+  return Walk(range, query, out);
+}
+
+size_t GridIndex::Walk(const CellRange& range, const geo::BoundingBox& query,
+                       std::vector<CellVisit>& out) const {
+  // Each surviving cell is reported as its row slice, so the caller does
+  // the scoring-side work over contiguous rows.
   size_t total = 0;
   for (int cy = range.y0; cy <= range.y1; ++cy) {
     for (int cx = range.x0; cx <= range.x1; ++cx) {
@@ -446,6 +501,21 @@ bool GridIndex::Relocate(uint32_t id, geo::Point new_center) {
 GridIndex::CellCert GridIndex::ClassifyCellForTest(
     int cx, int cy, const geo::BoundingBox& query) const {
   return Classify(aggs_[CellSlot(cx, cy)], query);
+}
+
+std::vector<size_t> GridIndex::ClippedSlotsForTest(
+    const geo::BoundingBox& query, geo::Point task) const {
+  const CellRange rect = QueryRange(query);
+  const CellRange clip = ClipToAlphaReach(rect, task);
+  std::vector<size_t> out;
+  for (int cy = rect.y0; cy <= rect.y1; ++cy) {
+    for (int cx = rect.x0; cx <= rect.x1; ++cx) {
+      if (cx < clip.x0 || cx > clip.x1 || cy < clip.y0 || cy > clip.y1) {
+        out.push_back(CellSlot(cx, cy));
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<uint32_t> GridIndex::CellMembersForTest(int cx, int cy) const {

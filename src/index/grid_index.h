@@ -34,6 +34,11 @@ namespace scguard::index {
 ///    bands and the largest reach radius, read by Certify and by the U2E
 ///    cell bound.
 ///
+/// The grid also keeps the alpha reach h (alpha_reach_m): no row can pass
+/// alpha for a task more than h away from it in either axis, so a task's
+/// walk visits only the rectangle range intersected with the cells within
+/// h of the task, plus one cell of slack (DESIGN.md §11).
+///
 /// Ids are dense uint32 worker indices with at most one row each. Sized
 /// for the city-scale, roughly uniform extents SCGuard deals with; it
 /// answers the same query contract as the U2U pruner's linear MBR scan
@@ -49,6 +54,9 @@ class GridIndex {
     int64_t cells_skipped = 0;        ///< Non-empty cell, zero work.
     int64_t cells_boundary = 0;       ///< Fell through to member tests.
     int64_t boundary_workers = 0;     ///< Members tested individually.
+    /// Cells of the rectangle range a task walk's alpha clip left out,
+    /// empty ones included (zero for task-less walks).
+    int64_t cells_clipped = 0;
   };
 
   /// Rectangle certification of one cell against one query.
@@ -152,15 +160,34 @@ class GridIndex {
     CellCert cert = CellCert::kBoundary;
   };
 
-  /// The certified cell walk: appends one CellVisit per surviving
-  /// (non-empty, non-skipped) cell in row-major order and counts it in
-  /// QueryStats. A kBulkAccepted visit means every member's rectangle
-  /// intersects `query`; a kBoundary visit means the caller must apply the
-  /// per-member rectangle test (`FromCircle(center, r).Intersects(query)`
-  /// bit-identically) before admitting a member. Returns the total member
-  /// count across the appended visits. Not thread-safe (stats).
+  /// The certified cell walk over the rectangle range of `query`: appends
+  /// one CellVisit per surviving (non-empty, non-skipped) cell in
+  /// row-major order and counts it in QueryStats. A kBulkAccepted visit
+  /// means every member's rectangle intersects `query`; a kBoundary visit
+  /// means the caller must apply the per-member rectangle test
+  /// (`FromCircle(center, r).Intersects(query)` bit-identically) before
+  /// admitting a member. Returns the total member count across the
+  /// appended visits. Query's walk, and the reference the tests hold the
+  /// task walk below against. Not thread-safe (stats).
   size_t VisitQueryCells(const geo::BoundingBox& query,
                          std::vector<CellVisit>& out) const;
+
+  /// The walk of the U2U stage for a task at `task`, the noisy point the
+  /// kernel measures d_sq from: the rectangle range intersected with the
+  /// cells of [task - h, task + h] in both axes (h = alpha_reach_m()),
+  /// widened by one cell. For a finite task every non-empty cell the clip
+  /// leaves out certifies kAllReject, so the walk yields the same
+  /// candidates as the rectangle walk; the left-out cells are counted in
+  /// QueryStats::cells_clipped. With h infinite it is the rectangle walk.
+  size_t VisitQueryCells(const geo::BoundingBox& query, geo::Point task,
+                         std::vector<CellVisit>& out) const;
+
+  /// The alpha reach h: sqrt of the largest accept or reject bound a row
+  /// has ever been inserted with (a high-water mark that Remove leaves
+  /// high), rounded up until fl(h * h) covers it, so a row whose
+  /// |fl(x - task_x)| >= h has a kernel d_sq >= both of its bounds. +inf,
+  /// which turns the clip off, once a bound was NaN or +inf.
+  double alpha_reach_m() const { return alpha_reach_m_; }
 
   /// Certifies cell `slot` against the task location. The bounds are
   /// floating-point conservative: each member's kernel d_sq (computed as
@@ -221,6 +248,10 @@ class GridIndex {
                                const geo::BoundingBox& query) const;
   /// Ids currently stored in cell (cx, cy), in stored (ascending) order.
   std::vector<uint32_t> CellMembersForTest(int cx, int cy) const;
+  /// Slots of the rectangle range of `query` that the alpha clip of a task
+  /// walk from `task` leaves out (test support).
+  std::vector<size_t> ClippedSlotsForTest(const geo::BoundingBox& query,
+                                          geo::Point task) const;
   int cells_per_axis() const { return cells_; }
 
  private:
@@ -239,7 +270,11 @@ class GridIndex {
   };
 
   struct CellRange {
-    int x0, x1, y0, y1;  // Inclusive cell coordinates.
+    int x0, x1, y0, y1;  // Inclusive cell coordinates; empty if x0 > x1.
+    int64_t cells() const {
+      return x0 > x1 || y0 > y1 ? 0
+                                : int64_t{x1 - x0 + 1} * int64_t{y1 - y0 + 1};
+    }
   };
   /// Cell coordinate of an offset measured in cells, clamped to the grid.
   int ClampCell(double v) const;
@@ -247,6 +282,12 @@ class GridIndex {
   /// The widened, clamped cell range a walk visits for `query` (the
   /// max_radius_ reach expansion plus the +-1 ulp guard band).
   CellRange QueryRange(const geo::BoundingBox& query) const;
+  /// `rect` (a QueryRange) intersected with the cells of task +- h widened
+  /// by one cell: the range a task walk visits.
+  CellRange ClipToAlphaReach(CellRange rect, geo::Point task) const;
+  /// Appends the surviving cells of `range` (the body of both walks).
+  size_t Walk(const CellRange& range, const geo::BoundingBox& query,
+              std::vector<CellVisit>& out) const;
   size_t CellSlot(int cx, int cy) const {
     return static_cast<size_t>(cy) * static_cast<size_t>(cells_) +
            static_cast<size_t>(cx);
@@ -259,6 +300,8 @@ class GridIndex {
   void AddToCell(size_t slot, size_t pos);
   /// Position of live `id`'s row inside its cell's slice.
   size_t RowOf(uint32_t id) const;
+  /// Raises the alpha-reach high-water mark to cover `row`'s bounds.
+  void RaiseAlphaReach(const Row& row);
   void WriteRow(size_t pos, const Row& row);
   void SetSlot(uint32_t id, uint32_t slot);
   /// Re-lays the rows in row-major cell order with fresh per-cell
@@ -283,6 +326,10 @@ class GridIndex {
   // visited cell range by it so any cell whose members could reach the
   // query rectangle is visited. Kept stale-high after Remove (conservative).
   double max_radius_ = 0.0;
+  // High-water mark of the rows' accept and reject bounds (+inf once one
+  // was NaN) and the alpha reach it implies; kept like max_radius_.
+  double max_band_sq_ = 0.0;
+  double alpha_reach_m_ = 0.0;
   size_t live_ = 0;
   // Rows of slices moved to the tail since the last layout: unreachable
   // until Rebuild reclaims them.

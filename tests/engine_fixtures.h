@@ -127,6 +127,7 @@ inline void ExpectBitIdentical(const assign::MatchResult& a,
   EXPECT_EQ(x.cells_bulk_accepted, y.cells_bulk_accepted) << label;
   EXPECT_EQ(x.cells_skipped, y.cells_skipped) << label;
   EXPECT_EQ(x.boundary_workers, y.boundary_workers) << label;
+  EXPECT_EQ(x.cells_clipped, y.cells_clipped) << label;
   EXPECT_EQ(x.u2u_gather_bytes, y.u2u_gather_bytes) << label;
   EXPECT_EQ(x.cells_emitted_direct, y.cells_emitted_direct) << label;
 }

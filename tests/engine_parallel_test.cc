@@ -360,6 +360,7 @@ TEST(EngineParallelTest, GridIndexSurvivesRelocateAndReactivate) {
     EXPECT_GE(gs->cells_skipped, last.cells_skipped) << label;
     EXPECT_GE(gs->cells_boundary, last.cells_boundary) << label;
     EXPECT_GE(gs->boundary_workers, last.boundary_workers) << label;
+    EXPECT_GE(gs->cells_clipped, last.cells_clipped) << label;
     last = *gs;
   };
 

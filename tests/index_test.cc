@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "assign/stages/candidate_stage.h"
 #include "geo/bbox.h"
 #include "index/grid_index.h"
 #include "index/pruning.h"
+#include "reachability/analytical_model.h"
+#include "reachability/kernel.h"
+#include "runtime/thread_pool.h"
 #include "stats/rng.h"
 
 namespace scguard::index {
@@ -494,6 +502,360 @@ TEST(GridIndexTest, OverfillMovesTheSliceAndDeadRowsPastLiveRebuildOnce) {
   fresh.BulkLoad(final_entries.size(),
                  [&](size_t i) { return RowOf(final_entries[i]); });
   ExpectSameAnswers(grid, fresh, rng, "after overfill");
+}
+
+// ------------------------------------------------------------ Alpha clip
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// alpha_reach_m() is rounded up until fl(h * h) covers every accept and
+// reject bound a row came with, survives Remove, and turns into +inf (the
+// clip off) on a NaN or +inf bound, through both Insert and BulkLoad.
+TEST(GridIndexTest, AlphaReachCoversEveryBoundAndStaysHigh) {
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {1000, 1000});
+  stats::Rng rng(41);
+  GridIndex grid(region, 8);
+  double mark = 0.0;
+  std::vector<uint32_t> ids;
+  // 3 first: fl(sqrt(3))^2 < 3, so an unrounded h would not cover it.
+  const double fixed[] = {3.0, 1e6, 2.0, 5.0, 7.0};
+  for (uint32_t id = 0; id < 200; ++id) {
+    const double a = id < 5 ? fixed[id] : rng.UniformDouble(0.0, 4e7);
+    const double b = id < 5 ? fixed[id] : a * rng.UniformDouble(1.0, 1.5);
+    grid.Insert({id, {rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000)},
+                 10.0, a, b, 100.0});
+    ids.push_back(id);
+    mark = std::max({mark, a, b});
+    const double h = grid.alpha_reach_m();
+    ASSERT_TRUE(std::isfinite(h)) << id;
+    EXPECT_GE(h * h, mark) << "id " << id;
+  }
+  const double h = grid.alpha_reach_m();
+  for (const uint32_t id : ids) ASSERT_TRUE(grid.Remove(id));
+  EXPECT_EQ(grid.alpha_reach_m(), h);  // A high-water mark.
+  grid.Insert({500, {1, 1}, 10.0, -1.0, std::nan(""), 0.0});
+  EXPECT_EQ(grid.alpha_reach_m(), kInf);
+
+  GridIndex bulk(region, 8);
+  bulk.BulkLoad(3, [](size_t i) {
+    return GridIndex::Row{static_cast<uint32_t>(i),
+                          {100.0 * static_cast<double>(i), 5.0},
+                          10.0,
+                          1.0,
+                          i == 1 ? kInf : 4.0,
+                          1.0};
+  });
+  EXPECT_EQ(bulk.alpha_reach_m(), kInf);
+  // With the clip off, the task walk is the rectangle walk.
+  const geo::BoundingBox query = geo::BoundingBox::FromCircle({0, 5}, 1.0);
+  EXPECT_TRUE(bulk.ClippedSlotsForTest(query, {0, 5}).empty());
+}
+
+/// A grid row with the analytical model's certain bands at `reach`, and
+/// the expanded rectangle radius `r_w + reach` the U2U stage gives it (a
+/// NaN reach keeps the rectangle at r_w: the grid needs a finite one).
+GridIndex::Row BandRow(reachability::AlphaThresholdCache& thresholds,
+                       uint32_t id, geo::Point center, double reach,
+                       double r_w) {
+  const reachability::AlphaThreshold t = thresholds.For(reach);
+  return {id,          center, std::isnan(reach) ? r_w : r_w + reach,
+          t.accept_below_sq, t.reject_above_sq, reach};
+}
+
+/// The kernel trichotomy plus the member rectangle test for one row:
+/// 0 rejected, 1 certain accept, 2 in the band.
+int RowVerdict(const GridIndex::Row& r, geo::Point task,
+               const geo::BoundingBox& query) {
+  if (!geo::BoundingBox::FromCircle(r.center, r.expanded_r)
+           .Intersects(query)) {
+    return 0;
+  }
+  const double dx = r.center.x - task.x;
+  const double dy = r.center.y - task.y;
+  const double d_sq = dx * dx + dy * dy;
+  if (d_sq <= r.accept_below_sq) return 1;
+  return d_sq > r.accept_below_sq && d_sq < r.reject_above_sq ? 2 : 0;
+}
+
+/// Checks the alpha clip of `grid` (whose live rows are `live`, by id) for
+/// one task: every non-empty cell the clip leaves out certifies
+/// kAllReject, cells_clipped counts them, the clipped walk is a subset of
+/// the rectangle walk, and both walks admit exactly the rows a brute pass
+/// over `live` admits, with the same verdicts.
+void ExpectClipExact(const GridIndex& grid,
+                     const std::map<uint32_t, GridIndex::Row>& live,
+                     geo::Point task, const geo::BoundingBox& query,
+                     const std::string& label) {
+  const std::vector<size_t> clipped = grid.ClippedSlotsForTest(query, task);
+  for (const size_t slot : clipped) {
+    if (grid.cell_count(slot) == 0) continue;
+    EXPECT_EQ(grid.Certify(slot, task.x, task.y),
+              GridIndex::CellAlpha::kAllReject)
+        << label << " slot " << slot;
+  }
+  std::map<uint32_t, int> brute;
+  for (const auto& [id, row] : live) {
+    const int v = RowVerdict(row, task, query);
+    if (v != 0) brute[id] = v;
+  }
+  std::vector<GridIndex::CellVisit> rect_visits, clip_visits;
+  grid.VisitQueryCells(query, rect_visits);
+  const int64_t clipped_before = grid.stats().cells_clipped;
+  grid.VisitQueryCells(query, task, clip_visits);
+  EXPECT_EQ(grid.stats().cells_clipped - clipped_before,
+            static_cast<int64_t>(clipped.size()))
+      << label;
+  for (const auto* visits : {&rect_visits, &clip_visits}) {
+    std::map<uint32_t, int> got;
+    for (const GridIndex::CellVisit& v : *visits) {
+      for (size_t pos = v.begin; pos < v.begin + v.count; ++pos) {
+        const uint32_t id = grid.rows().id[pos];
+        const int verdict = RowVerdict(live.at(id), task, query);
+        if (verdict != 0) got[id] = verdict;
+      }
+    }
+    EXPECT_EQ(got, brute) << label;
+  }
+  size_t k = 0;
+  for (const GridIndex::CellVisit& v : clip_visits) {
+    while (k < rect_visits.size() && rect_visits[k].slot != v.slot) ++k;
+    ASSERT_LT(k, rect_visits.size()) << label << " slot " << v.slot;
+  }
+}
+
+// The alpha clip over uniform and hotspot layouts, distinct and three
+// radii, a NaN-radius row and rows centred outside the region, for tasks
+// inside, on and beyond the region edge — on the loaded grid and after
+// Remove, cross-cell Relocate, re-Insert, slice moves and a re-layout.
+TEST(GridIndexTest, AlphaClipLeavesOutOnlyAllRejectCells) {
+  const privacy::PrivacyParams params{0.7, 800.0};
+  const reachability::AnalyticalModel model(params);
+  const double extent = 20000.0;
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {extent, extent});
+  // The stage's confidence rectangles.
+  const UncertainRegionPruner boxes({}, params, params, 0.9, region);
+  const double r_w = boxes.worker_confidence_radius_m();
+  for (const bool hotspot : {false, true}) {
+    for (const bool three_radii : {false, true}) {
+      const std::string run = std::string(hotspot ? "hotspot" : "uniform") +
+                              (three_radii ? "/3 radii" : "/distinct");
+      reachability::AlphaThresholdCache thresholds(
+          &model, reachability::Stage::kU2U, 0.1);
+      stats::Rng rng(hotspot ? 51 : 52);
+      const auto random_center = [&]() -> geo::Point {
+        if (rng.UniformInt(20) == 0) {  // Outside the region.
+          return {rng.UniformDouble(-4000.0, extent + 4000.0),
+                  rng.UniformInt(2) == 0 ? -rng.UniformDouble(1.0, 4000.0)
+                                         : extent + rng.UniformDouble(1.0, 4000.0)};
+        }
+        if (hotspot) {
+          const double c = rng.UniformInt(2) == 0 ? 6000.0 : 13000.0;
+          return {rng.Gaussian(c, 900.0), rng.Gaussian(c, 900.0)};
+        }
+        return {rng.UniformDouble(0.0, extent), rng.UniformDouble(0.0, extent)};
+      };
+      const auto random_reach = [&]() {
+        if (three_radii) {
+          const double tiers[] = {1000.0, 2000.0, 3000.0};
+          return tiers[rng.UniformInt(3)];
+        }
+        return rng.UniformDouble(1000.0, 3000.0);
+      };
+      const size_t n = 1500;
+      std::vector<GridIndex::Row> rows;
+      for (uint32_t id = 0; id < n; ++id) {
+        const double reach = id == 7 ? std::nan("") : random_reach();
+        rows.push_back(BandRow(thresholds, id, random_center(), reach, r_w));
+      }
+      GridIndex grid(region, 24);
+      grid.BulkLoad(n, [&](size_t i) { return rows[i]; });
+      std::map<uint32_t, GridIndex::Row> live;
+      for (const GridIndex::Row& r : rows) live[r.id] = r;
+      ASSERT_TRUE(std::isfinite(grid.alpha_reach_m())) << run;
+
+      const auto check_tasks = [&](const std::string& phase) {
+        std::vector<geo::Point> tasks;
+        for (int t = 0; t < 12; ++t) {
+          tasks.push_back(random_center());
+        }
+        // On the region edge and beyond it.
+        tasks.push_back({0.0, rng.UniformDouble(0.0, extent)});
+        tasks.push_back({extent, extent});
+        tasks.push_back({-2500.0, rng.UniformDouble(0.0, extent)});
+        tasks.push_back({extent + 2500.0, -2500.0});
+        int64_t clipped = 0;
+        for (size_t t = 0; t < tasks.size(); ++t) {
+          const geo::BoundingBox query = boxes.TaskQueryBox(tasks[t]);
+          clipped += static_cast<int64_t>(
+              grid.ClippedSlotsForTest(query, tasks[t]).size());
+          ExpectClipExact(grid, live, tasks[t], query,
+                          run + " " + phase + " task " + std::to_string(t));
+        }
+        EXPECT_GT(clipped, 0) << run << " " << phase;
+      };
+      check_tasks("loaded");
+
+      std::vector<uint32_t> removed;
+      for (int step = 0; step < 400; ++step) {
+        const auto id = static_cast<uint32_t>(rng.UniformInt(n));
+        const uint64_t op = rng.UniformInt(3);
+        if (op == 0 && live.count(id) != 0) {
+          ASSERT_TRUE(grid.Remove(id));
+          live.erase(id);
+          removed.push_back(id);
+        } else if (op == 1 && live.count(id) != 0) {
+          const geo::Point to = random_center();  // Mostly cross-cell.
+          ASSERT_TRUE(grid.Relocate(id, to));
+          live[id].center = to;
+        } else if (!removed.empty()) {
+          GridIndex::Row row = rows[removed.back()];
+          removed.pop_back();
+          row.center = random_center();
+          grid.Insert(row);
+          live[row.id] = row;
+        }
+      }
+      check_tasks("churned");
+
+      // Pile rows into one cell: its slice moves to the tail until the
+      // dead rows force a re-layout.
+      const geo::Point pile{9100.0, 9100.0};
+      for (uint32_t id = 0; grid.rebuilds() == 0 && id < n; ++id) {
+        if (live.count(id) == 0) continue;
+        ASSERT_TRUE(grid.Relocate(id, pile));
+        live[id].center = pile;
+      }
+      EXPECT_EQ(grid.rebuilds(), 1) << run;
+      check_tasks("re-laid");
+    }
+  }
+}
+
+// A planted row at the exact edge of the alpha reach: its accept bound
+// equals its reject bound (as for a zero reach radius under the binary
+// model), its |fl(x - task_x)| rounds to exactly h and it sits just left
+// of the cell boundary that fl(task_x - h) lands on. Only the one cell of
+// slack keeps its cell in the walk; the kernel accepts it.
+TEST(GridIndexTest, AlphaClipSlackKeepsTheEdgeCell) {
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {16, 16});
+  GridIndex grid(region, 16);  // 1 m cells: boundaries on whole meters.
+  const double bound = 1e6;    // h = 1000 exactly.
+  grid.Insert({0, {1.0 - 2e-14, 8.0}, 2000.0, bound, bound, 0.0});
+  grid.Insert({1, {12.0, 8.0}, 2000.0, 1.0, 4.0, 1.0});
+  ASSERT_EQ(grid.alpha_reach_m(), 1000.0);
+  const geo::Point task{1001.0, 8.0};
+  ASSERT_EQ(task.x - grid.alpha_reach_m(), 1.0);  // In cell 1.
+  ASSERT_EQ(std::fabs((1.0 - 2e-14) - task.x), 1000.0);
+  const geo::BoundingBox query = geo::BoundingBox::FromCircle(task, 1.0);
+  std::map<uint32_t, GridIndex::Row> live;
+  live[0] = {0, {1.0 - 2e-14, 8.0}, 2000.0, bound, bound, 0.0};
+  live[1] = {1, {12.0, 8.0}, 2000.0, 1.0, 4.0, 1.0};
+  ExpectClipExact(grid, live, task, query, "planted");
+  EXPECT_EQ(RowVerdict(live[0], task, query), 1);
+}
+
+// The U2U stage's grid Collect — the clipped walk — equals a brute pass
+// (rectangle test and Decide over every available worker) across pool x
+// shard x SIMD, for uniform and hotspot layouts with three radii, tasks on
+// and beyond the region edge, and the stage's churn: matches (Remove),
+// cross-cell relocations, reactivations (Insert) and piles that move
+// slices and re-lay the rows.
+TEST(GridIndexTest, ClippedStageCollectEqualsBrute) {
+  const privacy::PrivacyParams params{0.7, 800.0};
+  const reachability::AnalyticalModel model(params);
+  const double extent = 20000.0;
+  const geo::BoundingBox region =
+      geo::BoundingBox::FromCorners({0, 0}, {extent, extent});
+  const double gamma = 0.9;
+  const UncertainRegionPruner boxes({}, params, params, gamma, region);
+  const double r_w = boxes.worker_confidence_radius_m();
+
+  std::vector<std::unique_ptr<runtime::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  pools.push_back(std::make_unique<runtime::ThreadPool>(3));
+  for (const bool hotspot : {false, true}) {
+    for (const auto& pool : pools) {
+      for (const int shard : {64, 4096}) {
+        for (const auto simd : {reachability::ClassifySimd::kScalar,
+                                reachability::ClassifySimd::kAvx2}) {
+          reachability::SetClassifySimd(simd);
+          const std::string run =
+              std::string(hotspot ? "hotspot" : "uniform") +
+              " threads=" + std::to_string(pool ? pool->num_threads() : 0) +
+              " shard=" + std::to_string(shard) + " simd=" +
+              (reachability::ActiveClassifySimd() ==
+                       reachability::ClassifySimd::kAvx2
+                   ? "avx2"
+                   : "scalar");
+          assign::U2uCandidateStage::Config config;
+          config.model = &model;
+          config.alpha = 0.1;
+          config.runtime.pool = pool.get();
+          config.runtime.shard_size = shard;
+          config.pruning = assign::U2uCandidateStage::Pruning{
+              gamma, PrunerBackend::kGrid, params, params, region};
+          assign::U2uCandidateStage stage(config);
+          stats::Rng rng(hotspot ? 61 : 62);
+          const auto random_point = [&]() -> geo::Point {
+            if (rng.UniformInt(25) == 0) {
+              return {-rng.UniformDouble(1.0, 3000.0),
+                      rng.UniformDouble(0.0, extent)};
+            }
+            if (hotspot) {
+              return {rng.Gaussian(7000.0, 1200.0),
+                      rng.Gaussian(7000.0, 1200.0)};
+            }
+            return {rng.UniformDouble(0.0, extent),
+                    rng.UniformDouble(0.0, extent)};
+          };
+          const uint32_t n = 1200;
+          const double tiers[] = {1000.0, 2000.0, 3000.0};
+          for (uint32_t i = 0; i < n; ++i) {
+            stage.AddWorker(random_point(), tiers[rng.UniformInt(3)]);
+          }
+          const auto check = [&](geo::Point task, const std::string& label) {
+            const geo::BoundingBox query = boxes.TaskQueryBox(task);
+            std::vector<uint32_t> brute;
+            for (uint32_t i = 0; i < n; ++i) {
+              if (stage.is_matched(i)) continue;
+              const reachability::WorkerFilterSoA& soa = stage.soa();
+              if (geo::BoundingBox::FromCircle({soa.x[i], soa.y[i]},
+                                               r_w + soa.reach_radius_m[i])
+                      .Intersects(query) &&
+                  stage.Decide(i, task)) {
+                brute.push_back(i);
+              }
+            }
+            EXPECT_EQ(stage.Collect(task), brute) << run << " " << label;
+          };
+          for (int step = 0; step < 90; ++step) {
+            geo::Point task = random_point();
+            if (step % 10 == 1) task = {0.0, rng.UniformDouble(0.0, extent)};
+            if (step % 10 == 2) task = {extent + 2000.0, extent + 2000.0};
+            check(task, "step " + std::to_string(step));
+            const std::vector<uint32_t> got = stage.Collect(task);
+            if (!got.empty()) stage.MarkMatched(got[got.size() / 2]);
+            const auto w = static_cast<uint32_t>(rng.UniformInt(n));
+            stage.UpdateWorkerLocation(w, random_point());
+            if (step % 3 == 0) stage.MarkAvailable(w);
+            if (step == 60) {
+              // Pile workers onto one point: slice moves, then a re-layout.
+              for (uint32_t i = 0; i < n && stage.grid_rebuilds() == 0; ++i) {
+                stage.UpdateWorkerLocation(i, {7100.0, 7100.0});
+              }
+              EXPECT_GT(stage.grid_rebuilds(), 0) << run;
+            }
+          }
+          ASSERT_NE(stage.grid_query_stats(), nullptr);
+          EXPECT_GT(stage.grid_query_stats()->cells_clipped, 0) << run;
+          reachability::ResetClassifySimd();
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Pruner

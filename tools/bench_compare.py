@@ -7,7 +7,10 @@ Usage:
 
 Points are matched on (series, x); only the intersection is compared, so a
 bench that gained or lost series (e.g. a different thread list on a
-different machine) still diffs the common cells. Two field classes:
+different machine) still diffs the common cells. A matched pair whose
+workload fields (WORKLOAD_FIELDS, e.g. the task count) differ where both
+points carry them measured different workloads: it is reported as "not
+comparable" and skipped, never diffed. Two field classes:
 
   * perf fields (wall-clock): a CURRENT value more than --perf-threshold
     above BASELINE is a regression. When the two files' provenance blocks
@@ -19,12 +22,17 @@ different machine) still diffs the common cells. Two field classes:
     because libm differences can shift floating-point scores across
     toolchains.
 
-Exit status: 1 if any regression (after downgrades), else 0.
+Exit status: 1 if any regression (after downgrades) or no common points,
+else 0 (also when every common point is not comparable).
 """
 
 import argparse
 import json
 import sys
+
+# The workload a point was measured on; two points are compared only when
+# every one of these that both carry is equal.
+WORKLOAD_FIELDS = ("tasks", "alpha", "epsilon")
 
 # Lower is better for all of these; only in this direction do we flag.
 PERF_FIELDS = (
@@ -133,9 +141,17 @@ def main():
         perf_lower = perf_lower + FRONTIER_PERF_FIELDS
         utility_fields = utility_fields + FRONTIER_UTILITY_FIELDS
 
-    regressions = warnings = 0
+    regressions = warnings = compared = 0
     for key in common:
         bp, cp = base_points[key], cur_points[key]
+        differing = [f for f in WORKLOAD_FIELDS
+                     if f in bp and f in cp and bp[f] != cp[f]]
+        if differing:
+            print(f"not comparable: {key} measured another workload (" +
+                  ", ".join(f"{f} {bp[f]:.6g} vs {cp[f]:.6g}"
+                            for f in differing) + "); skipped")
+            continue
+        compared += 1
         for field in perf_higher:
             if field not in bp or field not in cp:
                 continue
@@ -179,7 +195,7 @@ def main():
                       f"field changed)")
                 regressions += 1
 
-    print(f"compared {len(common)} points: "
+    print(f"compared {compared} points: "
           f"{regressions} regressions, {warnings} warnings")
     return 1 if regressions else 0
 
